@@ -42,6 +42,15 @@ exception Audit_failure of string list
 exception Watchdog of string
 exception Cancelled of string
 
+(* The settle-step clock: advanced by exactly one site ([step]) and
+   never reset. Every step limit is a comparison against a mark taken
+   on this clock when the limited span starts: the [max_settle_steps]
+   watchdog (per settle session), a [Budget] step cap (per arming) and
+   [settle_bounded]'s [max_steps] (per call). [Engine.stats] reports
+   it relative to the base that [reset_stats]/[import] move. A record
+   of its own so an armed budget can read it without the engine. *)
+type clock = { mutable ticks : int }
+
 (* A cooperative execution budget (the daemon's deadline machinery).
    Checked only at settle-step granularity — right where the fault
    injector's "settle-pop" site sits, before the pop — so tripping it
@@ -53,7 +62,9 @@ module Budget = struct
   type t = {
     deadline : float option; (* absolute, [Unix.gettimeofday] timeline *)
     step_cap : int option;
-    mutable steps : int; (* settle steps consumed while armed *)
+    mutable charged : int; (* steps of the arming periods already ended *)
+    mutable armed_on : clock option; (* the engine clock while armed *)
+    mutable mark : int; (* [armed_on]'s ticks when armed *)
     cancel : bool Atomic.t;
   }
 
@@ -68,11 +79,26 @@ module Budget = struct
     | Some n when n < 1 ->
       invalid_arg "Engine.Budget.create: max_steps must be >= 1"
     | _ -> ());
-    { deadline; step_cap = max_steps; steps = 0; cancel = Atomic.make false }
+    { deadline; step_cap = max_steps; charged = 0; armed_on = None; mark = 0;
+      cancel = Atomic.make false }
 
   let cancel b = Atomic.set b.cancel true
   let cancelled b = Atomic.get b.cancel
-  let steps_used b = b.steps
+
+  let steps_used b =
+    match b.armed_on with
+    | None -> b.charged
+    | Some c -> b.charged + (c.ticks - b.mark)
+
+  let disarm b =
+    b.charged <- steps_used b;
+    b.armed_on <- None
+
+  let arm b c =
+    disarm b;
+    b.armed_on <- Some c;
+    b.mark <- c.ticks
+
   let deadline b = b.deadline
 end
 
@@ -117,7 +143,10 @@ and instance = {
 
 and nd = payload G.node
 
-(* A dependency-graph partition (§6.3) and its own inconsistent set. *)
+(* A dependency-graph partition (§6.3) and its own inconsistent set.
+   The dirty-list rule: a partition is on [t.dirty_parts] exactly when
+   [on_dirty_list] is set, at most once, and the drain that empties its
+   heap takes it off. An unlisted partition's heap is therefore empty. *)
 and partition = {
   queue : nd Heap.t;
   mutable on_dirty_list : bool;
@@ -297,9 +326,13 @@ type t = {
       (* atomic: concurrent executions must draw distinct stamps or the
          per-source edge dedup would suppress edges across consumers *)
   mutable settling : bool;
-  mutable settle_fuel : int; (* -1 = unlimited; armed per settle session *)
+  clock : clock; (* settle steps, never reset *)
+  mutable session_mark : int; (* [clock] at the running session's start *)
   mutable budget : Budget.t option; (* cooperative deadline/step budget *)
   mutable dirty_parts : partition list;
+  mutable skipped : nd list;
+      (* popped by the running drain while on the call stack; re-queued
+         when the drain ends *)
   mutable all_nodes : nd list;
   mutable telemetry : Telemetry.t option;
   mutable metrics : mcells option;
@@ -330,7 +363,7 @@ type t = {
   mutable c_executions : int;
   mutable c_first : int;
   mutable c_hits : int;
-  mutable c_steps : int;
+  mutable steps_base : int; (* stats report [clock.ticks - steps_base] *)
   mutable c_pushes : int;
   mutable c_unions : int;
   mutable c_ooo : int;
@@ -373,9 +406,11 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     ctx0 = fresh_ctx 0;
     exec_serial = Atomic.make 0;
     settling = false;
-    settle_fuel = -1;
+    clock = { ticks = 0 };
+    session_mark = 0;
     budget = None;
     dirty_parts = [];
+    skipped = [];
     all_nodes = [];
     telemetry = None;
     metrics = None;
@@ -391,7 +426,7 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     c_executions = 0;
     c_first = 0;
     c_hits = 0;
-    c_steps = 0;
+    steps_base = 0;
     c_pushes = 0;
     c_unions = 0;
     c_ooo = 0;
@@ -602,6 +637,10 @@ let set_metrics t = function
 
 let metrics t = match t.metrics with None -> None | Some m -> Some m.mreg
 
+(* Bump one metrics cell, picked by a closed (allocation-free) selector. *)
+let[@inline] minc t cell =
+  match t.metrics with None -> () | Some m -> Metrics.inc (cell m)
+
 (* Budget enforcement. [budget_check] runs at the head of every settle
    step, *before* the inconsistent-set pop: a raise here leaves the
    pending node queued and the heap untouched, so the settle can be
@@ -614,33 +653,32 @@ let[@inline] budget_check t =
   | None -> ()
   | Some b ->
     let trip reason =
-      (match t.metrics with
-      | None -> ()
-      | Some m -> Metrics.inc m.m_cancellations);
+      minc t (fun m -> m.m_cancellations);
       Log.debug (fun m -> m "budget tripped: %s" reason);
       raise (Cancelled reason)
     in
     if Atomic.get b.Budget.cancel then trip "cancelled";
     (match b.Budget.step_cap with
-    | Some cap when b.Budget.steps >= cap ->
+    | Some cap when Budget.steps_used b >= cap ->
       trip (Printf.sprintf "settle-step budget %d exhausted" cap)
     | _ -> ());
     (match b.Budget.deadline with
     | Some d when Unix.gettimeofday () > d -> trip "deadline exceeded"
     | _ -> ())
 
-let[@inline] budget_step t =
-  match t.budget with
-  | None -> ()
-  | Some b -> b.Budget.steps <- b.Budget.steps + 1
+(* Arming marks the engine clock; disarming folds the steps since into
+   the budget, so it is charged exactly the steps taken while armed. *)
+let set_budget t b =
+  Option.iter Budget.disarm t.budget;
+  Option.iter (fun b -> Budget.arm b t.clock) b;
+  t.budget <- b
 
-let set_budget t b = t.budget <- b
 let budget t = t.budget
 
 let with_budget t b f =
   let saved = t.budget in
-  t.budget <- Some b;
-  Fun.protect ~finally:(fun () -> t.budget <- saved) f
+  set_budget t (Some b);
+  Fun.protect ~finally:(fun () -> set_budget t saved) f
 
 let default_strategy t = t.strategy0
 let partitioning t = t.use_partitions
@@ -739,9 +777,33 @@ let partition_of t node =
     | Some e -> Uf.payload e
     | None -> assert false
 
+(* The dirty-list rule (see [partition]) is kept by these two alone. *)
+let list_part t part =
+  if not part.on_dirty_list then begin
+    part.on_dirty_list <- true;
+    t.dirty_parts <- part :: t.dirty_parts
+  end
+
+let rec list_remove part = function
+  | [] -> []
+  | p :: rest -> if p == part then rest else p :: list_remove part rest
+
+let unlist_part t part =
+  if part.on_dirty_list then begin
+    part.on_dirty_list <- false;
+    t.dirty_parts <- list_remove part t.dirty_parts
+  end
+
+let enqueue t node =
+  let part = partition_of t node in
+  Heap.insert part.queue node;
+  list_part t part
+
 (* [cause] is provenance for telemetry only: the node whose processing
-   propagated this mark, [None] for an external mutator write. *)
-let mark_inconsistent ?cause t node =
+   propagated this mark when [caused], none for an external mutator
+   write. A plain node and a flag rather than an option, so forwarding
+   allocates no cause cell. *)
+let mark_caused t ~caused cause node =
   let p = G.payload node in
   if (not p.queued) && not p.discarded then begin
     (* before any mutation: a fault here is a clean no-op, and callers
@@ -755,29 +817,35 @@ let mark_inconsistent ?cause t node =
             {
               id = eid t node;
               name = p.name;
-              cause = Option.map (eid t) cause;
+              cause = (if caused then Some (eid t cause) else None);
             });
     p.queued <- true;
     t.seq_counter <- t.seq_counter + 1;
     p.seq <- t.seq_counter;
     t.c_pushes <- t.c_pushes + 1;
     (match t.txn with Some tx -> tx.tmarked <- node :: tx.tmarked | None -> ());
-    let part = partition_of t node in
-    Heap.insert part.queue node;
-    if not part.on_dirty_list then begin
-      part.on_dirty_list <- true;
-      t.dirty_parts <- part :: t.dirty_parts
-    end
+    enqueue t node
+  end
+
+let mark_inconsistent t node = mark_caused t ~caused:false node node
+
+(* Mark the successors of [node] from the [i]th on, [node] the cause:
+   a top-level loop, so forwarding allocates no closure. *)
+let rec forward t node i =
+  if i < G.succ_count node then begin
+    mark_caused t ~caused:true node (G.succ_at node i);
+    forward t node (i + 1)
   end
 
 (* Mark every successor of [node]. Marking is idempotent (guarded by
    [queued]), so if a fault interrupts the sweep we redo the whole sweep
    with injection suppressed before re-raising — propagation is never
    left partial. *)
-let mark_succs ?cause t node =
-  try G.iter_succ (mark_inconsistent ?cause t) node
-  with e ->
-    masked t (fun () -> G.iter_succ (mark_inconsistent ?cause t) node);
+let mark_succs t node =
+  match forward t node 0 with
+  | () -> ()
+  | exception e ->
+    masked t (fun () -> forward t node 0);
     raise e
 
 (* Node creation: priorities approximate topological order — a node created
@@ -836,9 +904,9 @@ let link_partitions t src dst =
         emit t (fun () -> Telemetry.Union { a = eid t src; b = eid t dst });
         let merge keep absorbed =
           Heap.meld keep.queue absorbed.queue;
-          if absorbed.on_dirty_list && not keep.on_dirty_list then begin
-            keep.on_dirty_list <- true;
-            t.dirty_parts <- keep :: t.dirty_parts
+          if absorbed.on_dirty_list then begin
+            unlist_part t absorbed;
+            list_part t keep
           end;
           keep
         in
@@ -974,9 +1042,7 @@ let record_failure t node p (inst : instance) e =
     if inst.failures >= t.max_retries then begin
       inst.poison <- Some e;
       t.c_poisonings <- t.c_poisonings + 1;
-      (match t.metrics with
-      | None -> ()
-      | Some m -> Metrics.inc m.m_poisonings);
+      minc t (fun m -> m.m_poisonings);
       t.quarantined <- List.filter (fun n -> not (n == node)) t.quarantined;
       Log.debug (fun m ->
           m "poisoned after %d failures: %s#%d" inst.failures p.name
@@ -988,9 +1054,7 @@ let record_failure t node p (inst : instance) e =
     else begin
       if not (List.memq node t.quarantined) then
         t.quarantined <- node :: t.quarantined;
-      (match t.metrics with
-      | None -> ()
-      | Some m -> Metrics.inc m.m_quarantines);
+      minc t (fun m -> m.m_quarantines);
       emit t (fun () ->
           Telemetry.Quarantined
             {
@@ -1016,9 +1080,7 @@ let requeue_quarantined t =
         match p.kind with
         | Instance inst when inst.poison = None && not p.discarded ->
           t.c_retries <- t.c_retries + 1;
-          (match t.metrics with
-          | None -> ()
-          | Some m -> Metrics.inc m.m_retries);
+          minc t (fun m -> m.m_retries);
           emit t (fun () ->
               Telemetry.Retried
                 { id = eid t node; name = p.name; attempt = inst.failures });
@@ -1046,6 +1108,43 @@ let failure_count _t node =
 
 let next_stamp t = Atomic.fetch_and_add t.exec_serial 1 + 1
 
+(* Drop whatever edge set a failed run recorded and reinstate [preds],
+   the one of the last successful execution (sources evicted meanwhile
+   are skipped), under a fresh stamp for dedup. The serial failure
+   paths and the parallel barrier share it. *)
+let restore_preds t node preds =
+  masked t (fun () ->
+      G.clear_preds t.graph node;
+      let st = next_stamp t in
+      List.iter
+        (fun src ->
+          if not (G.payload src).discarded then
+            G.add_edge ~stamp:st ~src ~dst:node)
+        preds)
+
+(* Pop the frame pushed by [run_instance] or a pool task — on success
+   and on unwind. A pool lane leaves [quick] alone: it is false for the
+   whole parallel settle. *)
+let unwind_frame c p saved_mask =
+  c.mask <- saved_mask;
+  p.on_stack <- false;
+  c.stack_depth <- c.stack_depth - 1;
+  c.stack <- List.tl c.stack
+
+let pop_frame t c p saved_mask =
+  unwind_frame c p saved_mask;
+  refresh_quick t
+
+(* Metrics of a successful execution, before [ever_ran] is set. *)
+let count_exec t inst changed =
+  match t.metrics with
+  | None -> ()
+  | Some m ->
+    Metrics.inc (if inst.ever_ran then m.m_exec_re else m.m_exec_first);
+    (* an early cutoff: the re-execution produced the same value, so
+       propagation stops here (quiescence, paper §4.5) *)
+    if inst.ever_ran && not changed then Metrics.inc m.m_cutoffs
+
 (* Re-execute an incremental procedure instance under the call-stack
    discipline of Algorithm 5: drop the dependencies recorded by the
    previous execution, push a fresh frame, run, pop. Returns the quiescence
@@ -1060,33 +1159,6 @@ let next_stamp t = Atomic.fetch_and_add t.exec_serial 1 + 1
    Runs on the calling context's own stack: during a parallel settle a
    worker reaches here only under the engine lock (nested forcing), so
    the direct graph mutations below stay single-writer. *)
-(* Drop whatever edge set a failed run recorded and reinstate the one of
-   the last successful execution (sources evicted meanwhile are skipped),
-   under a fresh stamp for dedup. [saved = None] means the pre-execution
-   clear never ran — the intact edge set must be left alone. Top-level
-   (not a closure inside [run_instance]) so the happy path allocates no
-   environment for a handler it never runs. *)
-let restore_saved_preds t node saved =
-  match saved with
-  | None -> ()
-  | Some preds ->
-    masked t (fun () ->
-        G.clear_preds t.graph node;
-        let st = next_stamp t in
-        List.iter
-          (fun src ->
-            if not (G.payload src).discarded then
-              G.add_edge ~stamp:st ~src ~dst:node)
-          preds)
-
-(* Pop the frame pushed by [run_instance] — on success and on unwind. *)
-let pop_frame t c p saved_mask =
-  c.mask <- saved_mask;
-  p.on_stack <- false;
-  c.stack_depth <- c.stack_depth - 1;
-  c.stack <- List.tl c.stack;
-  refresh_quick t
-
 let run_instance t node p inst =
   let c = ctx t in
   if p.on_stack then raise (Cycle p.name);
@@ -1099,7 +1171,8 @@ let run_instance t node p inst =
   let reuse_static = inst.static_deps && inst.ever_ran in
   (* The predecessor set is snapshotted by the same traversal that
      removes it (the paper's RemovePredEdges is destructive), so a
-     failed execution can put it back — see [restore_saved_preds]. *)
+     failed execution can put it back — see [restore_preds]; [None] means
+     the clear never ran and the intact edge set must be left alone. *)
   let saved_preds = ref None in
   (* Pre-body faults — the depth watchdog, an injected "clear-preds"
      fault — must take the same failure path as a raise from the body: a
@@ -1124,7 +1197,7 @@ let run_instance t node p inst =
        saved_preds := Some (G.clear_preds_collect t.graph node)
      end
    with e ->
-     restore_saved_preds t node !saved_preds;
+     Option.iter (restore_preds t node) !saved_preds;
      inst.consistent <- false;
      record_failure t node p inst e;
      raise e);
@@ -1153,7 +1226,7 @@ let run_instance t node p inst =
       pop_frame t c p saved_mask;
       (* unwind: drop the edges recorded by the failed run and restore
          those of the last successful one *)
-      restore_saved_preds t node !saved_preds;
+      Option.iter (restore_preds t node) !saved_preds;
       (* leave the instance inconsistent so a later call retries *)
       inst.consistent <- false;
       record_failure t node p inst e;
@@ -1168,13 +1241,7 @@ let run_instance t node p inst =
     emit t (fun () ->
         Telemetry.Exec_end
           { id = eid t node; name = p.name; changed; ok = true });
-  (match t.metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.inc (if inst.ever_ran then m.m_exec_re else m.m_exec_first);
-    (* an early cutoff: the re-execution produced the same value, so
-       propagation stops here (quiescence, paper §4.5) *)
-    if inst.ever_ran && not changed then Metrics.inc m.m_cutoffs);
+  count_exec t inst changed;
   if buffered t c then c.b_execs <- c.b_execs + 1
   else t.c_executions <- t.c_executions + 1;
   if dbg_on () then
@@ -1194,15 +1261,35 @@ let run_instance t node p inst =
    surface the typed error) before the exception propagates. *)
 let force t node p inst =
   match run_instance t node p inst with
-  | changed -> if changed then mark_succs ~cause:node t node
+  | changed -> if changed then mark_succs t node
   | exception (Poisoned _ as e) ->
-    masked t (fun () -> G.iter_succ (mark_inconsistent ~cause:node t) node);
+    masked t (fun () -> forward t node 0);
     raise e
+
+(* A call answered from a consistent cache, counted in [c]'s buffer
+   when [c] is a pool lane outside the engine lock. *)
+let cache_hit t c node p =
+  if buffered t c then c.b_hits <- c.b_hits + 1 else t.c_hits <- t.c_hits + 1;
+  minc t (fun m -> m.m_hits);
+  if tele_on t then
+    emit t (fun () -> Telemetry.Cache_hit { id = eid t node; name = p.name })
+
+(* Bring a called instance current for its caller: force it if dirty,
+   else count the cache hit. A failed force was still observed by the
+   caller, so the dependency is recorded before the raise — a later
+   recovery of the instance then re-invalidates the caller. *)
+let force_or_hit t c node p inst =
+  if dirty p then (
+    try force t node p inst
+    with e ->
+      masked t (fun () -> record_dependency t node);
+      raise e)
+  else if inst.ever_ran then cache_hit t c node p
 
 (* Process one element of the inconsistent set, §4.5. *)
 let process_inconsistent t node p =
   match p.kind with
-  | Storage -> mark_succs ~cause:node t node
+  | Storage -> mark_succs t node
   | Instance inst -> (
     match inst.strategy with
     | Demand ->
@@ -1213,7 +1300,7 @@ let process_inconsistent t node p =
            would then skip the flip and never notify its dependents *)
         log_consistent t inst;
         inst.consistent <- false;
-        mark_succs ~cause:node t node
+        mark_succs t node
       end
     | Eager -> force t node p inst)
 
@@ -1290,6 +1377,17 @@ let audit_errors_run t ~idle =
         end
       end)
     t.all_nodes;
+  (* the dirty-list rule: every listed partition flagged, listed once *)
+  if not t.settling then begin
+    let rec check_list = function
+      | [] -> ()
+      | part :: rest ->
+        if not part.on_dirty_list then err "listed partition not flagged dirty";
+        if List.memq part rest then err "partition listed twice";
+        check_list rest
+    in
+    check_list t.dirty_parts
+  end;
   if idle then begin
     if t.ctx0.stack = [] && (not t.settling) && t.txn = None && not t.ctx0.mask
     then err "edge-recording mask left disabled outside any execution";
@@ -1316,14 +1414,22 @@ let audit_step t =
 (* Settlement (serial)                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Empty every listed partition's heap and take it off the list; by the
+   dirty-list rule that empties every inconsistent set. *)
+let clear_dirty t =
+  List.iter
+    (fun part ->
+      Heap.clear part.queue;
+      part.on_dirty_list <- false)
+    t.dirty_parts;
+  t.dirty_parts <- []
+
 (* Give up incrementality rather than spin: forget all pending marks and
    flag every instance inconsistent, so each next demand recomputes from
    scratch — the exhaustive semantics, guaranteed to terminate. *)
 let degrade_to_exhaustive t =
   t.c_degradations <- t.c_degradations + 1;
-  (match t.metrics with
-  | None -> ()
-  | Some m -> Metrics.inc m.m_degradations);
+  minc t (fun m -> m.m_degradations);
   emit t (fun () ->
       Telemetry.Degraded
         { steps = (match t.max_settle_steps with Some n -> n | None -> 0) });
@@ -1336,19 +1442,9 @@ let degrade_to_exhaustive t =
         match p.kind with
         | Instance inst -> inst.consistent <- false
         | Storage -> ()
-      end;
-      if t.use_partitions then
-        match p.part_elt with
-        | Some e ->
-          let part = Uf.payload e in
-          Heap.clear part.queue;
-          part.on_dirty_list <- false
-        | None -> ())
+      end)
     t.all_nodes;
-  Heap.clear t.global_part.queue;
-  t.global_part.on_dirty_list <- false;
-  List.iter (fun part -> part.on_dirty_list <- false) t.dirty_parts;
-  t.dirty_parts <- [];
+  clear_dirty t;
   t.quarantined <- []
 
 (* Process one settle pop, quarantining instance failures: settlement is
@@ -1361,8 +1457,7 @@ let degrade_to_exhaustive t =
 let process_guarded t node p =
   match process_inconsistent t node p with
   | () -> ()
-  | exception (Audit_failure _ as e) -> raise e
-  | exception (Cancelled _ as e) ->
+  | exception ((Audit_failure _ | Cancelled _) as e) ->
     (* a budget trip aborts the whole settle, it is not an instance
        failure to quarantine — the node was re-marked inconsistent by
        the failure path, so nothing is lost *)
@@ -1376,205 +1471,151 @@ let process_guarded t node p =
            else if poisoned t node then "poisoned"
            else "structural failure: degrades to demand recomputation"))
 
-(* The drain loop, as a top-level recursion so entering a settle builds
-   no closures — [settle_partition] runs on every incremental call that
-   finds its partition dirty, which the AVL bench (E4) does tens of
-   times per insert. [skipped] accumulates nodes currently on the call
-   stack, which must not be processed here (an eager re-execution would
-   be a false cycle); they stay queued and are re-inserted after the
-   drain — also when the drain raises. *)
-let rec settle_drain t part skipped =
-  (* poked (and budget-checked) before the pop so a fault or a
-     cancellation leaves the heap intact *)
+(* One settle step (§4.5) on [node]: queued, not on the call stack, and
+   still in its heap. The serial drain and the parallel level both call
+   it before taking the node, so a fault or a budget trip here leaves
+   the node queued. The clock tick is the only per-step count; the
+   [max_settle_steps] watchdog compares the clock with the session's
+   mark and, when it trips, degrades to exhaustive evaluation and
+   answers [false] (every heap is then empty). *)
+let step t node p =
   poke t "settle-pop";
   budget_check t;
-  if t.settle_fuel = 0 then degrade_to_exhaustive t
+  match t.max_settle_steps with
+  | Some n when t.clock.ticks - t.session_mark >= n ->
+    degrade_to_exhaustive t;
+    false
+  | _ ->
+    if dbg_on () then Log.debug (fun m -> m "settle: %s#%d" p.name (G.id node));
+    if tele_on t then
+      emit t (fun () ->
+          Telemetry.Settle_pop { id = eid t node; name = p.name });
+    p.queued <- false;
+    (* the step consumes the mark: inside a transaction, log its
+       restoration so a rollback cannot strand a node that was queued
+       before the batch began *)
+    log_remark t node;
+    t.clock.ticks <- t.clock.ticks + 1;
+    true
+
+(* The drain: process [part]'s heap in priority order until it is empty
+   ([true]) or the clock reaches [stop] at a node still to process
+   ([false]). Stale entries (unqueued since their push) are dropped.
+   Nodes on the call stack must not be processed here — an eager
+   re-execution would be a false cycle — so they go to [t.skipped].
+   Top-level and closure-free: every demand settle runs it. *)
+let rec drain t part stop =
+  if Heap.is_empty part.queue then true
   else
-    match Heap.pop_min part.queue with
-    | None -> ()
-    | Some node ->
-      let p = G.payload node in
-      if p.queued then
-        if p.on_stack then skipped := node :: !skipped
-        else begin
-          if dbg_on () then
-            Log.debug (fun m -> m "settle: %s#%d" p.name (G.id node));
-          if tele_on t then
-            emit t (fun () ->
-                Telemetry.Settle_pop { id = eid t node; name = p.name });
-          p.queued <- false;
-          (* the pop consumes the mark: inside a transaction, log
-             its restoration so a rollback cannot strand a node
-             that was queued before the batch began *)
-          log_remark t node;
-          budget_step t;
-          t.c_steps <- t.c_steps + 1;
-          (match t.metrics with
-          | None -> ()
-          | Some m -> Metrics.inc m.m_settle_steps);
-          if t.settle_fuel > 0 then t.settle_fuel <- t.settle_fuel - 1;
-          process_guarded t node p;
-          if t.self_audit then audit_step t
-        end;
-      settle_drain t part skipped
+    let node = Heap.min_elt part.queue in
+    let p = G.payload node in
+    if not p.queued then begin
+      Heap.drop_min part.queue;
+      drain t part stop
+    end
+    else if p.on_stack then begin
+      Heap.drop_min part.queue;
+      t.skipped <- node :: t.skipped;
+      drain t part stop
+    end
+    else if t.clock.ticks >= stop then false
+    else if step t node p then begin
+      Heap.drop_min part.queue;
+      process_guarded t node p;
+      if t.self_audit then audit_step t;
+      drain t part stop
+    end
+    else true
 
-let settle_partition t part =
-  if not t.settling then begin
-    t.settling <- true;
-    t.settle_fuel <- (match t.max_settle_steps with Some n -> n | None -> -1);
-    let skipped = ref [] in
-    match settle_drain t part skipped with
-    | () ->
-      (* quiescence is judged before the skipped re-inserts: a partition
-         whose on-stack nodes went back into its heap is not quiescent
-         and keeps its dirty flag *)
-      if !skipped = [] then part.on_dirty_list <- false;
-      List.iter (Heap.insert part.queue) !skipped;
-      t.settling <- false
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      List.iter (Heap.insert part.queue) !skipped;
-      t.settling <- false;
-      Printexc.raise_with_backtrace e bt
-  end
+let requeue_skipped t =
+  match t.skipped with
+  | [] -> ()
+  | nodes ->
+    t.skipped <- [];
+    List.iter (fun n -> if (G.payload n).queued then enqueue t n) nodes
 
-let stabilize_serial_body t =
-  requeue_quarantined t;
-  (* A partition is popped off the dirty list only after its settle
-     completed: if the settle raises, the partition keeps its place and
-     the next stabilize resumes it (the seed dropped it, permanently
-     losing eager propagation after a fault). Partitions that could not
-     fully drain (nodes on the call stack) are deferred, not dropped. *)
-  let deferred = ref [] in
-  let finally () =
-    if !deferred <> [] then t.dirty_parts <- t.dirty_parts @ List.rev !deferred
-  in
-  Fun.protect ~finally @@ fun () ->
-    let rec drain () =
-      match t.dirty_parts with
-      | [] -> ()
-      | part :: rest ->
-        t.dirty_parts <- rest;
-        (try settle_partition t part
-         with e ->
-           (* the partition still holds queued work: keep its place so
-              the next stabilize resumes it *)
-           if part.on_dirty_list then t.dirty_parts <- part :: t.dirty_parts;
-           raise e);
-        if part.on_dirty_list then deferred := part :: !deferred;
-        drain ()
-    in
-    drain ()
+(* Drain [part] and re-queue what it skipped, also when it raises. The
+   partition leaves the dirty list only if it emptied with nothing
+   skipped — after a raise it keeps its place, so the next settle
+   resumes it; answers that quiescence. *)
+let drain_partition t part stop =
+  match drain t part stop with
+  | drained ->
+    let quiet = drained && match t.skipped with [] -> true | _ -> false in
+    requeue_skipped t;
+    if quiet then unlist_part t part;
+    quiet
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    requeue_skipped t;
+    Printexc.raise_with_backtrace e bt
 
-(* Settle sessions with actual work are counted and timed; the common
-   already-quiescent stabilize (every [Var.set] triggers one) is not a
-   session and stays off the histogram. *)
-let[@inline] has_work t =
+(* The walk: drain every listed partition, pass after pass while a pass
+   takes a step (processing may list a partition the pass is past).
+   Answers quiescence: whether the dirty list ended empty. *)
+let rec walk t stop =
   match t.dirty_parts with
-  | _ :: _ -> true
-  | [] -> ( match t.quarantined with _ :: _ -> true | [] -> false)
+  | [] -> true
+  | parts ->
+    let ticks = t.clock.ticks in
+    walk_pass t stop parts;
+    if t.clock.ticks > ticks then walk t stop else t.dirty_parts = []
 
-let stabilize_serial t =
+and walk_pass t stop = function
+  | [] -> ()
+  | part :: rest ->
+    if part.on_dirty_list then ignore (drain_partition t part stop : bool);
+    walk_pass t stop rest
+
+(* Every step runs inside a settle session: [settling] is set while it
+   runs (calls made inside force instead of re-entering it), and the
+   watchdog's mark is taken at its start. Its end, on return or raise,
+   reports the session's steps to the metrics registry in one add. *)
+let end_session t =
+  t.settling <- false;
   match t.metrics with
-  | Some m when (not t.settling) && has_work t ->
-    Metrics.inc m.m_settles_serial;
-    let t0 = Metrics.now () in
-    Fun.protect
-      ~finally:(fun () -> Metrics.observe_since m.m_settle_seconds t0)
-      (fun () -> stabilize_serial_body t)
-  | _ -> stabilize_serial_body t
+  | None -> ()
+  | Some m -> Metrics.add m.m_settle_steps (t.clock.ticks - t.session_mark)
+
+(* The serial session. [~all] walks the dirty list; otherwise only
+   [part] drains — the demand settle of [on_call]. *)
+let session t ~all part stop =
+  t.settling <- true;
+  t.session_mark <- t.clock.ticks;
+  match if all then walk t stop else drain_partition t part stop with
+  | quiet ->
+    end_session t;
+    quiet
+  | exception e ->
+    end_session t;
+    raise e
+
+(* [stabilize] is the walk with no step limit, after re-marking the
+   quarantined instances. A session with work is counted and timed; the
+   common already-quiescent stabilize is not a session. *)
+let stabilize_serial t =
+  requeue_quarantined t;
+  if not t.settling then
+    match (t.dirty_parts, t.metrics) with
+    | [], _ -> ()
+    | _ :: _, None -> ignore (session t ~all:true t.global_part max_int : bool)
+    | _ :: _, Some m ->
+      Metrics.inc m.m_settles_serial;
+      let t0 = Metrics.now () in
+      Fun.protect
+        ~finally:(fun () -> Metrics.observe_since m.m_settle_seconds t0)
+        (fun () -> ignore (session t ~all:true t.global_part max_int : bool))
 
 (* Preemptable evaluation (§4.5: "the evaluation routine should be called
    whenever cycles are available … and can be preempted when necessary"):
-   process at most [max_steps] inconsistent-set entries and stop. *)
+   the walk, stopped once it has taken [max_steps] steps. *)
 let settle_bounded t ~max_steps =
-  if t.settling || max_steps <= 0 then t.dirty_parts = []
+  if t.settling then t.dirty_parts = []
   else begin
     requeue_quarantined t;
-    t.settling <- true;
-    t.settle_fuel <- (match t.max_settle_steps with Some n -> n | None -> -1);
-    let budget = ref max_steps in
-    let finally () = t.settling <- false in
-    Fun.protect ~finally (fun () ->
-        let rec drain_parts () =
-          match t.dirty_parts with
-          | [] -> ()
-          | part :: _ ->
-            let skipped = ref [] in
-            let drained = ref false in
-            (* [reinsert] (a finalizer, so it runs before the quiescence
-               check below) empties [skipped]; latch whether anything was
-               skipped first — a drained partition whose on-stack nodes
-               went back into its heap is NOT quiescent and must keep its
-               dirty flag and its place on the dirty list. *)
-            let had_skipped = ref false in
-            let reinsert () =
-              if !skipped <> [] then had_skipped := true;
-              List.iter (Heap.insert part.queue) !skipped;
-              skipped := []
-            in
-            Fun.protect ~finally:reinsert (fun () ->
-                let rec loop () =
-                  if !budget > 0 then begin
-                    poke t "settle-pop";
-                    budget_check t;
-                    if t.settle_fuel = 0 then degrade_to_exhaustive t
-                    else
-                      match Heap.pop_min part.queue with
-                      | None -> drained := true
-                      | Some node ->
-                        let p = G.payload node in
-                        (if p.queued then
-                           if p.on_stack then skipped := node :: !skipped
-                           else begin
-                             if tele_on t then
-                               emit t (fun () ->
-                                   Telemetry.Settle_pop
-                                     { id = eid t node; name = p.name });
-                             p.queued <- false;
-                             log_remark t node;
-                             decr budget;
-                             budget_step t;
-                             t.c_steps <- t.c_steps + 1;
-                             (match t.metrics with
-                             | None -> ()
-                             | Some m -> Metrics.inc m.m_settle_steps);
-                             if t.settle_fuel > 0 then
-                               t.settle_fuel <- t.settle_fuel - 1;
-                             process_guarded t node p;
-                             if t.self_audit then audit_step t
-                           end);
-                        loop ()
-                  end
-                in
-                loop ());
-            if !drained && not !had_skipped then begin
-              (* this partition is quiescent; move on *)
-              part.on_dirty_list <- false;
-              (* the partition may have been re-dirtied (and re-listed)
-                 by the processing above; only drop the head we took *)
-              (match t.dirty_parts with
-              | hd :: tl when hd == part -> t.dirty_parts <- tl
-              | _ -> ());
-              if !budget > 0 then drain_parts ()
-            end
-        in
-        drain_parts ());
-    (* quiescent iff no partition still holds queued work *)
-    List.for_all
-      (fun (part : partition) ->
-        let rec clean () =
-          match Heap.peek_min part.queue with
-          | None -> true
-          | Some node ->
-            if (G.payload node).queued then false
-            else begin
-              ignore (Heap.pop_min part.queue);
-              clean ()
-            end
-        in
-        clean ())
-      t.dirty_parts
+    let now = t.clock.ticks in
+    session t ~all:true t.global_part
+      (if max_steps >= max_int - now then max_int else now + max_steps)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1593,7 +1634,7 @@ let settle_bounded t ~max_steps =
    and the merge deterministic. *)
 
 exception Par_degrade
-(* internal: the settle-fuel watchdog tripped mid-level *)
+(* internal: the settle-step watchdog tripped mid-level *)
 
 (* prepared eager execution, produced by the coordinator's pre-pop *)
 type ptask = {
@@ -1767,14 +1808,6 @@ let on_call_parallel t par node p inst =
     record_dependency t node;
     raise (Cycle p.name)
   end;
-  let hit () =
-    c.b_hits <- c.b_hits + 1;
-    (match t.metrics with
-    | None -> ()
-    | Some m -> Metrics.inc m.m_hits);
-    if tele_on t then
-      emit t (fun () -> Telemetry.Cache_hit { id = eid t node; name = p.name })
-  in
   if dirty p then begin
     (* release any held engine lock before blocking on the claim table:
        the claimer we wait for may itself need the lock to finish *)
@@ -1785,28 +1818,17 @@ let on_call_parallel t par node p inst =
       resume_engine t d;
       raise e);
     lock_engine t;
-    let finish () =
+    (* a sibling may have brought it current while we waited *)
+    match force_or_hit t c node p inst with
+    | () ->
       unlock_engine t;
       task_done par node
-    in
-    match
-      if dirty p then (
-        try force t node p inst
-        with e ->
-          (* the caller observed this failure: record the dependency so
-             a later recovery of this instance re-invalidates it *)
-          masked t (fun () -> record_dependency t node);
-          raise e)
-      else if inst.ever_ran then
-        (* a sibling brought it current while we waited *)
-        hit ()
-    with
-    | () -> finish ()
     | exception e ->
-      finish ();
+      unlock_engine t;
+      task_done par node;
       raise e
   end
-  else if inst.ever_ran then hit ();
+  else if inst.ever_ran then cache_hit t c node p;
   record_dependency t node
 
 (* ---- task execution ---------------------------------------------- *)
@@ -1849,18 +1871,12 @@ let exec_task t par pt () =
       emit t (fun () ->
           Telemetry.Exec_begin
             { id = eid t node; name = p.name; first = not inst.ever_ran });
-      let restore () =
-        c.mask <- saved_mask;
-        p.on_stack <- false;
-        c.stack_depth <- c.stack_depth - 1;
-        c.stack <- List.tl c.stack
-      in
       (match
          poke t "exec-begin";
          inst.recompute ()
        with
       | changed ->
-        restore ();
+        unwind_frame c p saved_mask;
         inst.failures <- 0;
         emit t (fun () ->
             Telemetry.Exec_end
@@ -1868,11 +1884,7 @@ let exec_task t par pt () =
         c.b_execs <- c.b_execs + 1;
         (* metrics cells are atomics, so worker lanes update them
            directly rather than buffering for the barrier merge *)
-        (match t.metrics with
-        | None -> ()
-        | Some m ->
-          Metrics.inc (if inst.ever_ran then m.m_exec_re else m.m_exec_first);
-          if inst.ever_ran && not changed then Metrics.inc m.m_cutoffs);
+        count_exec t inst changed;
         if not inst.ever_ran then begin
           c.b_first <- c.b_first + 1;
           inst.ever_ran <- true
@@ -1880,7 +1892,7 @@ let exec_task t par pt () =
         c.b_edges <- List.rev c.t_edges :: c.b_edges;
         if changed then c.b_changed <- node :: c.b_changed
       | exception e ->
-        restore ();
+        unwind_frame c p saved_mask;
         inst.consistent <- false;
         emit t (fun () ->
             Telemetry.Exec_end
@@ -1916,16 +1928,7 @@ let merge_barrier t par ~level =
               let p = G.payload node in
               match p.kind with
               | Instance inst ->
-                masked t (fun () ->
-                    if not reuse then begin
-                      G.clear_preds t.graph node;
-                      let st = next_stamp t in
-                      List.iter
-                        (fun src ->
-                          if not (G.payload src).discarded then
-                            G.add_edge ~stamp:st ~src ~dst:node)
-                        saved
-                    end);
+                if not reuse then restore_preds t node saved;
                 record_failure t node p inst e;
                 (match e with
                 | Audit_failure _ -> audit_failed := Some e
@@ -1989,7 +1992,7 @@ let merge_barrier t par ~level =
             (fun node -> mark_inconsistent t node)
             (List.rev c.b_writes);
           List.iter
-            (fun node -> mark_succs ~cause:node t node)
+            (fun node -> mark_succs t node)
             (List.rev c.b_changed))
         lanes;
       marked := true;
@@ -2055,16 +2058,7 @@ let prep_eager t tasks node p inst =
       }
       :: !tasks
   | exception e ->
-    masked t (fun () ->
-        if not reuse_static then begin
-          G.clear_preds t.graph node;
-          let st = next_stamp t in
-          List.iter
-            (fun src ->
-              if not (G.payload src).discarded then
-                G.add_edge ~stamp:st ~src ~dst:node)
-            saved_preds
-        end);
+    if not reuse_static then restore_preds t node saved_preds;
     inst.consistent <- false;
     record_failure t node p inst e;
     (match e with
@@ -2081,18 +2075,8 @@ let unprep t tasks =
   masked t (fun () ->
       List.iter
         (fun pt ->
-          (match pt.pt_pay.kind with
-          | Instance inst -> inst.consistent <- false
-          | Storage -> ());
-          if not pt.pt_reuse then begin
-            G.clear_preds t.graph pt.pt_node;
-            let st = next_stamp t in
-            List.iter
-              (fun src ->
-                if not (G.payload src).discarded then
-                  G.add_edge ~stamp:st ~src ~dst:pt.pt_node)
-              pt.pt_saved
-          end;
+          pt.pt_inst.consistent <- false;
+          if not pt.pt_reuse then restore_preds t pt.pt_node pt.pt_saved;
           mark_inconsistent t pt.pt_node)
         tasks)
 
@@ -2110,44 +2094,23 @@ let run_level t par ~level queued =
   let process_member node =
     let p = G.payload node in
     if p.queued then begin
-      (* poked (and budget-checked) before the pop so a fault or a
-         cancellation leaves the member queued *)
-      poke t "settle-pop";
-      budget_check t;
-      if t.settle_fuel = 0 then raise Par_degrade;
-      if tele_on t then
-        emit t (fun () ->
-            Telemetry.Settle_pop { id = eid t node; name = p.name });
-      p.queued <- false;
-      log_remark t node;
-      budget_step t;
-      t.c_steps <- t.c_steps + 1;
-      (match t.metrics with
-      | None -> ()
-      | Some m -> Metrics.inc m.m_settle_steps);
-      if t.settle_fuel > 0 then t.settle_fuel <- t.settle_fuel - 1;
+      if not (step t node p) then raise Par_degrade;
       match p.kind with
-      | Storage -> process_guarded t node p
-      | Instance inst -> (
-        match inst.strategy with
-        | Demand -> process_guarded t node p
-        | Eager -> (
-          match inst.poison with
-          | Some _ ->
-            (* a poisoned dependency still notifies its dependents
-               (force's [Poisoned] path, which the serial
-               process_guarded would swallow) *)
-            masked t (fun () ->
-                G.iter_succ (mark_inconsistent ~cause:node t) node)
-          | None -> prep_eager t tasks node p inst))
+      | Instance ({ strategy = Eager; poison = None; _ } as inst) ->
+        prep_eager t tasks node p inst
+      | Instance { strategy = Eager; poison = Some _; _ } ->
+        (* a poisoned dependency still notifies its dependents (force's
+           [Poisoned] path, which the serial process_guarded would
+           swallow) *)
+        masked t (fun () -> forward t node 0)
+      | Storage | Instance _ -> process_guarded t node p
     end
   in
   (match List.iter process_member front with
   | () -> ()
   | exception Par_degrade ->
-    (* degrading resets every instance to exhaustive recomputation, so
+    (* degrading reset every instance to exhaustive recomputation, so
        already-prepared members need no restore *)
-    degrade_to_exhaustive t;
     raise Par_degrade
   | exception e ->
     unprep t !tasks;
@@ -2191,16 +2154,6 @@ let run_level t par ~level queued =
         Telemetry.Par_level_end { level; executed = 0; failed = 0 });
   if t.self_audit then audit_step t
 
-(* drop the stale heap entries the flag-based parallel drain left
-   behind (safe only at quiescence) *)
-let scrub_heaps t =
-  List.iter
-    (fun (part : partition) ->
-      Heap.clear part.queue;
-      part.on_dirty_list <- false)
-    t.dirty_parts;
-  t.dirty_parts <- []
-
 let settle_parallel t ~domains =
   if domains < 1 then
     invalid_arg "Engine.settle_parallel: domains must be >= 1";
@@ -2218,8 +2171,7 @@ let settle_parallel t ~domains =
     | [] -> ()
     | _ :: _ ->
       t.settling <- true;
-      t.settle_fuel <-
-        (match t.max_settle_steps with Some n -> n | None -> -1);
+      t.session_mark <- t.clock.ticks;
       let t0 =
         match t.metrics with
         | None -> 0.
@@ -2257,7 +2209,7 @@ let settle_parallel t ~domains =
       let finally () =
         t.par <- None;
         refresh_quick t;
-        t.settling <- false;
+        end_session t;
         match t.metrics with
         | None -> ()
         | Some m -> Metrics.observe_since m.m_settle_seconds t0
@@ -2266,7 +2218,9 @@ let settle_parallel t ~domains =
         let level = ref 0 in
         let rec rounds () =
           match dirty_nodes t with
-          | [] -> scrub_heaps t
+          | [] ->
+            (* drop the stale entries the flag-based level drain left *)
+            clear_dirty t
           | queued ->
             (match run_level t par ~level:!level queued with
             | () ->
@@ -2278,11 +2232,8 @@ let settle_parallel t ~domains =
   end
 
 let stabilize t =
-  let c = ctx t in
-  if (match t.par with Some _ -> true | None -> false) && c != t.ctx0 then
-    (* from inside a pool lane: the settle is already running *)
-    ()
-  else
+  (* from inside a pool lane the settle is already running *)
+  if Option.is_none t.par || ctx t == t.ctx0 then
     match t.scheduling with
     | Parallel { domains } -> settle_parallel t ~domains
     | Creation_order | Topological | Fifo -> stabilize_serial t
@@ -2323,14 +2274,12 @@ let rollback_txn t tx =
           | Instance inst -> inst.consistent <- false
           | Storage -> ());
           mark_inconsistent t node;
-          G.iter_succ (mark_inconsistent ~cause:node t) node;
+          forward t node 0;
           incr remarked
         end)
       tx.ran;
     t.c_rollbacks <- t.c_rollbacks + 1;
-    (match t.metrics with
-    | None -> ()
-    | Some m -> Metrics.inc m.m_rollbacks);
+    minc t (fun m -> m.m_rollbacks);
     emit t (fun () ->
         Telemetry.Txn_rollback { undone; remarked = !remarked })
 
@@ -2418,28 +2367,12 @@ let on_call t node =
         match t.scheduling with
         | Parallel { domains } -> settle_parallel t ~domains
         | Creation_order | Topological | Fifo ->
-          (* quiescent partitions skip the settle machinery (and its
-             pre-pop fault/budget probe) entirely: a cache hit's settle
+          (* a quiescent partition is unlisted: a cache hit's settle
              share is two loads and a branch *)
           let part = partition_of t node in
-          if part.on_dirty_list || not (Heap.is_empty part.queue) then
-            settle_partition t part);
-      if dirty p then
-        (try force t node p inst
-         with e ->
-           (* the caller observed this failure: record the dependency so a
-              later recovery of this instance re-invalidates the caller *)
-           masked t (fun () -> record_dependency t node);
-           raise e)
-      else if inst.ever_ran then begin
-        t.c_hits <- t.c_hits + 1;
-        (match t.metrics with
-        | None -> ()
-        | Some m -> Metrics.inc m.m_hits);
-        if tele_on t then
-          emit t (fun () ->
-              Telemetry.Cache_hit { id = eid t node; name = p.name })
-      end;
+          if part.on_dirty_list then
+            ignore (session t ~all:false part max_int : bool));
+      force_or_hit t t.ctx0 node p inst;
       (* The dependency edge is recorded only now, after any forcing, so the
          consumer is never spuriously invalidated by the fresh value it is
          about to read. *)
@@ -2499,7 +2432,7 @@ let stats t =
     executions = t.c_executions;
     first_executions = t.c_first;
     cache_hits = t.c_hits;
-    settle_steps = t.c_steps;
+    settle_steps = t.clock.ticks - t.steps_base;
     queue_pushes = t.c_pushes;
     unions = t.c_unions;
     out_of_order_edges = t.c_ooo;
@@ -2519,7 +2452,7 @@ let reset_stats t =
   t.c_executions <- 0;
   t.c_first <- 0;
   t.c_hits <- 0;
-  t.c_steps <- 0;
+  t.steps_base <- t.clock.ticks;
   t.c_pushes <- 0;
   t.c_unions <- 0;
   t.c_ooo <- 0;
@@ -2748,7 +2681,7 @@ let import t j =
     t.c_executions <- get "executions";
     t.c_first <- get "first_executions";
     t.c_hits <- get "cache_hits";
-    t.c_steps <- get "settle_steps";
+    t.steps_base <- t.clock.ticks - get "settle_steps";
     t.c_pushes <- get "queue_pushes";
     t.c_unions <- get "unions";
     t.c_ooo <- get "out_of_order_edges";

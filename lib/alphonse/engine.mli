@@ -149,9 +149,11 @@ val create :
     Fault tolerance: [max_retries] (default 3, must be ≥ 1) is how many
     consecutive times an instance's execution may fail before it is
     poisoned ({!Poisoned}). [max_settle_steps] (unset by default) is a
-    watchdog on a single settle session: propagation exceeding it
-    degrades to exhaustive recomputation ({!degrade_to_exhaustive})
-    instead of spinning. [max_stack_depth] (unset by default) bounds the
+    watchdog on a single settle session (one {!stabilize},
+    {!settle_bounded} or {!settle_parallel} call, or the settle a call
+    runs on its partition): propagation exceeding it degrades to
+    exhaustive recomputation ({!degrade_to_exhaustive}) instead of
+    spinning. [max_stack_depth] (unset by default) bounds the
     incremental call stack; exceeding it raises {!Watchdog}.
     [self_audit] (default [false]) runs {!audit} after every settle
     step. *)
@@ -256,7 +258,14 @@ val settle_bounded : t -> max_steps:int -> bool
     engine is now quiescent. Intended for spending idle cycles in slices
     ("the evaluation routine should be called whenever cycles are
     available … and can be preempted when necessary"). Always serial,
-    regardless of the engine's scheduling. *)
+    regardless of the engine's scheduling.
+
+    Three limits count settle steps, and all three count the same ones
+    — the pops that {!type:stats}'s [settle_steps] reports, each
+    counted once however many limits are running: [max_settle_steps]
+    (of {!create}) per settle session, degrading to exhaustive
+    evaluation; a {!Budget} step cap per arming, raising {!Cancelled};
+    and [max_steps] here per call, returning [false]. *)
 
 (** {1 Deadlines and cooperative cancellation}
 
@@ -276,7 +285,8 @@ module Budget : sig
   (** [deadline] is absolute (the [Unix.gettimeofday] timeline);
       [deadline_in] is relative to now — [deadline] wins when both are
       given. [max_steps] caps the settle steps charged to this budget
-      across every settle it is armed for (must be [>= 1]). With no
+      across every settle it is armed for (must be [>= 1]) — the same
+      steps [max_settle_steps] and {!settle_bounded} count. With no
       arguments the budget only trips via {!cancel}. *)
 
   val cancel : t -> unit
@@ -294,7 +304,8 @@ val set_budget : t -> Budget.t option -> unit
 (** Arm (or disarm, with [None]) the engine's budget. Checked at every
     settle-step boundary of every settle flavour (serial, bounded,
     parallel), before the pop — so a trip leaves all pending work
-    queued and resumable. *)
+    queued and resumable. A budget counts the steps of one engine at a
+    time: arming it on another engine stops the count on the first. *)
 
 val budget : t -> Budget.t option
 (** The currently armed budget, or [None]. *)

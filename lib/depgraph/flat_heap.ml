@@ -1,11 +1,11 @@
 (* Flat array binary heap.
 
-   Drop-in replacement for Pairing_heap on the engine's hot settle path:
-   same signature, but elements live in one growable array, so insert
-   and pop_min shuffle array cells instead of allocating heap nodes.
-   The trade is meld — O(m log n) bulk insert instead of O(1) pointer
-   splice — which the engine only pays on the rare partition unions of
-   §6.3 (and not at all with partitioning off, the default).
+   The engine's inconsistent-set queue: elements live in one growable
+   array, so insert and drop_min shuffle array cells instead of
+   allocating heap nodes. The trade is meld — O(m log n) bulk insert
+   instead of a meldable heap's O(1) pointer splice — which the engine
+   only pays on the rare partition unions of §6.3 (and not at all with
+   partitioning off, the default).
 
    The backing array is created lazily on first insert, using that
    element as the fill value; vacated cells above [n] may retain stale
@@ -71,18 +71,18 @@ let sift_down h =
     end
   done
 
-let pop_min h =
-  if h.n = 0 then None
-  else begin
-    let x = h.a.(0) in
+let min_elt h =
+  if h.n = 0 then invalid_arg "Flat_heap.min_elt: empty heap";
+  h.a.(0)
+
+let drop_min h =
+  if h.n > 0 then begin
     let last = h.n - 1 in
     h.a.(0) <- h.a.(last);
     h.n <- last;
-    if last > 0 then sift_down h;
-    Some x
+    if last > 0 then sift_down h
   end
 
-let peek_min h = if h.n = 0 then None else Some h.a.(0)
 
 let meld dst src =
   if dst.leq != src.leq then

@@ -1,13 +1,13 @@
 (** Flat array binary heap — the engine's inconsistent-set queue.
 
-    Same interface as {!Pairing_heap}, but elements live in one growable
-    array: {!insert} and {!pop_min} shuffle array cells and allocate
-    nothing in steady state (the backing array doubles amortized-O(1)).
-    This is the priority queue behind the settle loop's inconsistent set
-    (paper §4.5), where per-operation allocation dominated the pairing
-    heap's cost profile.
+    Elements live in one growable array: {!insert} and {!drop_min}
+    shuffle array cells and allocate nothing in steady state (the
+    backing array doubles amortized-O(1)). This is the priority queue
+    behind the settle loop's inconsistent set (paper §4.5), where
+    per-operation allocation dominated the cost profile of the pairing
+    heap it replaced.
 
-    The trade is {!meld}: O(m log n) bulk insert rather than the pairing
+    The trade is {!meld}: O(m log n) bulk insert rather than a pairing
     heap's O(1) splice. The engine only melds when the dynamic
     partitioning of §6.3 unions two partitions — rare, and absent
     entirely in the default unpartitioned mode.
@@ -33,13 +33,13 @@ val insert : 'a t -> 'a -> unit
 (** Adds an element. Amortized O(log n), allocation-free in steady
     state. *)
 
-val pop_min : 'a t -> 'a option
-(** Removes and returns a minimal element, or [None] if empty.
-    O(log n). *)
+val min_elt : 'a t -> 'a
+(** A minimal element, without removing it. O(1).
+    @raise Invalid_argument if the heap is empty. *)
 
-val peek_min : 'a t -> 'a option
-(** Returns a minimal element without removing it, or [None] if empty.
-    O(1). *)
+val drop_min : 'a t -> unit
+(** Removes a minimal element (the one {!min_elt} returns); no-op on an
+    empty heap. O(log n), allocation-free. *)
 
 val meld : 'a t -> 'a t -> unit
 (** [meld dst src] moves all elements of [src] into [dst], leaving [src]

@@ -315,6 +315,11 @@ let iter_pred f n =
     f (handle t n.pred_node.(i))
   done
 
+let succ_at n i =
+  check_alive "Graph.succ_at" n;
+  if i < 0 || i >= n.succ_n then invalid_arg "Graph.succ_at: index out of range";
+  handle n.owner n.succ_node.(i)
+
 let succ_count n = n.succ_n
 let pred_count n = n.pred_n
 

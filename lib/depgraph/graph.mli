@@ -131,6 +131,13 @@ val iter_pred : ('a node -> unit) -> 'a node -> unit
 val succ_count : 'a node -> int
 (** Number of outgoing (dependent) edges. *)
 
+val succ_at : 'a node -> int -> 'a node
+(** [succ_at n i] is the [i]th successor of [n] in {!iter_succ} order,
+    for [0 <= i < succ_count n]: the closure-free form of {!iter_succ}
+    for the engine's forwarding loop. The same restriction applies
+    between calls: no edge of [n] may be added or removed.
+    @raise Invalid_argument if [i] is out of range. *)
+
 val pred_count : 'a node -> int
 (** Number of incoming (dependency) edges. *)
 

@@ -3,7 +3,23 @@
    partitioning, cache replacement, and a randomized equivalence property
    (Theorem 5.1 for the embedded DSL). *)
 
-module Engine = Alphonse.Engine
+(* CI audit mode: ALPHONSE_AUDIT=1 runs the invariant auditor after
+   every settle step of every engine these tests create. *)
+let audit_mode = Sys.getenv_opt "ALPHONSE_AUDIT" = Some "1"
+
+module Engine = struct
+  include Alphonse.Engine
+
+  let create ?partitioning ?default_strategy ?scheduling ?max_retries
+      ?max_settle_steps ?max_stack_depth ?self_audit () =
+    let eng =
+      create ?partitioning ?default_strategy ?scheduling ?max_retries
+        ?max_settle_steps ?max_stack_depth ?self_audit ()
+    in
+    if audit_mode then set_self_audit eng true;
+    eng
+end
+
 module Var = Alphonse.Var
 module Func = Alphonse.Func
 module Policy = Alphonse.Policy
@@ -125,6 +141,43 @@ let test_cutoff_zero_alloc () =
   Alcotest.(check (float 0.0)) "no per-iteration allocation" d1 d10;
   checki "still cached" 84 (Func.call f ());
   checki "no re-execution" 1 (executions eng)
+
+(* A settle step — pop, then forward to the successors — allocates
+   nothing, also in the demand settle a call runs on its partition. The
+   loop below marks [a] and lets [Func.call g] settle it (two steps:
+   [a], then its reader [f]); against a control loop that writes an
+   untracked cell instead, the only extra allocation allowed is the
+   3-word cell that puts the clean partition back on the dirty list.
+   The engine is made without the audit-mode wrapper: the per-step
+   auditor allocates by design. *)
+let test_demand_settle_zero_alloc () =
+  let eng = Alphonse.Engine.create () in
+  let a = Var.create eng ~name:"a" 0 and b = Var.create eng ~name:"b" 0 in
+  let f = Func.create eng ~name:"f" (fun _ () -> Var.get a + 1) in
+  let g = Func.create eng ~name:"g" (fun _ () -> 7) in
+  ignore (Func.call f () + Func.call g ());
+  let i = ref 0 in
+  let measure v iters =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to iters do
+      incr i;
+      Var.set v !i;
+      ignore (Func.call g ())
+    done;
+    Gc.minor_words () -. w0
+  in
+  ignore (measure a 10 +. measure b 10) (* warm-up *);
+  let per v = (measure v 10_000 -. measure v 1_000) /. 9_000. in
+  let steps0 = (Engine.stats eng).Engine.settle_steps in
+  let settling = per a in
+  checki "two settle steps per iteration" (2 * 11_000)
+    ((Engine.stats eng).Engine.settle_steps - steps0);
+  let control = per b in
+  checkb
+    (Printf.sprintf "settle allocates nothing (%.1f vs %.1f words/iter)"
+       settling control)
+    true
+    (settling -. control <= 3.0)
 
 let test_eager_stabilize_precomputes () =
   let eng = Engine.create ~default_strategy:Engine.Eager () in
@@ -523,6 +576,25 @@ let test_settle_bounded_noop_when_clean () =
   let eng = Engine.create () in
   checkb "clean engine is quiescent" true
     (Engine.settle_bounded eng ~max_steps:5)
+
+(* Regression: the settle a call runs on its partition must take the
+   emptied partition off the dirty list. It used to clear only the
+   flag, so every later mark listed the partition again — the list grew
+   by one entry per edit — and [settle_bounded] reported pending work
+   on an engine whose every node was consistent. *)
+let test_demand_settle_unlists_partition () =
+  let eng = Engine.create () in
+  let a = Var.create eng ~name:"a" 0 in
+  let f = Func.create eng ~name:"f" (fun _ () -> Var.get a + 1) in
+  let sum = ref 0 in
+  for i = 1 to 1000 do
+    Var.set a i;
+    sum := !sum + Func.call f ()
+  done;
+  checki "every call current" (500_500 + 1000) !sum;
+  Engine.audit eng;
+  checkb "quiescent without a step" true
+    (Engine.settle_bounded eng ~max_steps:0)
 
 (* ------------------------------------------------------------------ *)
 (* Feature interactions                                                *)
@@ -1248,6 +1320,8 @@ let () =
             test_demand_no_cutoff;
           Alcotest.test_case "cutoff fast path allocates nothing" `Quick
             test_cutoff_zero_alloc;
+          Alcotest.test_case "demand settle step allocates nothing" `Quick
+            test_demand_settle_zero_alloc;
           Alcotest.test_case "eager stabilize precomputes" `Quick
             test_eager_stabilize_precomputes;
           Alcotest.test_case "demand stabilize defers" `Quick
@@ -1312,6 +1386,8 @@ let () =
             test_settle_bounded_slices;
           Alcotest.test_case "noop when clean" `Quick
             test_settle_bounded_noop_when_clean;
+          Alcotest.test_case "demand settle unlists its partition" `Quick
+            test_demand_settle_unlists_partition;
         ] );
       ( "partitioning",
         [

@@ -1,8 +1,7 @@
 (* Tests for the dependency-graph substrate: order-maintenance list,
-   pairing heap, union-find, and the graph itself. *)
+   flat heap, union-find, and the graph itself. *)
 
 module Ol = Depgraph.Order_list
-module Heap = Depgraph.Pairing_heap
 module Uf = Depgraph.Union_find
 module G = Depgraph.Graph
 
@@ -95,61 +94,6 @@ let test_order_random_matches_reference () =
   for k = 0 to Array.length arr - 2 do
     checkb "reference order agrees" true (Ol.lt arr.(k) arr.(k + 1))
   done
-
-(* ------------------------------------------------------------------ *)
-(* Pairing heap                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let int_heap () = Heap.create ~leq:(fun (a : int) b -> a <= b)
-
-let drain h =
-  let rec go acc =
-    match Heap.pop_min h with None -> List.rev acc | Some x -> go (x :: acc)
-  in
-  go []
-
-let test_heap_sorts () =
-  let h = int_heap () in
-  List.iter (Heap.insert h) [ 5; 3; 8; 1; 9; 2; 2; 7 ];
-  checki "length" 8 (Heap.length h);
-  check Alcotest.(list int) "sorted drain" [ 1; 2; 2; 3; 5; 7; 8; 9 ] (drain h);
-  checkb "empty after drain" true (Heap.is_empty h)
-
-let test_heap_meld () =
-  let a = int_heap () and b = int_heap () in
-  List.iter (Heap.insert a) [ 4; 1; 6 ];
-  List.iter (Heap.insert b) [ 5; 0; 2 ];
-  Heap.meld a b;
-  checkb "src emptied" true (Heap.is_empty b);
-  check Alcotest.(list int) "melded drain" [ 0; 1; 2; 4; 5; 6 ] (drain a)
-
-let test_heap_peek_clear () =
-  let h = int_heap () in
-  check Alcotest.(option int) "peek empty" None (Heap.peek_min h);
-  Heap.insert h 3;
-  Heap.insert h 1;
-  check Alcotest.(option int) "peek" (Some 1) (Heap.peek_min h);
-  checki "peek does not pop" 2 (Heap.length h);
-  Heap.clear h;
-  checkb "cleared" true (Heap.is_empty h)
-
-let prop_heap_sorts_random =
-  QCheck.Test.make ~name:"pairing heap drains sorted"
-    QCheck.(list int)
-    (fun xs ->
-      let h = int_heap () in
-      List.iter (Heap.insert h) xs;
-      drain h = List.sort compare xs)
-
-let prop_heap_meld_random =
-  QCheck.Test.make ~name:"meld equals concatenation"
-    QCheck.(pair (list small_int) (list small_int))
-    (fun (xs, ys) ->
-      let a = int_heap () and b = int_heap () in
-      List.iter (Heap.insert a) xs;
-      List.iter (Heap.insert b) ys;
-      Heap.meld a b;
-      drain a = List.sort compare (xs @ ys))
 
 (* ------------------------------------------------------------------ *)
 (* Union-find                                                          *)
@@ -369,14 +313,25 @@ let test_arena_clear_preds_collect () =
 
 module Fh = Depgraph.Flat_heap
 
+let int_heap () = Fh.create ~leq:(fun (a : int) b -> a <= b)
+
+(* Pop everything, smallest first, the way the engine's drain does. *)
+let drain h =
+  let rec go acc =
+    if Fh.is_empty h then List.rev acc
+    else begin
+      let x = Fh.min_elt h in
+      Fh.drop_min h;
+      go (x :: acc)
+    end
+  in
+  go []
+
 let test_flat_heap_sorts () =
-  let h = Fh.create ~leq:(fun (a : int) b -> a <= b) in
+  let h = int_heap () in
   List.iter (Fh.insert h) [ 5; 1; 4; 1; 3; 9; 2 ];
   checkb "not empty" false (Fh.is_empty h);
-  let rec drain acc =
-    match Fh.pop_min h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check Alcotest.(list int) "drains sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain []);
+  check Alcotest.(list int) "drains sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain h);
   checkb "empty after drain" true (Fh.is_empty h)
 
 let test_flat_heap_meld () =
@@ -386,22 +341,62 @@ let test_flat_heap_meld () =
   List.iter (Fh.insert h2) [ 5; 1; 6 ];
   Fh.meld h1 h2;
   checkb "absorbed heap is empty" true (Fh.is_empty h2);
-  let rec drain acc =
-    match Fh.pop_min h1 with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check Alcotest.(list int) "meld = union" [ 1; 3; 5; 6; 7 ] (drain [])
+  check Alcotest.(list int) "meld = union" [ 1; 3; 5; 6; 7 ] (drain h1)
+
+let test_flat_heap_peek_clear () =
+  let h = int_heap () in
+  check Alcotest.bool "min_elt of empty raises" true
+    (match Fh.min_elt h with _ -> false | exception Invalid_argument _ -> true);
+  Fh.insert h 3;
+  Fh.insert h 1;
+  checki "min_elt" 1 (Fh.min_elt h);
+  checki "min_elt does not pop" 2 (Fh.length h);
+  Fh.drop_min h;
+  checki "drop_min removes the minimum" 3 (Fh.min_elt h);
+  Fh.insert h 2;
+  Fh.clear h;
+  checkb "cleared" true (Fh.is_empty h)
 
 let prop_flat_heap_sorts_random =
   QCheck.Test.make ~name:"flat heap drains sorted" QCheck.(list small_int)
     (fun xs ->
-      let h = Fh.create ~leq:(fun (a : int) b -> a <= b) in
+      let h = int_heap () in
       List.iter (Fh.insert h) xs;
-      let rec drain acc =
-        match Fh.pop_min h with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
+      drain h = List.sort compare xs)
+
+let prop_flat_heap_meld_random =
+  QCheck.Test.make ~name:"flat heap meld equals concatenation"
+    QCheck.(pair (list small_int) (list small_int))
+    (fun (xs, ys) ->
+      let a = int_heap () and b = int_heap () in
+      List.iter (Fh.insert a) xs;
+      List.iter (Fh.insert b) ys;
+      Fh.meld a b;
+      Fh.is_empty b && drain a = List.sort compare (xs @ ys))
+
+(* Interleaved inserts and drop_mins against a sorted-list model: after
+   every step the heap's minimum and length match the model's. *)
+let prop_flat_heap_interleaved =
+  QCheck.Test.make ~name:"flat heap matches sorted-list model"
+    QCheck.(list (option small_int))
+    (fun ops ->
+      let h = int_heap () in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some x ->
+              Fh.insert h x;
+              model := List.merge compare [ x ] !model
+          | None -> (
+              Fh.drop_min h;
+              match !model with [] -> () | _ :: rest -> model := rest));
+          Fh.length h = List.length !model
+          &&
+          match !model with
+          | [] -> Fh.is_empty h
+          | m :: _ -> Fh.min_elt h = m)
+        ops)
 
 (* Random add/clear sequence against a naive adjacency oracle. *)
 let prop_graph_matches_oracle =
@@ -456,11 +451,6 @@ let () =
           Alcotest.test_case "random vs reference" `Quick
             test_order_random_matches_reference;
         ] );
-      ( "pairing_heap",
-        Alcotest.test_case "sorts" `Quick test_heap_sorts
-        :: Alcotest.test_case "meld" `Quick test_heap_meld
-        :: Alcotest.test_case "peek/clear" `Quick test_heap_peek_clear
-        :: qsuite [ prop_heap_sorts_random; prop_heap_meld_random ] );
       ( "union_find",
         Alcotest.test_case "basic" `Quick test_uf_basic
         :: Alcotest.test_case "set_payload" `Quick test_uf_set_payload
@@ -468,7 +458,13 @@ let () =
       ( "flat_heap",
         Alcotest.test_case "sorts" `Quick test_flat_heap_sorts
         :: Alcotest.test_case "meld" `Quick test_flat_heap_meld
+        :: Alcotest.test_case "peek/clear" `Quick test_flat_heap_peek_clear
         :: qsuite [ prop_flat_heap_sorts_random ] );
+      (* Alcotest sizes its label column by the longest suite name and
+         truncates long test names to fit; keep the longest name at 12
+         characters so the reported test names stay stable. *)
+      ( "heap_oracles",
+        qsuite [ prop_flat_heap_meld_random; prop_flat_heap_interleaved ] );
       ( "graph",
         Alcotest.test_case "edges" `Quick test_graph_edges
         :: Alcotest.test_case "edge dedup" `Quick test_graph_edge_dedup

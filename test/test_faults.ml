@@ -687,14 +687,46 @@ let test_count_restores_hook () =
    clean, no retry budget charged — and the batch replayable to the
    clean answer. Swept by arming a step cap of k = 1, 2, ... until the
    batch completes uncancelled, so every settle step of the batch gets
-   its turn as the cancellation point. *)
-let cancel_sweep (make : unit -> Engine.t * (unit -> string) * (unit -> unit))
+   its turn as the cancellation point.
+
+   One more input rides along: the batch settled in preempted slices —
+   [settle_bounded ~max_steps:k] until it answers quiescent, for k = 1,
+   3, 7 — must take the same settle steps and executions as one
+   [stabilize] and leave the same reads, with partitioning off and on:
+   the three step limits count one clock, so slicing adds no step. *)
+let cancel_sweep
+    (make :
+      ?partitioning:bool -> unit -> Engine.t * (unit -> string) * (unit -> unit))
     () =
-  let make () =
-    let eng, snap, batch = make () in
+  let make ?partitioning () =
+    let eng, snap, batch = make ?partitioning () in
     if audit_mode then Engine.set_self_audit eng true;
     (eng, snap, batch)
   in
+  List.iter
+    (fun partitioning ->
+      let settled_by settle =
+        let eng, snap, batch = make ~partitioning () in
+        batch ();
+        settle eng;
+        let s = Engine.stats eng in
+        (s.Engine.settle_steps, s.Engine.executions, snap ())
+      in
+      let steps, execs, reads = settled_by Engine.stabilize in
+      List.iter
+        (fun k ->
+          let what = Fmt.str "slices of %d (partitioning %b)" k partitioning in
+          let rec slices n eng =
+            if n > 10_000 then Alcotest.failf "%s never quiesce" what;
+            if not (Engine.settle_bounded eng ~max_steps:k) then
+              slices (n + 1) eng
+          in
+          let steps', execs', reads' = settled_by (slices 0) in
+          checki (what ^ ": settle steps") steps steps';
+          checki (what ^ ": executions") execs execs';
+          checks (what ^ ": reads") reads reads')
+        [ 1; 3; 7 ])
+    [ false; true ];
   let eng0, snap0, batch0 = make () in
   let pre = snap0 () in
   Engine.transact eng0 batch0;
@@ -731,8 +763,10 @@ let cancel_sweep (make : unit -> Engine.t * (unit -> string) * (unit -> unit))
   let cancelled_trips = sweep 1 in
   checkb "sweep exercised at least one cancellation" true (cancelled_trips >= 1)
 
-let diamond_cancel ?scheduling ~strategy () =
-  let eng = Engine.create ?scheduling ~default_strategy:strategy () in
+let diamond_cancel ?scheduling ~strategy ?partitioning () =
+  let eng =
+    Engine.create ?scheduling ?partitioning ~default_strategy:strategy ()
+  in
   let a = Var.create eng ~name:"a" 2 in
   let b = Var.create eng ~name:"b" 5 in
   let z = Var.create eng ~name:"z" 100 in
@@ -754,8 +788,8 @@ let diamond_cancel ?scheduling ~strategy () =
   in
   (eng, snap, batch)
 
-let sheet_cancel ?scheduling () =
-  let s = S.create ?scheduling () in
+let sheet_cancel ?scheduling ?partitioning () =
+  let s = S.create ?scheduling ?partitioning () in
   S.set s "A1" "4";
   S.set s "A2" "=A1*A1";
   S.set s "A3" "=A2+A1";
@@ -770,8 +804,8 @@ let sheet_cancel ?scheduling () =
   in
   (S.engine s, snap, batch)
 
-let avl_cancel ?scheduling () =
-  let eng = Engine.create ?scheduling () in
+let avl_cancel ?scheduling ?partitioning () =
+  let eng = Engine.create ?scheduling ?partitioning () in
   let t = Avl.create eng in
   List.iter (fun k -> Avl.insert t k) [ 5; 2; 8; 1; 9 ];
   Avl.rebalance t;
@@ -895,9 +929,11 @@ let () =
       ( "budget",
         [
           Alcotest.test_case "cancel sweep: diamond (demand)" `Quick
-            (cancel_sweep (diamond_cancel ~strategy:Engine.Demand));
+            (cancel_sweep
+               (diamond_cancel ?scheduling:None ~strategy:Engine.Demand));
           Alcotest.test_case "cancel sweep: diamond (eager)" `Quick
-            (cancel_sweep (diamond_cancel ~strategy:Engine.Eager));
+            (cancel_sweep
+               (diamond_cancel ?scheduling:None ~strategy:Engine.Eager));
           Alcotest.test_case "cancel sweep: diamond (eager, parallel-4)" `Quick
             (cancel_sweep
                (diamond_cancel ~scheduling:par4 ~strategy:Engine.Eager));

@@ -168,6 +168,27 @@ let test_serial_counters () =
     (Metrics.counter_value
        (Metrics.counter reg "settles_total" ~labels:[ ("mode", "serial") ]))
 
+(* A stabilize with nothing left to do is not a session, also when the
+   work was done by the settle each [Func.call] runs on its partition:
+   that settle used to leave the partition on the dirty list, so every
+   such stabilize counted a serial session that took no step. *)
+let test_quiescent_stabilize_not_a_session () =
+  let eng, a, top = fan ~width:4 () in
+  let reg = Metrics.create () in
+  Engine.set_metrics eng (Some reg);
+  ignore (Func.call top ());
+  for i = 1 to 5 do
+    Var.set a (100 + i);
+    ignore (Func.call top ());
+    let steps = (Engine.stats eng).Engine.settle_steps in
+    Engine.stabilize eng;
+    checki "the call did every settle step" steps
+      (Engine.stats eng).Engine.settle_steps
+  done;
+  checki "no serial session counted" 0
+    (Metrics.counter_value
+       (Metrics.counter reg "settles_total" ~labels:[ ("mode", "serial") ]))
+
 let test_parallel_counters_race () =
   let _, reg, st =
     check_engine_counters
@@ -347,6 +368,8 @@ let () =
         [
           Alcotest.test_case "serial counters exact" `Quick
             test_serial_counters;
+          Alcotest.test_case "quiescent stabilize is not a session" `Quick
+            test_quiescent_stabilize_not_a_session;
           Alcotest.test_case "domains=4 counters exact under race" `Quick
             test_parallel_counters_race;
         ] );
