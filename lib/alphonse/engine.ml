@@ -146,9 +146,13 @@ and nd = payload G.node
 (* A dependency-graph partition (§6.3) and its own inconsistent set.
    The dirty-list rule: a partition is on [t.dirty_parts] exactly when
    [on_dirty_list] is set, at most once, and the drain that empties its
-   heap takes it off. An unlisted partition's heap is therefore empty. *)
+   heap takes it off. An unlisted partition's heap is therefore empty.
+   The heap stores each node's key as of its insert; [keyed] is the
+   graph's order epoch when every stored key was last current, and the
+   drain re-keys the heap before trusting it under a newer epoch. *)
 and partition = {
   queue : nd Heap.t;
+  mutable keyed : int;
   mutable on_dirty_list : bool;
 }
 
@@ -312,7 +316,7 @@ type mcells = {
 
 type t = {
   graph : payload G.t;
-  heap_leq : nd -> nd -> bool;
+  heap_key : nd -> int; (* the settle order: order key, or mark stamp *)
   global_part : partition; (* used when partitioning is off *)
   use_partitions : bool;
   strategy0 : strategy;
@@ -387,15 +391,18 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
   | Parallel { domains } when domains < 1 ->
     invalid_arg "Engine.create: Parallel domains must be >= 1"
   | _ -> ());
-  let leq =
+  let key =
     match scheduling with
-    | Creation_order | Topological | Parallel _ -> G.order_leq
-    | Fifo -> fun a b -> (G.payload a).seq <= (G.payload b).seq
+    | Creation_order | Topological | Parallel _ -> G.order_key
+    | Fifo -> fun n -> (G.payload n).seq
   in
+  let graph = G.create () in
   {
-    graph = G.create ();
-    heap_leq = leq;
-    global_part = { queue = Heap.create ~leq; on_dirty_list = false };
+    graph;
+    heap_key = key;
+    global_part =
+      { queue = Heap.create ~key; keyed = G.order_epoch graph;
+        on_dirty_list = false };
     use_partitions = partitioning;
     strategy0 = default_strategy;
     scheduling;
@@ -858,7 +865,10 @@ let new_node t payload =
     | [] -> G.add_node t.graph ~order_after:None payload
   in
   if t.use_partitions then begin
-    let part = { queue = Heap.create ~leq:t.heap_leq; on_dirty_list = false } in
+    let part =
+      { queue = Heap.create ~key:t.heap_key;
+        keyed = G.order_epoch t.graph; on_dirty_list = false }
+    in
     (G.payload node).part_elt <- Some (Uf.make part)
   end;
   t.all_nodes <- node :: t.all_nodes;
@@ -1388,6 +1398,22 @@ let audit_errors_run t ~idle =
     in
     check_list t.dirty_parts
   end;
+  (* the settle order: each listed heap is in heap order on its stored
+     keys, and one keyed under the current order epoch stores current
+     keys — so its minimum is the queued node of least priority. Under
+     Fifo a node re-marked while a stale entry of it is still queued has
+     two entries with different stamps, so only the order is checked. *)
+  let epoch = G.order_epoch t.graph in
+  let order_keyed =
+    match t.scheduling with
+    | Fifo -> false
+    | Creation_order | Topological | Parallel _ -> true
+  in
+  List.iter
+    (fun part ->
+      try Heap.validate ~current:(order_keyed && part.keyed = epoch) part.queue
+      with Failure m -> err "inconsistent set out of priority order: %s" m)
+    t.dirty_parts;
   if idle then begin
     if t.ctx0.stack = [] && (not t.settling) && t.txn = None && not t.ctx0.mask
     then err "edge-recording mask left disabled outside any execution";
@@ -1500,13 +1526,21 @@ let step t node p =
 
 (* The drain: process [part]'s heap in priority order until it is empty
    ([true]) or the clock reaches [stop] at a node still to process
-   ([false]). Stale entries (unqueued since their push) are dropped.
-   Nodes on the call stack must not be processed here — an eager
-   re-execution would be a false cycle — so they go to [t.skipped].
+   ([false]). A heap keyed under an older order epoch is re-keyed before
+   its minimum is trusted: a relabel or a Pearce–Kelly reorder since the
+   last pop may have moved queued nodes' priorities. Stale entries
+   (unqueued since their push) are dropped. Nodes on the call stack must
+   not be processed here — an eager re-execution would be a false cycle
+   — so they go to [t.skipped].
    Top-level and closure-free: every demand settle runs it. *)
 let rec drain t part stop =
   if Heap.is_empty part.queue then true
-  else
+  else begin
+    let epoch = G.order_epoch t.graph in
+    if part.keyed <> epoch then begin
+      Heap.rekey part.queue;
+      part.keyed <- epoch
+    end;
     let node = Heap.min_elt part.queue in
     let p = G.payload node in
     if not p.queued then begin
@@ -1526,6 +1560,7 @@ let rec drain t part stop =
       drain t part stop
     end
     else true
+  end
 
 let requeue_skipped t =
   match t.skipped with
@@ -2086,9 +2121,7 @@ let run_level t par ~level queued =
   let front = List.filter (fun n -> depth n = dmin) queued in
   (* priority order: deterministic, and close to the serial drain *)
   let front =
-    List.stable_sort
-      (fun a b -> if a == b then 0 else if t.heap_leq a b then -1 else 1)
-      front
+    List.stable_sort (fun a b -> Int.compare (t.heap_key a) (t.heap_key b)) front
   in
   let tasks = ref [] in
   let process_member node =

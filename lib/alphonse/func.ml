@@ -18,11 +18,17 @@ type ('a, 'b) t = {
 and ('a, 'b) entry = {
   key : 'a;
   enode : Engine.node;
-  cache : 'b option ref;
+  mutable cache : 'b cache;
   mutable younger : ('a, 'b) entry option;
   mutable older : ('a, 'b) entry option;
   mutable live : bool;
 }
+
+(* The first execution allocates the [Cached] cell; later executions
+   overwrite it in place, so a re-execution allocates no cache cell. An
+   inline record rather than a one-cell array: a float result stays
+   boxed, and a cached read returns it without re-boxing. *)
+and 'b cache = Empty | Cached of { mutable v : 'b }
 
 let fcounter = ref 0
 
@@ -107,7 +113,6 @@ let find_or_create t a =
     match Htbl.find t.table a with
     | Some e -> e (* created by a sibling while we waited for the lock *)
     | None ->
-    let cache = ref None in
     let recompute_ref = ref (fun () -> true) in
     let iname =
       match t.pp_key with
@@ -120,19 +125,20 @@ let find_or_create t a =
         ~recompute:(fun () -> !recompute_ref ())
         ()
     in
-    let e = { key = a; enode; cache; younger = None; older = None;
+    let e = { key = a; enode; cache = Empty; younger = None; older = None;
               live = true }
     in
     (recompute_ref :=
        fun () ->
          let v = t.body t a in
-         let changed =
-           match !cache with
-           | Some old -> not (t.value_equal old v)
-           | None -> true
-         in
-         cache := Some v;
-         changed);
+         match e.cache with
+         | Empty ->
+           e.cache <- Cached { v };
+           true
+         | Cached c ->
+           let changed = not (t.value_equal c.v v) in
+           c.v <- v;
+           changed);
     Htbl.add t.table a e;
     push_front t e;
     maybe_evict t ~keep:e;
@@ -152,14 +158,16 @@ let call t a =
           end))
   | _ -> ());
   Engine.on_call t.eng e.enode;
-  match !(e.cache) with
-  | Some v -> v
-  | None -> assert false (* on_call always fills a fresh cache *)
+  match e.cache with
+  | Cached c -> c.v
+  | Empty -> assert false (* on_call always fills a fresh cache *)
 
 let size t = Htbl.length t.table
 
 let peek t a =
-  match Htbl.find t.table a with Some e -> !(e.cache) | None -> None
+  match Htbl.find t.table a with
+  | Some { cache = Cached c; _ } -> Some c.v
+  | Some { cache = Empty; _ } | None -> None
 
 let node t a =
   match Htbl.find t.table a with Some e -> Some e.enode | None -> None

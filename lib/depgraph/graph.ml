@@ -55,6 +55,9 @@ type 'a node = {
 
 and 'a t = {
   order_list : Order_list.t;
+  mutable epoch : int;
+      (* bumped whenever a live node's [order_key] may have moved: an
+         order-list relabel, [reorder_before], a Pearce–Kelly permute *)
   mutable next_id : int;
   (* the arena: slot-indexed flat arrays, grown by doubling *)
   mutable handles : 'a node option array; (* slot -> live handle *)
@@ -71,6 +74,7 @@ and 'a t = {
 let create () =
   {
     order_list = Order_list.create ();
+    epoch = 0;
     next_id = 0;
     handles = [||];
     gens = [||];
@@ -142,6 +146,15 @@ let mk_node t order payload =
   t.handles.(slot) <- Some n;
   n
 
+(* An order insertion that relabeled moved other items' tags: a new
+   epoch. *)
+let order_insert t insert anchor =
+  let relabels = Order_list.relabel_count t.order_list in
+  let item = insert anchor in
+  if Order_list.relabel_count t.order_list <> relabels then
+    t.epoch <- t.epoch + 1;
+  item
+
 let add_node t ~order_after payload =
   let anchor =
     match order_after with
@@ -150,11 +163,11 @@ let add_node t ~order_after payload =
       n.order
     | None -> Order_list.last t.order_list
   in
-  mk_node t (Order_list.insert_after anchor) payload
+  mk_node t (order_insert t Order_list.insert_after anchor) payload
 
 let add_node_before t ~order_before payload =
   check_alive "Graph.add_node_before" order_before;
-  mk_node t (Order_list.insert_before order_before.order) payload
+  mk_node t (order_insert t Order_list.insert_before order_before.order) payload
 
 let payload n = n.payload
 let id n = n.id
@@ -162,14 +175,16 @@ let slot n = n.slot
 let generation n = n.gen
 
 let order_lt u v = Order_list.lt u.order v.order
-let order_leq u v = Order_list.leq u.order v.order
+let[@inline] order_key n = Order_list.tag n.order
+let order_epoch t = t.epoch
 
 let reorder_before u v =
   check_alive "Graph.reorder_before" u;
   check_alive "Graph.reorder_before" v;
   let fresh = Order_list.insert_before v.order in
   Order_list.delete u.order;
-  u.order <- fresh
+  u.order <- fresh;
+  u.owner.epoch <- u.owner.epoch + 1
 
 (* ---- adjacency primitives ---------------------------------------- *)
 
@@ -337,7 +352,6 @@ let pred_count n = n.pred_n
    [src]; the order is then left untouched (the evaluator is correct
    under any order; order only reduces redundant re-execution). *)
 let restore_topological_order t ~src ~dst =
-  ignore t;
   if not (order_lt dst src) then `Already_ordered
   else begin
     let exception Cycle_found in
@@ -373,6 +387,7 @@ let restore_topological_order t ~src ~dst =
       let desired = List.sort by_order !bwd @ List.sort by_order !fwd in
       let slots = List.map (fun n -> n.order) region in
       List.iter2 (fun slot n -> n.order <- slot) slots desired;
+      t.epoch <- t.epoch + 1;
       `Reordered (List.length region)
   end
 

@@ -4,7 +4,8 @@
     locations they touch; an edge [u → v] records that the most recent
     execution of the instance at [v] read or wrote the value at [u]. Each
     node carries a client payload (the engine's bookkeeping record) and an
-    {!Order_list} item giving its approximate topological priority.
+    {!Order_list} item giving its approximate topological priority, read
+    as an int by {!order_key} and versioned by {!order_epoch}.
 
     Representation: nodes live in a slot {e arena} — flat growable arrays
     indexed by a small integer slot — and adjacency is flat parallel [int]
@@ -77,9 +78,17 @@ val gen_limit : int
 val order_lt : 'a node -> 'a node -> bool
 (** Priority comparison: [order_lt u v] iff [u] drains before [v]. *)
 
-val order_leq : 'a node -> 'a node -> bool
-(** [order_leq u v] is [not (order_lt v u)]; the settle heaps compare
-    through this. *)
+val order_key : 'a node -> int
+(** The node's priority as an int: [order_lt u v] iff
+    [order_key u < order_key v]. The settle heaps store it beside each
+    queued node. A node's key moves only when {!order_epoch} does. *)
+
+val order_epoch : 'a t -> int
+(** A counter bumped whenever some live node's {!order_key} may have
+    moved: an order-list relabel during node creation, {!reorder_before},
+    and a [`Reordered] {!restore_topological_order}. Keys read under the
+    current epoch are current; a heap keyed under an older one must be
+    re-keyed before it is trusted. *)
 
 val restore_topological_order :
   'a t ->
@@ -90,7 +99,8 @@ val restore_topological_order :
     edge [src → dst]: when [dst] currently drains before [src], permute
     the priorities of the affected region so every dependency again
     precedes its dependents. Returns how many nodes were moved, or
-    [`Cycle] (order untouched) when the edge closes a cycle. This is the
+    [`Cycle] (order untouched) when the edge closes a cycle. A reorder
+    bumps {!order_epoch}. This is the
     "compute this order in the presence of graph changes" machinery the
     paper's §2 cites; the evaluator is correct under any order, so this
     only reduces redundant re-execution. *)
@@ -98,7 +108,8 @@ val restore_topological_order :
 val reorder_before : 'a node -> 'a node -> unit
 (** [reorder_before u v] moves [u]'s priority to just before [v]'s. Used
     when a new edge [u → v] is discovered with [u] currently after [v]
-    (out-of-order edge), restoring approximate topological order. *)
+    (out-of-order edge), restoring approximate topological order. Bumps
+    {!order_epoch}. *)
 
 (** {1 Edges} *)
 

@@ -52,13 +52,13 @@ let compare a b =
   check_alive "Order_list.compare" b;
   if a.tag < b.tag then -1 else if a.tag > b.tag then 1 else 0
 
-(* [lt]/[leq] are the settle path's priority comparisons — every heap
-   sift and every out-of-order probe lands here, so they are bare tag
+(* [lt] and [tag] are the settle path's priority reads — every heap
+   key and every out-of-order probe lands here, so they are bare tag
    loads: no liveness check (deleted items are unreachable from the
    graph by construction; [compare] keeps the checked behaviour for
    external callers). *)
 let[@inline] lt a b = a.tag < b.tag
-let[@inline] leq a b = a.tag <= b.tag
+let[@inline] tag a = a.tag
 
 let length t = t.size
 

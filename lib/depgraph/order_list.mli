@@ -50,12 +50,15 @@ val compare : item -> item -> int
 
 val lt : item -> item -> bool
 (** [lt a b] is [compare a b < 0], minus the liveness check: a bare tag
-    comparison, for the settle path's heap sifts. Calling it on a
+    comparison, for the settle path's order probes. Calling it on a
     deleted item is unspecified (use {!compare} when liveness is not
     guaranteed by construction). *)
 
-val leq : item -> item -> bool
-(** [leq a b] is [not (lt b a)]; same contract as {!lt}. *)
+val tag : item -> int
+(** The item's current label: [lt a b] iff [tag a < tag b]. Labels move
+    when an insertion relabels (see {!relabel_count}), so a label is a
+    snapshot of the item's position, valid until the next relabel. Same
+    contract as {!lt} on deleted items. *)
 
 val length : t -> int
 (** Number of live items (including the base item). O(1). *)

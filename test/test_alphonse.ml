@@ -179,6 +179,48 @@ let test_demand_settle_zero_alloc () =
     true
     (settling -. control <= 3.0)
 
+(* Re-executing a [Func] writes its cache cell in place: an eager
+   int-valued [f = a + b] whose value changes on every iteration
+   allocates no more than a bare engine instance doing the same reads,
+   whose [recompute] keeps no cache at all. A fresh [Some v] per
+   execution would show up as 2 words per iteration. *)
+let test_eager_cache_write_zero_alloc () =
+  let eng = Alphonse.Engine.create ~default_strategy:Engine.Eager () in
+  let a = Var.create eng ~name:"a" 0 and b = Var.create eng ~name:"b" 1 in
+  let f = Func.create eng ~name:"f" (fun _ () -> Var.get a + Var.get b) in
+  ignore (Func.call f ());
+  let c = Var.create eng ~name:"c" 0 and d = Var.create eng ~name:"d" 1 in
+  let bare =
+    Engine.new_instance eng ~name:"bare" ~strategy:Engine.Eager
+      ~recompute:(fun () ->
+        ignore (Var.get c + Var.get d);
+        true)
+      ()
+  in
+  Engine.on_call eng bare;
+  let i = ref 0 in
+  let measure v iters =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to iters do
+      incr i;
+      Var.set v !i;
+      Engine.stabilize eng
+    done;
+    Gc.minor_words () -. w0
+  in
+  ignore (measure a 10 +. measure c 10) (* warm-up *);
+  let per v = (measure v 10_000 -. measure v 1_000) /. 9_000. in
+  let runs0 = executions eng in
+  let cached = per a in
+  checki "one re-execution per iteration" 11_000 (executions eng - runs0);
+  checki "value tracked" (!i + 1) (Func.call f ());
+  let bare_words = per c in
+  checkb
+    (Printf.sprintf "cache write allocates nothing (%.1f vs %.1f words/iter)"
+       cached bare_words)
+    true
+    (cached -. bare_words <= 0.5)
+
 let test_eager_stabilize_precomputes () =
   let eng = Engine.create ~default_strategy:Engine.Eager () in
   let runs = ref 0 in
@@ -747,6 +789,58 @@ let test_scheduling_fifo_correct () =
   Var.set base 9;
   checki "correct under fifo" (9 + ((9 * 10) + 6)) (Func.call f ());
   checkb "ran at least once" true (!runs >= 1)
+
+(* The E14 shape: a cascade of eager consumers created before the
+   two-level side chains they come to read, so the first settle after
+   the switch adds out-of-order edges while consumers are queued, and
+   Pearce–Kelly permutes queued nodes' priorities mid-settle. The
+   per-step auditor checks that every heap keyed under the current order
+   epoch holds current keys in heap order: a heap left keyed under the
+   pre-reorder priorities would pop out of priority order. *)
+let test_scheduling_reorder_keeps_heap_order () =
+  let layers = 16 in
+  let eng =
+    Engine.create ~default_strategy:Engine.Eager
+      ~scheduling:Engine.Topological ~self_audit:true ()
+  in
+  let base = Var.create eng ~name:"base" 1 in
+  let modes = Array.init layers (fun _ -> Var.create eng false) in
+  let sides = Array.make layers None in
+  let consumers = Array.make layers None in
+  for i = 0 to layers - 1 do
+    consumers.(i) <-
+      Some
+        (Func.create eng ~name:(Fmt.str "f%d" i) (fun _ () ->
+             let prev =
+               if i = 0 then Var.get base
+               else Func.call (Option.get consumers.(i - 1)) ()
+             in
+             let side =
+               if Var.get modes.(i) then
+                 match sides.(i) with Some c -> Func.call c () | None -> 0
+               else 0
+             in
+             prev + side))
+  done;
+  let top = Option.get consumers.(layers - 1) in
+  checki "before the switch" 1 (Func.call top ());
+  for i = 0 to layers - 1 do
+    let bottom = Func.create eng (fun _ () -> Var.get base * 10) in
+    let side = Func.create eng (fun _ () -> Func.call bottom () + 1) in
+    sides.(i) <- Some side;
+    ignore (Func.call side ())
+  done;
+  Array.iter (fun m -> Var.set m true) modes;
+  Engine.stabilize eng;
+  checkb "Pearce–Kelly reordered" true
+    ((Engine.stats eng).Engine.order_fixups > 0);
+  checki "after the switch" (1 + (layers * 11)) (Func.call top ());
+  for r = 2 to 6 do
+    Var.set base r;
+    Engine.stabilize eng;
+    checki "each round" (r + (layers * ((r * 10) + 1))) (Func.call top ())
+  done;
+  Engine.audit eng
 
 (* Graph-level property: under random edge insertions with Pearce–Kelly
    restoration, every accepted edge satisfies the order invariant, and
@@ -1322,6 +1416,8 @@ let () =
             test_cutoff_zero_alloc;
           Alcotest.test_case "demand settle step allocates nothing" `Quick
             test_demand_settle_zero_alloc;
+          Alcotest.test_case "eager cache write allocates nothing" `Quick
+            test_eager_cache_write_zero_alloc;
           Alcotest.test_case "eager stabilize precomputes" `Quick
             test_eager_stabilize_precomputes;
           Alcotest.test_case "demand stabilize defers" `Quick
@@ -1371,7 +1467,9 @@ let () =
         Alcotest.test_case "topological avoids waste" `Quick
           test_scheduling_topological_avoids_waste
         :: Alcotest.test_case "fifo correct" `Quick test_scheduling_fifo_correct
-        :: qsuite [ prop_pk_invariant ] );
+        :: qsuite [ prop_pk_invariant ]
+        @ [ Alcotest.test_case "reorder keeps heap order" `Quick
+              test_scheduling_reorder_keeps_heap_order ] );
       ( "static-subgraphs",
         [
           Alcotest.test_case "correct when R(p) static" `Quick

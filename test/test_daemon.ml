@@ -549,7 +549,32 @@ let test_health_surface () =
   let cfg =
     { (mem_config (fresh_root "health")) with Daemon.d_metrics_port = Some 0 }
   in
-  let d = Daemon.create cfg (Sheet.workload ()) in
+  (* A "hold" op blocks inside the tenant until released. The daemon
+     closes this endpoint as soon as a drain finds nothing in flight, so
+     the post-drain /readyz check below runs while a held batch keeps
+     the drain open; otherwise it races the shutdown. *)
+  let entered = Semaphore.Binary.make false
+  and release = Semaphore.Binary.make false in
+  let sheet = Sheet.workload () in
+  let workload =
+    {
+      Tenant.w_make =
+        (fun () ->
+          let s = sheet.Tenant.w_make () in
+          {
+            s with
+            Tenant.s_apply =
+              (fun op ->
+                if Json.member "op" op = Some (Json.Str "hold") then begin
+                  Semaphore.Binary.release entered;
+                  Semaphore.Binary.acquire release;
+                  Json.Null
+                end
+                else s.Tenant.s_apply op);
+          });
+    }
+  in
+  let d = Daemon.create cfg workload in
   let th = Daemon.start d in
   let rec await_ready n =
     if (not (Daemon.ready d)) && n > 0 then begin
@@ -588,8 +613,19 @@ let test_health_surface () =
   checkb "tenantz lists the tenant" true (contains (http_get "/tenantz") "\"t\"");
   checkb "metrics exposition has daemon cells" true
     (contains (http_get "/metrics") "daemon_requests_total");
+  let holder =
+    Thread.create
+      (fun () ->
+        ignore
+          (Daemon.submit d
+             (request ~tenant:"t" [ Json.Obj [ ("op", Json.Str "hold") ] ])))
+      ()
+  in
+  Semaphore.Binary.acquire entered;
   Daemon.drain d;
   checkb "readyz gates while draining" true (contains (http_get "/readyz") "503");
+  Semaphore.Binary.release release;
+  Thread.join holder;
   Thread.join th
 
 let test_serve_oversize_431 () =

@@ -47,7 +47,7 @@ let test_order_delete () =
   Ol.delete x;
   checkb "b < y" true (Ol.lt b y);
   checki "length" 2 (Ol.length t);
-  (* [lt]/[leq] are deliberately unchecked (settle-path fast path); the
+  (* [lt]/[tag] are deliberately unchecked (settle-path fast path); the
      checked comparison is [compare] *)
   Alcotest.check_raises "compare deleted"
     (Invalid_argument "Order_list.compare: deleted order item") (fun () ->
@@ -307,13 +307,53 @@ let test_arena_clear_preds_collect () =
     (G.clear_preds_collect g c |> List.map G.payload);
   G.validate g
 
+(* [order_epoch] versions [order_key]: across any operation that leaves
+   the epoch unchanged, every live node keeps its key. Front-heavy
+   insertion forces relabels; reorder_before and Pearce–Kelly reorders
+   move keys directly. *)
+let test_graph_order_epoch () =
+  let g = G.create () in
+  let nodes = ref [| G.add_node g ~order_after:None 0 |] in
+  let rng = Random.State.make [| 7 |] in
+  let pick () = !nodes.(Random.State.int rng (Array.length !nodes)) in
+  let stamp = ref 0 and moves = ref 0 in
+  for i = 1 to 3000 do
+    let epoch = G.order_epoch g and keys = Array.map G.order_key !nodes in
+    (match i mod 4 with
+    | 0 | 1 ->
+      let anchor = if i mod 4 = 0 then !nodes.(0) else pick () in
+      nodes := Array.append !nodes [| G.add_node_before g ~order_before:anchor i |]
+    | 2 ->
+      let u = pick () and v = pick () in
+      if u != v then G.reorder_before u v
+    | _ -> (
+      let src = pick () and dst = pick () in
+      if src != dst then
+        match G.restore_topological_order g ~src ~dst with
+        | `Cycle -> ()
+        | `Already_ordered | `Reordered _ ->
+          incr stamp;
+          G.add_edge ~stamp:!stamp ~src ~dst));
+    if G.order_epoch g <> epoch then incr moves
+    else
+      Array.iteri
+        (fun j k ->
+          if G.order_key !nodes.(j) <> k then
+            Alcotest.failf "step %d: key of node %d moved under epoch %d" i j
+              epoch)
+        keys
+  done;
+  checkb "relabels happened" true ((G.stats g).G.order_relabels > 0);
+  checkb "the epoch moved" true (!moves > 0);
+  G.validate g
+
 (* ------------------------------------------------------------------ *)
 (* Flat heap (the settle queues)                                       *)
 (* ------------------------------------------------------------------ *)
 
 module Fh = Depgraph.Flat_heap
 
-let int_heap () = Fh.create ~leq:(fun (a : int) b -> a <= b)
+let int_heap () = Fh.create ~key:(fun (a : int) -> a)
 
 (* Pop everything, smallest first, the way the engine's drain does. *)
 let drain h =
@@ -335,8 +375,8 @@ let test_flat_heap_sorts () =
   checkb "empty after drain" true (Fh.is_empty h)
 
 let test_flat_heap_meld () =
-  let leq (a : int) b = a <= b in
-  let h1 = Fh.create ~leq and h2 = Fh.create ~leq in
+  let key (a : int) = a in
+  let h1 = Fh.create ~key and h2 = Fh.create ~key in
   List.iter (Fh.insert h1) [ 7; 3 ];
   List.iter (Fh.insert h2) [ 5; 1; 6 ];
   Fh.meld h1 h2;
@@ -356,6 +396,51 @@ let test_flat_heap_peek_clear () =
   Fh.insert h 2;
   Fh.clear h;
   checkb "cleared" true (Fh.is_empty h)
+
+(* In the two tests below, keys are read from a mutable table, the way
+   the engine's heaps read order-list tags: moving a key is a new epoch
+   for every heap. *)
+
+(* One heap filled before the keys move (stale), one after (current).
+   Melding the stale heap into the current one inserts its elements
+   under their current keys, so the drain is sorted without a rekey;
+   the other way round the stale keys stay until [rekey]. *)
+let test_flat_heap_meld_epochs () =
+  let keys = [| 10; 20; 30; 40; 50; 60 |] in
+  let key i = keys.(i) in
+  let fill elems =
+    let h = Fh.create ~key in
+    List.iter (Fh.insert h) elems;
+    h
+  in
+  let by_new_keys () =
+    keys.(0) <- 65;
+    keys.(1) <- 5;
+    keys.(2) <- 35
+  in
+  let stale = fill [ 0; 1; 2 ] in
+  by_new_keys ();
+  let current = fill [ 3; 4; 5 ] in
+  Fh.meld current stale;
+  checkb "absorbed heap is empty" true (Fh.is_empty stale);
+  Fh.validate ~current:true current;
+  check Alcotest.(list int) "stale src: meld re-keys it" [ 1; 2; 3; 4; 5; 0 ]
+    (drain current);
+  keys.(0) <- 10;
+  keys.(1) <- 20;
+  keys.(2) <- 30;
+  let stale = fill [ 0; 1; 2 ] in
+  by_new_keys ();
+  let current = fill [ 3; 4; 5 ] in
+  Fh.meld stale current;
+  checkb "stale keys are kept" true
+    (match Fh.validate ~current:true stale with
+    | () -> false
+    | exception Failure _ -> true);
+  Fh.rekey stale;
+  Fh.validate ~current:true stale;
+  check Alcotest.(list int) "stale dst: sorted after rekey" [ 1; 2; 3; 4; 5; 0 ]
+    (drain stale)
 
 let prop_flat_heap_sorts_random =
   QCheck.Test.make ~name:"flat heap drains sorted" QCheck.(list small_int)
@@ -397,6 +482,36 @@ let prop_flat_heap_interleaved =
           | [] -> Fh.is_empty h
           | m :: _ -> Fh.min_elt h = m)
         ops)
+
+(* Fill a heap under one set of keys, move arbitrary keys (a new epoch),
+   rekey, then keep inserting: the drain comes out sorted by the new
+   keys, holding exactly the inserted elements. *)
+let prop_flat_heap_rekey =
+  QCheck.Test.make ~name:"flat heap rekey sorts by new keys"
+    QCheck.(triple (list small_int) (list small_int) (list small_int))
+    (fun (before, moved, after) ->
+      let nb = List.length before in
+      let n = nb + List.length after in
+      let keys = Array.of_list (before @ after) in
+      let h = Fh.create ~key:(fun i -> keys.(i)) in
+      for i = 0 to nb - 1 do
+        Fh.insert h i
+      done;
+      List.iteri (fun j k -> if n > 0 then keys.((j * 7) mod n) <- k) moved;
+      Fh.rekey h;
+      let ok_rekeyed =
+        match Fh.validate ~current:true h with
+        | () -> true
+        | exception Failure _ -> false
+      in
+      for i = nb to n - 1 do
+        Fh.insert h i
+      done;
+      let out = drain h in
+      let out_keys = List.map (fun i -> keys.(i)) out in
+      ok_rekeyed
+      && List.sort compare out = List.init n Fun.id
+      && out_keys = List.sort compare out_keys)
 
 (* Random add/clear sequence against a naive adjacency oracle. *)
 let prop_graph_matches_oracle =
@@ -459,12 +574,16 @@ let () =
         Alcotest.test_case "sorts" `Quick test_flat_heap_sorts
         :: Alcotest.test_case "meld" `Quick test_flat_heap_meld
         :: Alcotest.test_case "peek/clear" `Quick test_flat_heap_peek_clear
-        :: qsuite [ prop_flat_heap_sorts_random ] );
+        :: qsuite [ prop_flat_heap_sorts_random ]
+        @ [ Alcotest.test_case "meld across epochs" `Quick
+              test_flat_heap_meld_epochs ] );
       (* Alcotest sizes its label column by the longest suite name and
          truncates long test names to fit; keep the longest name at 12
          characters so the reported test names stay stable. *)
       ( "heap_oracles",
-        qsuite [ prop_flat_heap_meld_random; prop_flat_heap_interleaved ] );
+        qsuite
+          [ prop_flat_heap_meld_random; prop_flat_heap_interleaved;
+            prop_flat_heap_rekey ] );
       ( "graph",
         Alcotest.test_case "edges" `Quick test_graph_edges
         :: Alcotest.test_case "edge dedup" `Quick test_graph_edge_dedup
@@ -477,5 +596,7 @@ let () =
              test_arena_generation_rollover
         :: Alcotest.test_case "clear_preds_collect snapshot" `Quick
              test_arena_clear_preds_collect
-        :: qsuite [ prop_graph_matches_oracle ] );
+        :: qsuite [ prop_graph_matches_oracle ]
+        @ [ Alcotest.test_case "order epoch versions keys" `Quick
+              test_graph_order_epoch ] );
     ]
