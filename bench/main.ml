@@ -1114,37 +1114,18 @@ let e18 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* E19 — parallel settle vs serial (level-synchronized domains)        *)
+(* E20 — metrics registry overhead (observability PR)                  *)
 (* ------------------------------------------------------------------ *)
 
-(* E15 measured the speedup *bound* the dependency graph's level
-   structure permits; E19 measures what the level-synchronized parallel
-   evaluator actually delivers on the same workload shapes. Bodies carry
-   ~100us of off-CPU latency (modeling I/O-bound recomputation — fetches,
-   file stats, RPCs), the regime where domain-level parallelism pays
-   independently of the host's core count: the sleeps overlap, so
-   wall-clock speedup tracks min(bound, domains) instead of the core
-   budget. CPU-bound bodies additionally need that many cores. The deep
-   chain (bound 1.00x) is the contrast row: every level has width 1, so
-   the pool can only add overhead. Each cell also replays the serial
-   evaluator's observations — "thm" is Theorem 5.1 checked at that
-   domain count. *)
-(* The three E15/E19 workload shapes, parameterized over the per-body
-   [pause] so E19 (latency-bound bodies, 100us sleeps) and E20 (raw
-   engine overhead, no-op bodies) measure the same graphs. Each builder
-   returns [(edit, read)]: [edit r] rewrites the inputs for round [r],
-   [read ()] forces the root and renders the observation. *)
-let settle_shapes ~pause =
+(* The three E15 workload shapes E20 times, with no-op bodies. Each
+   builder returns [(edit, read)]: [edit r] rewrites the inputs for
+   round [r], [read ()] forces the root and renders the observation. *)
+let settle_shapes =
   (* 511 instances over 9 levels (widths 256..1): the E15 tree shape *)
   let tree eng =
     let leaves = Array.init 256 (fun i -> Var.create eng i) in
     let layer =
-      Array.map
-        (fun v ->
-          Func.create eng (fun _ () ->
-              pause ();
-              Var.get v))
-        leaves
+      Array.map (fun v -> Func.create eng (fun _ () -> Var.get v)) leaves
     in
     let rec up arr =
       if Array.length arr = 1 then arr.(0)
@@ -1154,9 +1135,7 @@ let settle_shapes ~pause =
              (Array.length arr / 2)
              (fun i ->
                let l = arr.(2 * i) and r = arr.((2 * i) + 1) in
-               Func.create eng (fun _ () ->
-                   pause ();
-                   Func.call l () + Func.call r ())))
+               Func.create eng (fun _ () -> Func.call l () + Func.call r ())))
     in
     let root = up layer in
     let edit r = Array.iteri (fun i v -> Var.set v (i + r)) leaves in
@@ -1168,28 +1147,16 @@ let settle_shapes ~pause =
     let rows = 128 and cols = 4 in
     let inputs = Array.init rows (fun i -> Var.create eng i) in
     let layer =
-      ref
-        (Array.map
-           (fun v ->
-             Func.create eng (fun _ () ->
-                 pause ();
-                 Var.get v))
-           inputs)
+      ref (Array.map (fun v -> Func.create eng (fun _ () -> Var.get v)) inputs)
     in
     for _c = 2 to cols do
       let prev = !layer in
       layer :=
-        Array.map
-          (fun f ->
-            Func.create eng (fun _ () ->
-                pause ();
-                Func.call f () + 1))
-          prev
+        Array.map (fun f -> Func.create eng (fun _ () -> Func.call f () + 1)) prev
     done;
     let last = !layer in
     let sum =
       Func.create eng (fun _ () ->
-          pause ();
           Array.fold_left (fun acc f -> acc + Func.call f ()) 0 last)
     in
     let edit r = Array.iteri (fun i v -> Var.set v ((i * 7) + r)) inputs in
@@ -1199,18 +1166,11 @@ let settle_shapes ~pause =
   (* 64-deep chain: every level has width 1 — the E15 bound is 1.00x *)
   let chain eng =
     let a = Var.create eng 0 in
-    let first =
-      Func.create eng (fun _ () ->
-          pause ();
-          Var.get a)
-    in
+    let first = Func.create eng (fun _ () -> Var.get a) in
     let last = ref first in
     for _i = 2 to 64 do
       let prev = !last in
-      last :=
-        Func.create eng (fun _ () ->
-            pause ();
-            Func.call prev () + 1)
+      last := Func.create eng (fun _ () -> Func.call prev () + 1)
     done;
     let top = !last in
     let edit r = Var.set a r in
@@ -1223,75 +1183,11 @@ let settle_shapes ~pause =
     ("deep chain (64 levels of width 1)", chain);
   ]
 
-let e19 () =
-  let shapes = settle_shapes ~pause:(fun () -> Unix.sleepf 1e-4) in
-  let tree = List.assoc "height-tree shape (511 over 9 levels)" shapes in
-  let grid = List.assoc "sheet shape (128x4 + SUM)" shapes in
-  let chain = List.assoc "deep chain (64 levels of width 1)" shapes in
-  let rounds = 2 in
-  (* builds, warms up (first full settle is construction, not measured),
-     then times [rounds] edit+settle rounds; returns the timed rounds'
-     observations (the Theorem 5.1 oracle) and the engine *)
-  let measure build scheduling =
-    let eng = Engine.create ?scheduling ~default_strategy:Engine.Eager () in
-    let edit, read = build eng in
-    edit 0;
-    Engine.stabilize eng;
-    ignore (read ());
-    let buf = Buffer.create 64 in
-    let (), t =
-      time_of (fun () ->
-          for r = 1 to rounds do
-            edit r;
-            Engine.stabilize eng;
-            Buffer.add_string buf (read ());
-            Buffer.add_char buf ';'
-          done)
-    in
-    (Buffer.contents buf, t, eng)
-  in
-  let workload name build =
-    let oracle, t_serial, eng_serial = measure build None in
-    let bound =
-      (Alphonse.Inspect.parallel_profile eng_serial)
-        .Alphonse.Inspect.speedup_bound
-    in
-    let serial_row =
-      [ name; ff bound ^ "x"; "serial"; fms t_serial; "1.00x"; "-" ]
-    in
-    serial_row
-    :: List.map
-         (fun d ->
-           let out, t, _eng =
-             measure build (Some (Engine.Parallel { domains = d }))
-           in
-           [
-             name;
-             ff bound ^ "x";
-             fi d;
-             fms t;
-             ff (t_serial /. t) ^ "x";
-             (if out = oracle then "HOLDS" else "VIOLATED");
-           ])
-         [ 1; 2; 4; 8 ]
-  in
-  print_table ~title:"E19  parallel settle (level-synchronized domains)"
-    ~claim:
-      "the parallel evaluator delivers the E15 level-structure speedup on        latency-bound bodies: wide fronts (tree, grid) approach        min(bound, domains), the deep chain gains nothing, and the        observations equal the serial evaluator's at every domain count        (Theorem 5.1)"
-    [ "workload"; "E15 bound"; "domains"; "time"; "speedup"; "thm" ]
-    (workload "height-tree shape (511 over 9 levels)" tree
-    @ workload "sheet shape (128x4 + SUM)" grid
-    @ workload "deep chain (64 levels of width 1)" chain)
-
-(* ------------------------------------------------------------------ *)
-(* E20 — metrics registry overhead (observability PR)                  *)
-(* ------------------------------------------------------------------ *)
-
 (* Every engine hot path now carries a metrics branch ([match t.metrics
    with None -> () | Some m -> ...]). E20 measures what that costs on
-   the E19 shapes with no-op bodies — the regime where per-event
+   the E15 shapes with no-op bodies — the regime where per-event
    instrumentation cost has nowhere to hide. Three configurations per
-   shape and mode:
+   shape:
 
      base      a fresh engine, registry never attached
      disabled  registry attached, then detached ([set_metrics None])
@@ -1301,15 +1197,11 @@ let e19 () =
                rows at <= 1.05x
      enabled   registry attached for the timed rounds: atomic counter
                bumps plus two histogram observations per settle —
-               reported, not gated (it is the price of observability)
-
-   Serial settles run all three shapes; domains=4 runs them through the
-   parallel evaluator, where the per-round pool cells ride along. *)
+               reported, not gated (it is the price of observability) *)
 let e20 () =
   let module Metrics = Alphonse.Metrics in
-  let shapes = settle_shapes ~pause:(fun () -> ()) in
-  let measure build scheduling config rounds =
-    let eng = Engine.create ?scheduling ~default_strategy:Engine.Eager () in
+  let measure build config rounds =
+    let eng = Engine.create ~default_strategy:Engine.Eager () in
     (match config with
     | `Base -> ()
     | `Disabled ->
@@ -1339,11 +1231,8 @@ let e20 () =
      {e minimum across repetitions of the within-repetition ratio} — a
      real k% overhead is present in every repetition, so it survives
      the minimum, while one-sided scheduler noise does not. *)
-  let best3 build scheduling =
-    let t0 =
-      measure build scheduling `Base
-        (match scheduling with None -> 50 | Some _ -> 10)
-    in
+  let best3 build =
+    let t0 = measure build `Base 50 in
     let rounds = max 50 (int_of_float (0.3 /. Float.max t0 1e-7)) in
     let t_base = ref infinity
     and t_dis = ref infinity
@@ -1351,9 +1240,9 @@ let e20 () =
     and r_dis = ref infinity
     and r_en = ref infinity in
     for _ = 1 to 7 do
-      let b = measure build scheduling `Base rounds in
-      let d = measure build scheduling `Disabled rounds in
-      let e = measure build scheduling `Enabled rounds in
+      let b = measure build `Base rounds in
+      let d = measure build `Disabled rounds in
+      let e = measure build `Enabled rounds in
       t_base := Float.min !t_base b;
       t_dis := Float.min !t_dis d;
       t_en := Float.min !t_en e;
@@ -1365,24 +1254,12 @@ let e20 () =
   let rows =
     List.concat_map
       (fun (name, build) ->
-        List.concat_map
-          (fun (mode, scheduling) ->
-            let base, dis, en = best3 build scheduling in
-            let row config (t, r) =
-              [
-                name;
-                mode;
-                config;
-                Printf.sprintf "%.0fus" (t *. 1e6);
-                ff r ^ "x";
-              ]
-            in
-            [ row "base" base; row "disabled" dis; row "enabled" en ])
-          [
-            ("serial", None);
-            ("domains=4", Some (Engine.Parallel { domains = 4 }));
-          ])
-      shapes
+        let base, dis, en = best3 build in
+        let row config (t, r) =
+          [ name; "serial"; config; Printf.sprintf "%.0fus" (t *. 1e6); ff r ^ "x" ]
+        in
+        [ row "base" base; row "disabled" dis; row "enabled" en ])
+      settle_shapes
   in
   print_table ~title:"E20  metrics registry overhead (per settle round)"
     ~claim:
@@ -1710,7 +1587,7 @@ let experiments =
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
-    ("E17", e17); ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21);
+    ("E17", e17); ("E18", e18); ("E20", e20); ("E21", e21);
   ]
 
 (* ------------------------------------------------------------------ *)

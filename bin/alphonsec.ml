@@ -81,16 +81,6 @@ let partitioning_arg =
   let doc = "Enable dynamic dependency-graph partitioning (paper 6.3)." in
   Arg.(value & flag & info [ "partitioning" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Settle with the level-synchronized parallel evaluator on $(docv) \
-     concurrent lanes (OCaml 5 domains; the calling domain is one of \
-     them, so 1 exercises the parallel machinery serially). Omit for \
-     serial settling. Theorem 5.1 holds under every domain count."
-  in
-  Arg.(
-    value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
 let fuel_arg =
   let doc = "Abort after this many interpreter steps." in
   Arg.(value & opt int 200_000_000 & info [ "fuel" ] ~doc)
@@ -357,8 +347,8 @@ let lint_cmd =
       $ list_rules)
 
 let run_cmd =
-  let run path conventional strategy partitioning domains fuel log trace
-      profile fault_seed audit incidents =
+  let run path conventional strategy partitioning fuel log trace profile
+      fault_seed audit incidents =
     setup_log log;
     with_module path (fun env ->
         if conventional then begin
@@ -387,7 +377,7 @@ let run_cmd =
           let tm = Some tm in
           let out =
             Incr.run ~fuel ~default_strategy:strategy ~partitioning
-              ?telemetry:tm ~metrics:reg ?fault_seed ~audit ?domains env
+              ?telemetry:tm ~metrics:reg ?fault_seed ~audit env
           in
           print_string out.Incr.output;
           emit_trace trace tm;
@@ -431,17 +421,17 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Execute a module")
     Term.(
       const run $ path_arg $ conventional $ strategy_arg $ partitioning_arg
-      $ domains_arg $ fuel_arg $ log_arg $ trace_arg $ profile_arg
-      $ fault_seed $ audit $ incidents_arg)
+      $ fuel_arg $ log_arg $ trace_arg $ profile_arg $ fault_seed $ audit
+      $ incidents_arg)
 
 let compare_cmd =
-  let run path strategy partitioning domains fuel trace profile =
+  let run path strategy partitioning fuel trace profile =
     with_module path (fun env ->
         let conv = Interp.run ~fuel env in
         let tm = recorder_for ~trace ~profile in
         let inc =
           Incr.run ~fuel ~default_strategy:strategy ~partitioning
-            ?telemetry:tm ?domains env
+            ?telemetry:tm env
         in
         emit_trace trace tm;
         emit_profile ~ppf:Fmt.stderr profile tm;
@@ -466,18 +456,18 @@ let compare_cmd =
   let doc = "Run both executions and check Theorem 5.1" in
   Cmd.v (Cmd.info "compare" ~doc)
     Term.(
-      const run $ path_arg $ strategy_arg $ partitioning_arg $ domains_arg
-      $ fuel_arg $ trace_arg $ profile_arg)
+      const run $ path_arg $ strategy_arg $ partitioning_arg $ fuel_arg
+      $ trace_arg $ profile_arg)
 
 let profile_cmd =
-  let run path strategy partitioning domains top dot why trace =
+  let run path strategy partitioning top dot why trace =
     let top = match top with Some 0 -> None | t -> t in
     with_module path (fun env ->
         let tm = make_telemetry () in
         let analysis = Analysis.analyze env in
         let st =
           Incr.init_state ~default_strategy:strategy ~partitioning
-            ~telemetry:tm ?domains env analysis
+            ~telemetry:tm env analysis
         in
         let error =
           match
@@ -514,13 +504,7 @@ let profile_cmd =
               Fmt.pr "== per-instance profile: hottest first ==@.";
               Fmt.pr "%a@."
                 (Inspect.pp_profile_quantiles ?top)
-                (Telemetry.profile tm);
-              (* per-domain occupancy, when parallel settles ran *)
-              let occ = Telemetry.par_occupancy tm in
-              if occ.Telemetry.par_levels > 0 then begin
-                Fmt.pr "== parallel occupancy ==@.";
-                Fmt.pr "%a@." Telemetry.pp_par_occupancy occ
-              end
+                (Telemetry.profile tm)
             end;
             0
         in
@@ -561,8 +545,8 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ path_arg $ strategy_arg $ partitioning_arg $ domains_arg
-      $ top_arg $ dot_arg $ why_arg $ trace_arg)
+      const run $ path_arg $ strategy_arg $ partitioning_arg $ top_arg
+      $ dot_arg $ why_arg $ trace_arg)
 
 let graph_cmd =
   let run path show_storage =
@@ -642,17 +626,13 @@ let split1 s =
       String.trim (String.sub s (i + 1) (String.length s - i - 1)) )
 
 let sheet_cmd =
-  let run script state policy checkpoint_end kill_at no_restore domains
-      incidents =
+  let run script state policy checkpoint_end kill_at no_restore incidents =
     let text =
       match script with
       | "-" -> In_channel.input_all In_channel.stdin
       | p -> In_channel.with_open_text p In_channel.input_all
     in
-    let scheduling =
-      Option.map (fun d -> Alphonse.Parallel.scheduling ~domains:d) domains
-    in
-    let sheet = Sheet.create ?scheduling () in
+    let sheet = Sheet.create () in
     let eng = Sheet.engine sheet in
     (* observability is wired before recovery so a degraded recovery is
        itself an incident, and recovery timings land in the registry *)
@@ -743,17 +723,17 @@ let sheet_cmd =
     (Cmd.info "sheet" ~doc)
     Term.(
       const run $ script_arg $ state_arg $ wal_arg $ checkpoint_arg $ kill_arg
-      $ no_restore_arg $ domains_arg $ incidents_arg)
+      $ no_restore_arg $ incidents_arg)
 
 (* ---------------- observability ---------------- *)
 
 let metrics_cmd =
-  let run path strategy partitioning domains fuel fault_seed audit json =
+  let run path strategy partitioning fuel fault_seed audit json =
     with_module path (fun env ->
         let reg = Metrics.create () in
         let out =
           Incr.run ~fuel ~default_strategy:strategy ~partitioning ~metrics:reg
-            ?fault_seed ~audit ?domains env
+            ?fault_seed ~audit env
         in
         (* stdout carries the exposition; the program's own output is
            dropped here — use [run] for it *)
@@ -795,8 +775,8 @@ let metrics_cmd =
   in
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(
-      const run $ path_arg $ strategy_arg $ partitioning_arg $ domains_arg
-      $ fuel_arg $ fault_seed $ audit $ json)
+      const run $ path_arg $ strategy_arg $ partitioning_arg $ fuel_arg
+      $ fault_seed $ audit $ json)
 
 let serve_cmd =
   let run port state max_requests incidents =

@@ -26,8 +26,6 @@
 module Engine = Engine
 module Var = Var
 module Func = Func
-module Pool = Pool
-module Parallel = Parallel
 module Policy = Policy
 module Inspect = Inspect
 module Telemetry = Telemetry

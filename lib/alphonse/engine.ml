@@ -29,12 +29,6 @@ type scheduling =
       (* creation priorities plus Pearce–Kelly restoration on every
          order-violating edge: the drain order stays topological *)
   | Fifo  (* no priorities: first marked, first processed *)
-  | Parallel of { domains : int }
-      (* level-synchronized parallel settle on a reusable domain pool:
-         the inconsistent set is drained front by front, each front's
-         members executing concurrently (§10's "scheduling parallel
-         execution"). [domains] counts the caller's lane, so [1] runs
-         the same machinery with no spawned domain. *)
 
 exception Cycle of string
 exception Poisoned of string
@@ -115,11 +109,10 @@ type payload = {
   mutable part_elt : partition Uf.elt option; (* Some iff partitioning on *)
   mutable writers : nd list;
       (* instances that recorded a tracked *write* to this storage cell
-         (§4.2 write dependencies). Level extraction and
-         [Inspect.parallel_profile] use this to place a maintained
-         cell's readers strictly below its writers, so a
-         write-then-read chain through storage counts the writer's
-         level — empty for instances. *)
+         (§4.2 write dependencies). [Inspect.parallel_profile] uses
+         this to place a maintained cell's readers strictly below its
+         writers, so a write-then-read chain through storage counts the
+         writer's level — empty for instances. *)
 }
 
 and kind =
@@ -198,8 +191,6 @@ type stats = {
   rollbacks : int;
   degradations : int;
   audits : int;
-  par_levels : int;
-  par_tasks : int;
 }
 
 (* Durability journal hooks (the write-ahead layer, [Durable], installs
@@ -212,89 +203,13 @@ type journal = {
   on_txn : [ `Begin | `Commit | `Abort ] -> unit;
 }
 
-(* Per-domain execution context. Serial engines use exactly one ([ctx0]);
-   a parallel settle gives each pool lane its own, holding both the
-   call-stack discipline of Algorithm 5 and the write buffers that keep
-   every engine structure single-writer between level barriers. *)
-type ctx = {
-  lane : int; (* 0 = the caller's lane *)
-  mutable stack : frame list;
-  mutable stack_depth : int;
-  mutable mask : bool; (* record dependency edges? false under unchecked *)
-  mutable fmask : bool; (* true = fault injection suppressed (repair paths) *)
-  (* --- worker write buffers, drained at the level barrier ------------ *)
-  mutable t_edges : (nd * nd * int * bool) list;
-      (* src, consumer, stamp, is_write — edges recorded by the task in
-         flight, newest first; discarded if the task fails (the
-         buffered mirror of the serial edge rollback) *)
-  mutable b_edges : (nd * nd * int * bool) list list;
-      (* completed tasks' edge groups, newest group first, each group
-         oldest first *)
-  mutable b_writes : nd list; (* changed tracked writes, newest first *)
-  mutable b_changed : nd list; (* instances whose value changed *)
-  mutable b_failed : (nd * nd list * bool * exn) list;
-      (* node, saved preds, reuse_static, error *)
-  mutable b_ran : nd list; (* for the open transaction's [ran] list *)
-  mutable b_undos : undo list; (* transaction undo entries *)
-  mutable b_events : (float * Telemetry.event) list; (* newest first *)
-  mutable b_execs : int;
-  mutable b_first : int;
-  mutable b_hits : int;
-}
-
-let fresh_ctx lane =
-  {
-    lane;
-    stack = [];
-    stack_depth = 0;
-    mask = true;
-    fmask = false;
-    t_edges = [];
-    b_edges = [];
-    b_writes = [];
-    b_changed = [];
-    b_failed = [];
-    b_ran = [];
-    b_undos = [];
-    b_events = [];
-    b_execs = 0;
-    b_first = 0;
-    b_hits = 0;
-  }
-
-(* Per-level claim table: who is (re-)executing a node right now. A
-   worker that needs a claimed node's value waits on [tcv]; the chain
-   walk in [await_claim] turns a circular wait into [Cycle]. *)
-type claim = Running of int (* domain id *) | Done
-
-(* State of an active parallel settle. [pm] is the engine lock: workers
-   take it (reentrantly) for nested forcing, so all direct structure
-   mutation stays single-writer; the coordinator owns every structure
-   between levels without locking (no worker is running then). *)
-type par = {
-  pool : Pool.t;
-  lanes : ctx array; (* length = domains; index 0 is the caller's lane *)
-  mutable ids : (int * ctx) array; (* domain id -> lane ctx *)
-  pm : Mutex.t;
-  mutable powner : int; (* domain id holding [pm], -1 if none *)
-  mutable pdepth : int;
-  tm : Mutex.t; (* claim-table lock; never held while taking [pm] *)
-  tcv : Condition.t;
-  claims : (int, claim) Hashtbl.t;
-  mutable waiting : (int * int) list; (* domain id, awaited node id *)
-  pokem : Mutex.t; (* serializes fault-hook calls across domains *)
-}
-
 (* Metrics cells, resolved once at [set_metrics] time so the hot sites
    never touch the registry (and its mutex). Each site is one [match]
    on [t.metrics] — the same single-branch disabled-path discipline as
-   telemetry — and enabled updates are lock-free atomics, safe from
-   pool lanes without the engine lock (which is what makes the counter
-   totals exact under a domains=4 settle). *)
+   telemetry. *)
 type mcells = {
   mreg : Metrics.t;
-  m_settles_serial : Metrics.counter;
-  m_settles_parallel : Metrics.counter;
+  m_settles : Metrics.counter;
   m_settle_steps : Metrics.counter;
   m_settle_seconds : Metrics.histogram;
   m_exec_first : Metrics.counter;
@@ -307,11 +222,6 @@ type mcells = {
   m_degradations : Metrics.counter;
   m_rollbacks : Metrics.counter;
   m_cancellations : Metrics.counter;
-  m_par_levels : Metrics.counter;
-  m_par_tasks : Metrics.counter;
-  (* per-lane pool cells, resolved at the first parallel settle and
-     keyed by lane count (a new domain count re-resolves them) *)
-  mutable m_pool : (int * Pool.cells) option;
 }
 
 type t = {
@@ -325,10 +235,12 @@ type t = {
   max_settle_steps : int option;
   max_stack_depth : int option;
   mutable seq_counter : int;
-  ctx0 : ctx; (* the serial / coordinator execution context *)
-  exec_serial : int Atomic.t;
-      (* atomic: concurrent executions must draw distinct stamps or the
-         per-source edge dedup would suppress edges across consumers *)
+  (* the call-stack discipline of Algorithm 5 *)
+  mutable stack : frame list;
+  mutable stack_depth : int;
+  mutable mask : bool; (* record dependency edges? false under unchecked *)
+  mutable fmask : bool; (* true = fault injection suppressed (repair paths) *)
+  mutable exec_serial : int; (* the last execution's stamp *)
   mutable settling : bool;
   clock : clock; (* settle steps, never reset *)
   mutable session_mark : int; (* [clock] at the running session's start *)
@@ -340,9 +252,6 @@ type t = {
   mutable all_nodes : nd list;
   mutable telemetry : Telemetry.t option;
   mutable metrics : mcells option;
-  (* parallel settle *)
-  mutable par : par option; (* Some iff a parallel settle is active *)
-  mutable pool : (int * Pool.t) option; (* cached domain pool, by size *)
   (* fault tolerance *)
   mutable quarantined : nd list;
   mutable txn : txn option;
@@ -350,14 +259,13 @@ type t = {
   mutable self_audit : bool;
   mutable journal : journal option;
   (* Maintained invariant:
-       quick = (par = None) && (txn = None) && (journal = None)
-               && (ctx0.stack = [])
+       quick = (txn = None) && (journal = None) && (stack = [])
      — the regime in which a tracked read is exactly the typed cell
      load and a tracked write to an already-queued cell is exactly the
      store (no recording, no journaling, no undo logging, and a mark
      would be a guarded no-op). [Var] reads this through one accessor
      to skip the whole engine call path; every site that changes one
-     of the four inputs refreshes it. *)
+     of the three inputs refreshes it. *)
   mutable quick : bool;
   (* live node id -> snapshot node id, installed by [import] so
      telemetry, profiles and DOT reports keep the snapshot's stable
@@ -379,21 +287,15 @@ type t = {
   mutable c_rollbacks : int;
   mutable c_degradations : int;
   mutable c_audits : int;
-  mutable c_par_levels : int;
-  mutable c_par_tasks : int;
 }
 
 let create ?(partitioning = false) ?(default_strategy = Demand)
     ?(scheduling = Creation_order) ?(max_retries = 3) ?max_settle_steps
     ?max_stack_depth ?(self_audit = false) () =
   if max_retries < 1 then invalid_arg "Engine.create: max_retries must be >= 1";
-  (match scheduling with
-  | Parallel { domains } when domains < 1 ->
-    invalid_arg "Engine.create: Parallel domains must be >= 1"
-  | _ -> ());
   let key =
     match scheduling with
-    | Creation_order | Topological | Parallel _ -> G.order_key
+    | Creation_order | Topological -> G.order_key
     | Fifo -> fun n -> (G.payload n).seq
   in
   let graph = G.create () in
@@ -410,8 +312,11 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     max_settle_steps;
     max_stack_depth;
     seq_counter = 0;
-    ctx0 = fresh_ctx 0;
-    exec_serial = Atomic.make 0;
+    stack = [];
+    stack_depth = 0;
+    mask = true;
+    fmask = false;
+    exec_serial = 0;
     settling = false;
     clock = { ticks = 0 };
     session_mark = 0;
@@ -421,8 +326,6 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     all_nodes = [];
     telemetry = None;
     metrics = None;
-    par = None;
-    pool = None;
     quarantined = [];
     txn = None;
     fault_hook = None;
@@ -445,24 +348,19 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     c_rollbacks = 0;
     c_degradations = 0;
     c_audits = 0;
-    c_par_levels = 0;
-    c_par_tasks = 0;
   }
 
-(* Recompute the [quick] invariant from its four inputs; called by
+(* Recompute the [quick] invariant from its three inputs; called by
    every site that changes one of them (transaction open/close,
-   journal attach, parallel settle begin/end, serial frame push/pop). *)
+   journal attach, frame push/pop). *)
 let refresh_quick t =
   t.quick <-
-    (match t.par with
+    (match t.txn with
     | Some _ -> false
     | None -> (
-      match t.txn with
+      match t.journal with
       | Some _ -> false
-      | None -> (
-        match t.journal with
-        | Some _ -> false
-        | None -> ( match t.ctx0.stack with [] -> true | _ :: _ -> false))))
+      | None -> ( match t.stack with [] -> true | _ :: _ -> false)))
 
 let[@inline] quick t = t.quick
 
@@ -486,110 +384,11 @@ let eid t node =
 
 let stable_id = eid
 
-(* ------------------------------------------------------------------ *)
-(* Execution contexts and the engine lock                              *)
-(* ------------------------------------------------------------------ *)
-
-let[@inline] self_id () = (Domain.self () :> int)
-
-(* Resolve the calling domain's execution context. Serial engines (and
-   any domain the pool does not know) get [ctx0]; during a parallel
-   settle each pool lane — including the caller's own domain while it
-   drains tasks — resolves to its lane context. *)
-let[@inline] ctx t =
-  match t.par with
-  | None -> t.ctx0
-  | Some p ->
-    let me = self_id () in
-    let ids = p.ids in
-    let n = Array.length ids in
-    let rec find i =
-      if i >= n then t.ctx0
-      else
-        let did, c = ids.(i) in
-        if did = me then c else find (i + 1)
-    in
-    find 0
-
-(* Reentrant engine lock, held by workers for nested forcing. Reading
-   [powner] unlocked is a benign race: only the holder ever stores its
-   own id there, so a non-holder can never read its own id. *)
-let lock_engine t =
-  match t.par with
-  | None -> ()
-  | Some p ->
-    let me = self_id () in
-    if p.powner = me then p.pdepth <- p.pdepth + 1
-    else begin
-      Mutex.lock p.pm;
-      p.powner <- me;
-      p.pdepth <- 1
-    end
-
-let unlock_engine t =
-  match t.par with
-  | None -> ()
-  | Some p ->
-    p.pdepth <- p.pdepth - 1;
-    if p.pdepth = 0 then begin
-      p.powner <- -1;
-      Mutex.unlock p.pm
-    end
-
-(* Fully release the engine lock (returning the held depth) so the
-   caller can block on the claim table without holding up the workers
-   that would unblock it; [resume_engine] reacquires at the same
-   depth. *)
-let suspend_engine t =
-  match t.par with
-  | Some p when p.powner = self_id () ->
-    let d = p.pdepth in
-    p.pdepth <- 0;
-    p.powner <- -1;
-    Mutex.unlock p.pm;
-    d
-  | _ -> 0
-
-let resume_engine t d =
-  if d > 0 then
-    match t.par with
-    | Some p ->
-      Mutex.lock p.pm;
-      p.powner <- self_id ();
-      p.pdepth <- d
-    | None -> ()
-
-(* Is the calling context required to buffer its engine mutations?
-   True only for a pool lane running *outside* the engine lock; the
-   serial engine, the coordinator between levels, and a worker that
-   took the lock for nested forcing all mutate directly. *)
-let[@inline] buffered t c =
-  c != t.ctx0
-  && match t.par with Some p -> p.powner <> self_id () | None -> false
-
-(* Run [f] under the engine lock (a no-op when no parallel settle is
-   active). Domain-layer code uses this around its own shared-structure
-   updates (memo-table insertions, lazy node creation). *)
-let critical t f =
-  match t.par with
-  | None -> f ()
-  | Some _ ->
-    lock_engine t;
-    Fun.protect ~finally:(fun () -> unlock_engine t) f
-
 (* Telemetry: every instrumentation site is one [match] on this field —
    the branch-predictable no-op path when no recorder is attached. The
-   event is built lazily so the disabled path allocates nothing. Pool
-   lanes buffer (with their own timestamps) and the barrier replays
-   each lane's stream contiguously, so the ring orders by sequence even
-   though per-domain timestamps interleave. *)
+   event is built lazily so the disabled path allocates nothing. *)
 let[@inline] emit t ev =
-  match t.telemetry with
-  | None -> ()
-  | Some tm ->
-    let c = ctx t in
-    if c == t.ctx0 then Telemetry.emit tm (ev ())
-    else c.b_events <- (Telemetry.now tm, ev ()) :: c.b_events
+  match t.telemetry with None -> () | Some tm -> Telemetry.emit tm (ev ())
 
 (* Hot sites ask before building the event callback: without flambda
    the [fun () -> ...] argument to [emit] is a real allocation even on
@@ -608,12 +407,9 @@ let set_metrics t = function
       Some
         {
           mreg = reg;
-          m_settles_serial =
+          m_settles =
             Metrics.counter reg "settles_total" ~labels:[ ("mode", "serial") ]
               ~help:"settle sessions";
-          m_settles_parallel =
-            Metrics.counter reg "settles_total"
-              ~labels:[ ("mode", "parallel") ] ~help:"settle sessions";
           m_settle_steps = c "settle_steps_total" "inconsistent-set pops";
           m_settle_seconds =
             Metrics.histogram reg "settle_seconds"
@@ -636,10 +432,6 @@ let set_metrics t = function
           m_cancellations =
             c "cancellations_total"
               "settles aborted by a budget (deadline, step cap or cancel)";
-          m_par_levels = c "parallel_levels_total" "parallel level fronts";
-          m_par_tasks =
-            c "parallel_tasks_total" "eager executions dispatched to the pool";
-          m_pool = None;
         }
 
 let metrics t = match t.metrics with None -> None | Some m -> Some m.mreg
@@ -706,24 +498,12 @@ let max_retries t = t.max_retries
 let fault_sites =
   [ "exec-begin"; "mark"; "edge"; "settle-pop"; "clear-preds"; "evict" ]
 
-(* Injector hooks keep private mutable state (counters, one-shot
-   flags), so during a parallel settle every call is serialized under
-   [pokem] — total poke counts per level stay deterministic even
-   though worker interleaving is not. *)
 let[@inline] poke t site =
   match t.fault_hook with
   | None -> ()
   | Some f -> (
-    if not (ctx t).fmask then
-      let call () =
-        match t.par with
-        | None -> f site
-        | Some p ->
-          Mutex.lock p.pokem;
-          Fun.protect ~finally:(fun () -> Mutex.unlock p.pokem) (fun () ->
-              f site)
-      in
-      try call ()
+    if not t.fmask then
+      try f site
       with e ->
         emit t (fun () -> Telemetry.Fault_injected { site });
         raise e)
@@ -733,13 +513,11 @@ let fault_hook t = t.fault_hook
 
 (* Run [f] with fault injection suppressed — the repair paths use this so
    that redoing an interrupted idempotent step cannot itself be faulted
-   into an incoherent state. Per-context: one lane's repair does not
-   mask another lane's injection. *)
+   into an incoherent state. *)
 let masked t f =
-  let c = ctx t in
-  let saved = c.fmask in
-  c.fmask <- true;
-  let finally () = c.fmask <- saved in
+  let saved = t.fmask in
+  t.fmask <- true;
+  let finally () = t.fmask <- saved in
   Fun.protect ~finally f
 
 let set_self_audit t b = t.self_audit <- b
@@ -761,21 +539,18 @@ let jtxn t ev = match t.journal with None -> () | Some j -> j.on_txn ev
 let[@inline] in_transaction t =
   match t.txn with None -> false | Some _ -> true
 
-let push_undo t tx u =
-  let c = ctx t in
-  if buffered t c then c.b_undos <- u :: c.b_undos
-  else tx.undos <- u :: tx.undos
+let push_undo tx u = tx.undos <- u :: tx.undos
 
 let txn_log t undo =
-  match t.txn with None -> () | Some tx -> push_undo t tx (U_fun undo)
+  match t.txn with None -> () | Some tx -> push_undo tx (U_fun undo)
 
 (* Typed engine log points: the constructor is only allocated once a
    transaction is known to be open. *)
 let[@inline] log_remark t node =
-  match t.txn with None -> () | Some tx -> push_undo t tx (U_remark node)
+  match t.txn with None -> () | Some tx -> push_undo tx (U_remark node)
 
 let[@inline] log_consistent t inst =
-  match t.txn with None -> () | Some tx -> push_undo t tx (U_consistent inst)
+  match t.txn with None -> () | Some tx -> push_undo tx (U_consistent inst)
 
 let partition_of t node =
   if not t.use_partitions then t.global_part
@@ -860,7 +635,7 @@ let mark_succs t node =
    just before the consumer; top-level creations append at the end. *)
 let new_node t payload =
   let node =
-    match (ctx t).stack with
+    match t.stack with
     | { fnode; _ } :: _ -> G.add_node_before t.graph ~order_before:fnode payload
     | [] -> G.add_node t.graph ~order_after:None payload
   in
@@ -924,8 +699,8 @@ let link_partitions t src dst =
       end
     | _ -> assert false
 
-(* Remember that [consumer] writes storage cell [src] (§4.2): level
-   extraction places [src]'s other readers strictly below [consumer]. *)
+(* Remember that [consumer] writes storage cell [src] (§4.2): the E15
+   profile places [src]'s other readers strictly below [consumer]. *)
 let note_writer src consumer =
   let p = G.payload src in
   match p.kind with
@@ -939,93 +714,66 @@ let note_writer src consumer =
   | Instance _ -> ()
 
 (* Record a dependency edge src → consumer for the executing instance, if
-   any and if recording is not suppressed by [unchecked]. A pool lane
-   outside the engine lock stages the edge in its task buffer (applied
-   at the level barrier, or dropped with the failed task — the buffered
-   mirror of the serial edge rollback). *)
+   any and if recording is not suppressed by [unchecked]. *)
 let record_dependency ?(is_write = false) t src =
-  let c = ctx t in
-  match c.stack with
+  match t.stack with
   | [] -> ()
   | { fnode = consumer; stamp } :: _ ->
-    if c.mask then
-      if buffered t c then begin
-        (* the poke and the telemetry event happen at record time (so
-           fault counts are schedule-independent); the graph mutation is
-           deferred to the barrier *)
-        poke t "edge";
-        if tele_on t then
-          emit t (fun () ->
-              Telemetry.Edge_added { src = eid t src; dst = eid t consumer });
-        c.t_edges <- (src, consumer, stamp, is_write) :: c.t_edges
-      end
-      else begin
-        (* before any mutation: a fault here aborts the consumer's
-           execution, whose failure handler restores its edge set *)
-        poke t "edge";
-        if G.order_lt consumer src then begin
-          t.c_ooo <- t.c_ooo + 1;
-          (* under Topological scheduling, repair the drain order so this
-             dependency is processed before its consumer *)
-          (match t.scheduling with
-          | Topological -> (
-            match G.restore_topological_order t.graph ~src ~dst:consumer with
-            | `Reordered _ -> t.c_fixups <- t.c_fixups + 1
-            | `Already_ordered | `Cycle -> ())
-          | Creation_order | Fifo | Parallel _ -> ())
-        end;
-        G.add_edge ~stamp ~src ~dst:consumer;
-        if is_write then note_writer src consumer;
-        if tele_on t then
-          emit t (fun () ->
-              Telemetry.Edge_added { src = eid t src; dst = eid t consumer });
-        link_partitions t src consumer
-      end
+    if t.mask then begin
+      (* before any mutation: a fault here aborts the consumer's
+         execution, whose failure handler restores its edge set *)
+      poke t "edge";
+      if G.order_lt consumer src then begin
+        t.c_ooo <- t.c_ooo + 1;
+        (* under Topological scheduling, repair the drain order so this
+           dependency is processed before its consumer *)
+        (match t.scheduling with
+        | Topological -> (
+          match G.restore_topological_order t.graph ~src ~dst:consumer with
+          | `Reordered _ -> t.c_fixups <- t.c_fixups + 1
+          | `Already_ordered | `Cycle -> ())
+        | Creation_order | Fifo -> ())
+      end;
+      G.add_edge ~stamp ~src ~dst:consumer;
+      if is_write then note_writer src consumer;
+      if tele_on t then
+        emit t (fun () ->
+            Telemetry.Edge_added { src = eid t src; dst = eid t consumer });
+      link_partitions t src consumer
+    end
 
 let record_read t node = record_dependency t node
 
 let record_write t node ~changed =
-  let c = ctx t in
-  if buffered t c then begin
-    (* Journal append and inconsistency mark are deferred to the level
-       barrier (the per-level commit point): the lane only stages the
-       intent. The write dependency edge is staged like any other. *)
-    match record_dependency ~is_write:true t node with
-    | () -> if changed then c.b_writes <- node :: c.b_writes
-    | exception e ->
-      if changed then c.b_writes <- node :: c.b_writes;
-      raise e
-  end
-  else
-    match record_dependency ~is_write:true t node with
-    | () -> (
-      if changed then begin
-        (* Write-ahead: the journal entry for this write is appended
-           before the engine mutation (the inconsistency mark). If
-           journaling itself raises — a disk fault, a simulated kill —
-           the mark is still performed under [masked] so in-memory state
-           stays coherent before the failure surfaces; the journal then
-           merely under-reports, which recovery's verified replay treats
-           as a (safe) verification miss, never a wrong value. *)
-        (match jwrite t node with
-        | () -> ()
-        | exception e ->
-          masked t (fun () -> mark_inconsistent t node);
-          raise e);
-        try mark_inconsistent t node
-        with e ->
-          (* the typed cell already holds the new value: losing the mark
-             would leave dependents permanently stale, so redo it with
-             injection suppressed before surfacing the fault *)
-          masked t (fun () -> mark_inconsistent t node);
-          raise e
-      end)
-    | exception e ->
-      if changed then begin
-        (try jwrite t node with _ -> ());
-        masked t (fun () -> mark_inconsistent t node)
-      end;
-      raise e
+  match record_dependency ~is_write:true t node with
+  | () -> (
+    if changed then begin
+      (* Write-ahead: the journal entry for this write is appended
+         before the engine mutation (the inconsistency mark). If
+         journaling itself raises — a disk fault, a simulated kill —
+         the mark is still performed under [masked] so in-memory state
+         stays coherent before the failure surfaces; the journal then
+         merely under-reports, which recovery's verified replay treats
+         as a (safe) verification miss, never a wrong value. *)
+      (match jwrite t node with
+      | () -> ()
+      | exception e ->
+        masked t (fun () -> mark_inconsistent t node);
+        raise e);
+      try mark_inconsistent t node
+      with e ->
+        (* the typed cell already holds the new value: losing the mark
+           would leave dependents permanently stale, so redo it with
+           injection suppressed before surfacing the fault *)
+        masked t (fun () -> mark_inconsistent t node);
+        raise e
+    end)
+  | exception e ->
+    if changed then begin
+      (try jwrite t node with _ -> ());
+      masked t (fun () -> mark_inconsistent t node)
+    end;
+    raise e
 
 let dirty p =
   match p.kind with
@@ -1116,12 +864,13 @@ let failure_count _t node =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let next_stamp t = Atomic.fetch_and_add t.exec_serial 1 + 1
+let next_stamp t =
+  t.exec_serial <- t.exec_serial + 1;
+  t.exec_serial
 
 (* Drop whatever edge set a failed run recorded and reinstate [preds],
    the one of the last successful execution (sources evicted meanwhile
-   are skipped), under a fresh stamp for dedup. The serial failure
-   paths and the parallel barrier share it. *)
+   are skipped), under a fresh stamp for dedup. *)
 let restore_preds t node preds =
   masked t (fun () ->
       G.clear_preds t.graph node;
@@ -1132,17 +881,12 @@ let restore_preds t node preds =
             G.add_edge ~stamp:st ~src ~dst:node)
         preds)
 
-(* Pop the frame pushed by [run_instance] or a pool task — on success
-   and on unwind. A pool lane leaves [quick] alone: it is false for the
-   whole parallel settle. *)
-let unwind_frame c p saved_mask =
-  c.mask <- saved_mask;
+(* Pop the frame pushed by [run_instance] — on success and on unwind. *)
+let pop_frame t p saved_mask =
+  t.mask <- saved_mask;
   p.on_stack <- false;
-  c.stack_depth <- c.stack_depth - 1;
-  c.stack <- List.tl c.stack
-
-let pop_frame t c p saved_mask =
-  unwind_frame c p saved_mask;
+  t.stack_depth <- t.stack_depth - 1;
+  t.stack <- List.tl t.stack;
   refresh_quick t
 
 (* Metrics of a successful execution, before [ever_ran] is set. *)
@@ -1164,13 +908,8 @@ let count_exec t inst changed =
    an injected fault) pops the frame, discards the partially-recorded
    edges of the failed run, restores the edge set of the last successful
    one, re-marks the instance inconsistent and records the failure —
-   the engine stays fully usable and a later call retries.
-
-   Runs on the calling context's own stack: during a parallel settle a
-   worker reaches here only under the engine lock (nested forcing), so
-   the direct graph mutations below stay single-writer. *)
+   the engine stays fully usable and a later call retries. *)
 let run_instance t node p inst =
-  let c = ctx t in
   if p.on_stack then raise (Cycle p.name);
   (match inst.poison with
   | Some _ -> raise (Poisoned p.name)
@@ -1193,7 +932,7 @@ let run_instance t node p inst =
      the handler emits no [Exec_end] — traces stay balanced. *)
   (try
      (match t.max_stack_depth with
-     | Some lim when c.stack_depth >= lim ->
+     | Some lim when t.stack_depth >= lim ->
        raise
          (Watchdog
             (Fmt.str "call-stack depth limit %d reached at %s#%d" lim p.name
@@ -1212,18 +951,15 @@ let run_instance t node p inst =
      record_failure t node p inst e;
      raise e);
   let stamp = next_stamp t in
-  c.stack <- { fnode = node; stamp } :: c.stack;
+  t.stack <- { fnode = node; stamp } :: t.stack;
   t.quick <- false;
-  c.stack_depth <- c.stack_depth + 1;
+  t.stack_depth <- t.stack_depth + 1;
   p.on_stack <- true;
   p.queued <- false;
   inst.consistent <- true;
-  let saved_mask = c.mask in
-  c.mask <- not reuse_static;
-  (match t.txn with
-  | Some tx -> if buffered t c then c.b_ran <- node :: c.b_ran
-    else tx.ran <- node :: tx.ran
-  | None -> ());
+  let saved_mask = t.mask in
+  t.mask <- not reuse_static;
+  (match t.txn with Some tx -> tx.ran <- node :: tx.ran | None -> ());
   if tele_on t then
     emit t (fun () ->
         Telemetry.Exec_begin
@@ -1233,7 +969,7 @@ let run_instance t node p inst =
       poke t "exec-begin";
       inst.recompute ()
     with e ->
-      pop_frame t c p saved_mask;
+      pop_frame t p saved_mask;
       (* unwind: drop the edges recorded by the failed run and restore
          those of the last successful one *)
       Option.iter (restore_preds t node) !saved_preds;
@@ -1245,23 +981,21 @@ let run_instance t node p inst =
             { id = eid t node; name = p.name; changed = false; ok = false });
       raise e
   in
-  pop_frame t c p saved_mask;
+  pop_frame t p saved_mask;
   inst.failures <- 0;
   if tele_on t then
     emit t (fun () ->
         Telemetry.Exec_end
           { id = eid t node; name = p.name; changed; ok = true });
   count_exec t inst changed;
-  if buffered t c then c.b_execs <- c.b_execs + 1
-  else t.c_executions <- t.c_executions + 1;
+  t.c_executions <- t.c_executions + 1;
   if dbg_on () then
     Log.debug (fun m ->
         m "%s: %s#%d (changed=%b)"
           (if inst.ever_ran then "re-executed" else "first execution")
           p.name (G.id node) changed);
   if not inst.ever_ran then begin
-    if buffered t c then c.b_first <- c.b_first + 1
-    else t.c_first <- t.c_first + 1;
+    t.c_first <- t.c_first + 1;
     inst.ever_ran <- true
   end;
   changed
@@ -1276,10 +1010,9 @@ let force t node p inst =
     masked t (fun () -> forward t node 0);
     raise e
 
-(* A call answered from a consistent cache, counted in [c]'s buffer
-   when [c] is a pool lane outside the engine lock. *)
-let cache_hit t c node p =
-  if buffered t c then c.b_hits <- c.b_hits + 1 else t.c_hits <- t.c_hits + 1;
+(* A call answered from a consistent cache. *)
+let cache_hit t node p =
+  t.c_hits <- t.c_hits + 1;
   minc t (fun m -> m.m_hits);
   if tele_on t then
     emit t (fun () -> Telemetry.Cache_hit { id = eid t node; name = p.name })
@@ -1288,13 +1021,13 @@ let cache_hit t c node p =
    else count the cache hit. A failed force was still observed by the
    caller, so the dependency is recorded before the raise — a later
    recovery of the instance then re-invalidates the caller. *)
-let force_or_hit t c node p inst =
+let force_or_hit t node p inst =
   if dirty p then (
     try force t node p inst
     with e ->
       masked t (fun () -> record_dependency t node);
       raise e)
-  else if inst.ever_ran then cache_hit t c node p
+  else if inst.ever_ran then cache_hit t node p
 
 (* Process one element of the inconsistent set, §4.5. *)
 let process_inconsistent t node p =
@@ -1325,27 +1058,24 @@ let process_inconsistent t node p =
    heaps by design). [idle] is false for the per-step audits that run
    from inside settlement, where the settling flag is legitimately set;
    every public entry point passes true — a user-initiated audit that
-   sees the settling flag with an empty call stack has found a leak.
-   Audits always read the serial/coordinator context: the parallel
-   settle only audits at level barriers, where every lane stack is
-   empty. *)
+   sees the settling flag with an empty call stack has found a leak. *)
 let audit_errors_run t ~idle =
   t.c_audits <- t.c_audits + 1;
   let errs = ref [] in
   let err fmt = Fmt.kstr (fun s -> errs := s :: !errs) fmt in
   (try G.validate t.graph
    with Failure m | Invalid_argument m -> err "graph: %s" m);
-  let stack_ids = List.map (fun f -> G.id f.fnode) t.ctx0.stack in
-  if List.length t.ctx0.stack <> t.ctx0.stack_depth then
-    err "stack depth counter %d disagrees with %d frames" t.ctx0.stack_depth
-      (List.length t.ctx0.stack);
+  let stack_ids = List.map (fun f -> G.id f.fnode) t.stack in
+  if List.length t.stack <> t.stack_depth then
+    err "stack depth counter %d disagrees with %d frames" t.stack_depth
+      (List.length t.stack);
   List.iter
     (fun f ->
       let p = G.payload f.fnode in
       if p.discarded then err "discarded node %s#%d on stack" p.name (G.id f.fnode);
       if not p.on_stack then
         err "stack frame %s#%d not flagged on_stack" p.name (G.id f.fnode))
-    t.ctx0.stack;
+    t.stack;
   (* partition heap membership, computed once per distinct partition *)
   let heap_members : (partition * (int, unit) Hashtbl.t) list ref = ref [] in
   let members part =
@@ -1407,7 +1137,7 @@ let audit_errors_run t ~idle =
   let order_keyed =
     match t.scheduling with
     | Fifo -> false
-    | Creation_order | Topological | Parallel _ -> true
+    | Creation_order | Topological -> true
   in
   List.iter
     (fun part ->
@@ -1415,9 +1145,9 @@ let audit_errors_run t ~idle =
       with Failure m -> err "inconsistent set out of priority order: %s" m)
     t.dirty_parts;
   if idle then begin
-    if t.ctx0.stack = [] && (not t.settling) && t.txn = None && not t.ctx0.mask
+    if t.stack = [] && (not t.settling) && t.txn = None && not t.mask
     then err "edge-recording mask left disabled outside any execution";
-    if t.ctx0.stack = [] && t.settling then
+    if t.stack = [] && t.settling then
       err "settling flag left set outside any settle"
   end;
   let errors = List.rev !errs in
@@ -1437,7 +1167,7 @@ let audit_step t =
   | errs -> raise (Audit_failure errs)
 
 (* ------------------------------------------------------------------ *)
-(* Settlement (serial)                                                 *)
+(* Settlement                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Empty every listed partition's heap and take it off the list; by the
@@ -1498,12 +1228,12 @@ let process_guarded t node p =
            else "structural failure: degrades to demand recomputation"))
 
 (* One settle step (§4.5) on [node]: queued, not on the call stack, and
-   still in its heap. The serial drain and the parallel level both call
-   it before taking the node, so a fault or a budget trip here leaves
-   the node queued. The clock tick is the only per-step count; the
-   [max_settle_steps] watchdog compares the clock with the session's
-   mark and, when it trips, degrades to exhaustive evaluation and
-   answers [false] (every heap is then empty). *)
+   still in its heap. The drain calls it before taking the node, so a
+   fault or a budget trip here leaves the node queued. The clock tick
+   is the only per-step count; the [max_settle_steps] watchdog compares
+   the clock with the session's mark and, when it trips, degrades to
+   exhaustive evaluation and answers [false] (every heap is then
+   empty). *)
 let step t node p =
   poke t "settle-pop";
   budget_check t;
@@ -1612,7 +1342,7 @@ let end_session t =
   | None -> ()
   | Some m -> Metrics.add m.m_settle_steps (t.clock.ticks - t.session_mark)
 
-(* The serial session. [~all] walks the dirty list; otherwise only
+(* The session. [~all] walks the dirty list; otherwise only
    [part] drains — the demand settle of [on_call]. *)
 let session t ~all part stop =
   t.settling <- true;
@@ -1628,14 +1358,14 @@ let session t ~all part stop =
 (* [stabilize] is the walk with no step limit, after re-marking the
    quarantined instances. A session with work is counted and timed; the
    common already-quiescent stabilize is not a session. *)
-let stabilize_serial t =
+let stabilize t =
   requeue_quarantined t;
   if not t.settling then
     match (t.dirty_parts, t.metrics) with
     | [], _ -> ()
     | _ :: _, None -> ignore (session t ~all:true t.global_part max_int : bool)
     | _ :: _, Some m ->
-      Metrics.inc m.m_settles_serial;
+      Metrics.inc m.m_settles;
       let t0 = Metrics.now () in
       Fun.protect
         ~finally:(fun () -> Metrics.observe_since m.m_settle_seconds t0)
@@ -1652,624 +1382,6 @@ let settle_bounded t ~max_steps =
     session t ~all:true t.global_part
       (if max_steps >= max_int - now then max_int else now + max_steps)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Settlement (parallel, level-synchronized)                           *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel evaluator drains the inconsistent set front by front:
-   each round computes the longest-path level of every queued node over
-   the affected subgraph, takes the shallowest level as the front —
-   whose members are mutually independent by construction (an edge
-   between two queued nodes forces distinct levels) — and executes the
-   front's eager members concurrently on the domain pool. Storage and
-   demand members are coordinator-only flag flips. Workers buffer every
-   engine mutation in their lane context; the barrier applies the
-   buffers in lane order, which keeps the whole engine single-writer
-   and the merge deterministic. *)
-
-exception Par_degrade
-(* internal: the settle-step watchdog tripped mid-level *)
-
-(* prepared eager execution, produced by the coordinator's pre-pop *)
-type ptask = {
-  pt_node : nd;
-  pt_pay : payload;
-  pt_inst : instance;
-  pt_saved : nd list; (* pred snapshot for failure restore *)
-  pt_reuse : bool; (* static_deps reuse: preds kept, recording masked *)
-}
-
-let dirty_nodes t =
-  List.filter
-    (fun n ->
-      let p = G.payload n in
-      p.queued && not p.discarded)
-    t.all_nodes
-
-(* Longest-path level of each node in the affected region (the forward
-   closure of the queued set) — §10's parallel-scheduling reading of
-   the dependency graph. Writers of a storage cell sit strictly below
-   the cell's other readers ([note_writer]), so a maintained
-   write-then-read chain levels like the explicit edge it shortcuts;
-   the writer itself is excluded so its own read-back does not
-   self-deepen. Cycles are cut at the back edge: their members share a
-   front and the claim protocol turns any genuine circular wait into
-   [Cycle]. *)
-let make_depth _t queued =
-  let affected = Hashtbl.create 256 in
-  let rec reach n =
-    if not (Hashtbl.mem affected (G.id n)) then begin
-      Hashtbl.replace affected (G.id n) ();
-      G.iter_succ reach n
-    end
-  in
-  List.iter reach queued;
-  let depth = Hashtbl.create 256 in
-  let in_progress = Hashtbl.create 16 in
-  let rec level n =
-    let id = G.id n in
-    match Hashtbl.find_opt depth id with
-    | Some d -> d
-    | None ->
-      if Hashtbl.mem in_progress id then 0
-      else begin
-        Hashtbl.replace in_progress id ();
-        let d = ref 0 in
-        let bump m =
-          if Hashtbl.mem affected (G.id m) && not (G.payload m).discarded then
-            d := max !d (level m + 1)
-        in
-        G.iter_pred
-          (fun m ->
-            bump m;
-            match (G.payload m).kind with
-            | Storage ->
-              List.iter (fun w -> if not (w == n) then bump w)
-                (G.payload m).writers
-            | Instance _ -> ())
-          n;
-        Hashtbl.remove in_progress id;
-        Hashtbl.replace depth id !d;
-        !d
-      end
-  in
-  level
-
-(* The level fronts the next parallel settle would execute, shallowest
-   first (introspection: [Alphonse.Parallel.levels], tests, docs). *)
-let dirty_levels t =
-  match dirty_nodes t with
-  | [] -> []
-  | queued ->
-    let depth = make_depth t queued in
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun n ->
-        let d = depth n in
-        Hashtbl.replace tbl d
-          (n :: (match Hashtbl.find_opt tbl d with Some l -> l | None -> [])))
-      queued;
-    Hashtbl.fold (fun d ns acc -> (d, ns) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-    |> List.map (fun (_, ns) -> List.rev ns)
-
-(* Pools are process-wide and shared by lane count (Pool.shared): a
-   fault sweep builds one engine per poke site, and per-engine pools
-   would leak their worker domains past OCaml's live-domain cap.  The
-   engine only caches the shared handle; two engines on one pool
-   serialize whole rounds through the pool's run lock. *)
-let ensure_pool t ~domains =
-  match t.pool with
-  | Some (n, pool) when n = domains -> pool
-  | _ ->
-    let pool = Pool.shared ~lanes:domains in
-    t.pool <- Some (domains, pool);
-    pool
-
-let shutdown_pool t =
-  (* drop the engine's reference only — the pool itself is shared *)
-  t.pool <- None
-
-(* ---- per-level claim table --------------------------------------- *)
-
-(* A pool task runs its node only if nobody claimed it first (a worker
-   that needed the value mid-level may have forced it already). *)
-let task_claim par node =
-  Mutex.lock par.tm;
-  let id = G.id node in
-  let free = not (Hashtbl.mem par.claims id) in
-  if free then Hashtbl.replace par.claims id (Running (self_id ()));
-  Mutex.unlock par.tm;
-  free
-
-let task_done par node =
-  Mutex.lock par.tm;
-  Hashtbl.replace par.claims (G.id node) Done;
-  Condition.broadcast par.tcv;
-  Mutex.unlock par.tm
-
-(* Claim [node] for nested forcing, waiting while another worker runs
-   it. The wait registers in [par.waiting] so a circular cross-worker
-   wait is detected (walk the wait-for chain; if it reaches the caller,
-   this is a dependency cycle discovered concurrently) and surfaced as
-   [Cycle] instead of deadlocking the barrier. Callers must not hold
-   the engine lock ([suspend_engine] first). *)
-let claim_for_force par name node =
-  let me = self_id () in
-  let id = G.id node in
-  Mutex.lock par.tm;
-  let rec loop () =
-    match Hashtbl.find_opt par.claims id with
-    | Some (Running d) when d <> me ->
-      let rec blocks d' seen =
-        if List.memq d' seen then false
-        else
-          match List.assoc_opt d' par.waiting with
-          | None -> false
-          | Some nid -> (
-            match Hashtbl.find_opt par.claims nid with
-            | Some (Running d'') -> d'' = me || blocks d'' (d' :: seen)
-            | _ -> false)
-      in
-      if blocks d [] then begin
-        Mutex.unlock par.tm;
-        raise (Cycle name)
-      end
-      else begin
-        par.waiting <- (me, id) :: List.remove_assoc me par.waiting;
-        Condition.wait par.tcv par.tm;
-        par.waiting <- List.remove_assoc me par.waiting;
-        loop ()
-      end
-    | _ ->
-      (* free, or Done (a retry after the claimer failed): claim it *)
-      Hashtbl.replace par.claims id (Running me);
-      Mutex.unlock par.tm
-  in
-  loop ()
-
-(* ---- worker-side call path --------------------------------------- *)
-
-(* [Engine.on_call] as seen from a pool lane: cycles are checked against
-   the lane's own stack, dirty dependencies are claimed (or waited for)
-   and then forced under the engine lock, and the dependency edge is
-   buffered. A same-front read that races a sibling's write converges:
-   the barrier re-marks the written cell's readers, bounding duplicate
-   re-executions by the level width. *)
-let on_call_parallel t par node p inst =
-  let c = ctx t in
-  if List.exists (fun f -> f.fnode == node) c.stack then begin
-    record_dependency t node;
-    raise (Cycle p.name)
-  end;
-  if dirty p then begin
-    (* release any held engine lock before blocking on the claim table:
-       the claimer we wait for may itself need the lock to finish *)
-    let d = suspend_engine t in
-    (match claim_for_force par p.name node with
-    | () -> resume_engine t d
-    | exception e ->
-      resume_engine t d;
-      raise e);
-    lock_engine t;
-    (* a sibling may have brought it current while we waited *)
-    match force_or_hit t c node p inst with
-    | () ->
-      unlock_engine t;
-      task_done par node
-    | exception e ->
-      unlock_engine t;
-      task_done par node;
-      raise e
-  end
-  else if inst.ever_ran then cache_hit t c node p;
-  record_dependency t node
-
-(* ---- task execution ---------------------------------------------- *)
-
-(* Run one prepared front member on a pool lane. The coordinator already
-   performed the pre-body work (pop accounting, poison screen,
-   RemovePredEdges); this is [run_instance]'s body half, writing only
-   the lane's buffers. On failure the staged task edges are dropped
-   (the buffered mirror of the serial edge rollback) and the restore /
-   retry charge is deferred to the barrier — except [consistent],
-   cleared immediately so a waiting sibling re-forces instead of
-   reading the stale cache. *)
-let exec_task t par pt () =
-  let node = pt.pt_node and p = pt.pt_pay and inst = pt.pt_inst in
-  if task_claim par node then begin
-    let c = ctx t in
-    (match t.max_stack_depth with
-    | Some lim when c.stack_depth >= lim ->
-      inst.consistent <- false;
-      c.b_failed <-
-        ( node,
-          pt.pt_saved,
-          pt.pt_reuse,
-          Watchdog
-            (Fmt.str "call-stack depth limit %d reached at %s#%d" lim p.name
-               (G.id node)) )
-        :: c.b_failed
-    | _ ->
-      c.t_edges <- [];
-      let stamp = next_stamp t in
-      c.stack <- { fnode = node; stamp } :: c.stack;
-      c.stack_depth <- c.stack_depth + 1;
-      p.on_stack <- true;
-      inst.consistent <- true;
-      let saved_mask = c.mask in
-      c.mask <- not pt.pt_reuse;
-      (match t.txn with
-      | Some _ -> c.b_ran <- node :: c.b_ran
-      | None -> ());
-      emit t (fun () ->
-          Telemetry.Exec_begin
-            { id = eid t node; name = p.name; first = not inst.ever_ran });
-      (match
-         poke t "exec-begin";
-         inst.recompute ()
-       with
-      | changed ->
-        unwind_frame c p saved_mask;
-        inst.failures <- 0;
-        emit t (fun () ->
-            Telemetry.Exec_end
-              { id = eid t node; name = p.name; changed; ok = true });
-        c.b_execs <- c.b_execs + 1;
-        (* metrics cells are atomics, so worker lanes update them
-           directly rather than buffering for the barrier merge *)
-        count_exec t inst changed;
-        if not inst.ever_ran then begin
-          c.b_first <- c.b_first + 1;
-          inst.ever_ran <- true
-        end;
-        c.b_edges <- List.rev c.t_edges :: c.b_edges;
-        if changed then c.b_changed <- node :: c.b_changed
-      | exception e ->
-        unwind_frame c p saved_mask;
-        inst.consistent <- false;
-        emit t (fun () ->
-            Telemetry.Exec_end
-              { id = eid t node; name = p.name; changed = false; ok = false });
-        c.b_failed <- (node, pt.pt_saved, pt.pt_reuse, e) :: c.b_failed);
-      c.t_edges <- []);
-    task_done par node
-  end
-
-(* ---- level barrier ----------------------------------------------- *)
-
-(* Apply every lane's buffers, in lane order (deterministic). Ordering
-   inside the barrier: journal intents first (phase A — the per-level
-   commit point: append-before-apply at level granularity), then
-   failure restores and edge installation (no fault sites), then the
-   inconsistency marks (idempotent, so a "mark" fault retries the
-   sweep under [masked]). A raise anywhere finishes the whole barrier
-   masked before surfacing — no lane's intents are ever lost. *)
-let merge_barrier t par ~level =
-  let lanes = par.lanes in
-  let executed = ref 0 and failed = ref 0 in
-  let audit_failed = ref None in
-  let merged = ref false and marked = ref false in
-  let apply () =
-    if not !merged then begin
-      merged := true;
-      Array.iter
-        (fun c ->
-          (* failures: restore pred sets, charge the retry budget *)
-          List.iter
-            (fun (node, saved, reuse, e) ->
-              incr failed;
-              let p = G.payload node in
-              match p.kind with
-              | Instance inst ->
-                if not reuse then restore_preds t node saved;
-                record_failure t node p inst e;
-                (match e with
-                | Audit_failure _ -> audit_failed := Some e
-                | _ -> ());
-                Log.debug (fun m ->
-                    m "parallel settle: %s#%d failed (%s)" p.name (G.id node)
-                      (Printexc.to_string e))
-              | Storage -> ())
-            (List.rev c.b_failed);
-          (* successful tasks' staged edges *)
-          List.iter
-            (fun group ->
-              List.iter
-                (fun (src, dst, stamp, is_write) ->
-                  if
-                    (not (G.payload src).discarded)
-                    && not (G.payload dst).discarded
-                  then begin
-                    if G.order_lt dst src then t.c_ooo <- t.c_ooo + 1;
-                    G.add_edge ~stamp ~src ~dst;
-                    if is_write then note_writer src dst;
-                    link_partitions t src dst
-                  end)
-                group)
-            (List.rev c.b_edges);
-          (* counters, transaction log, telemetry *)
-          executed := !executed + c.b_execs;
-          t.c_executions <- t.c_executions + c.b_execs;
-          t.c_first <- t.c_first + c.b_first;
-          t.c_hits <- t.c_hits + c.b_hits;
-          (match t.txn with
-          | Some tx ->
-            tx.ran <- List.rev_append c.b_ran tx.ran;
-            tx.undos <- c.b_undos @ tx.undos
-          | None -> ());
-          (match t.telemetry with
-          | Some tm when c.b_events <> [] ->
-            (* each lane's stream replays contiguously, bracketed so
-               consumers can attribute executions to domains *)
-            Telemetry.emit tm (Telemetry.Par_domain_begin { domain = c.lane });
-            List.iter
-              (fun (at, ev) -> Telemetry.emit_at tm ~at ev)
-              (List.rev c.b_events);
-            Telemetry.emit tm (Telemetry.Par_domain_end { domain = c.lane })
-          | _ -> ());
-          c.b_failed <- [];
-          c.b_edges <- [];
-          c.t_edges <- [];
-          c.b_ran <- [];
-          c.b_undos <- [];
-          c.b_events <- [];
-          c.b_execs <- 0;
-          c.b_first <- 0;
-          c.b_hits <- 0)
-        lanes
-    end;
-    if not !marked then begin
-      Array.iter
-        (fun c ->
-          List.iter
-            (fun node -> mark_inconsistent t node)
-            (List.rev c.b_writes);
-          List.iter
-            (fun node -> mark_succs t node)
-            (List.rev c.b_changed))
-        lanes;
-      marked := true;
-      Array.iter
-        (fun c ->
-          c.b_writes <- [];
-          c.b_changed <- [])
-        lanes
-    end
-  in
-  (match
-     Array.iter
-       (fun c -> List.iter (fun n -> jwrite t n) (List.rev c.b_writes))
-       lanes
-   with
-  | () -> (
-    try apply ()
-    with e ->
-      masked t apply;
-      raise e)
-  | exception e ->
-    (* a journal fault (or simulated kill): the level's in-memory
-       effects must still land before the fault surfaces — recovery
-       treats the journal shortfall as a verification miss *)
-    masked t apply;
-    raise e);
-  emit t (fun () ->
-      Telemetry.Par_level_end { level; executed = !executed; failed = !failed });
-  match !audit_failed with Some e -> raise e | None -> ()
-
-(* ---- one level --------------------------------------------------- *)
-
-(* Pre-pop an eager front member: [run_instance]'s pre-body half
-   (RemovePredEdges under the coordinator, where a clear-preds fault
-   takes the exact serial failure path). *)
-let prep_eager t tasks node p inst =
-  let reuse_static = inst.static_deps && inst.ever_ran in
-  let saved_preds =
-    if reuse_static then []
-    else begin
-      let acc = ref [] in
-      G.iter_pred (fun src -> acc := src :: !acc) node;
-      !acc
-    end
-  in
-  match
-    if not reuse_static then begin
-      poke t "clear-preds";
-      if inst.ever_ran then
-        emit t (fun () ->
-            Telemetry.Preds_cleared { id = eid t node; name = p.name });
-      G.clear_preds t.graph node
-    end
-  with
-  | () ->
-    tasks :=
-      {
-        pt_node = node;
-        pt_pay = p;
-        pt_inst = inst;
-        pt_saved = saved_preds;
-        pt_reuse = reuse_static;
-      }
-      :: !tasks
-  | exception e ->
-    if not reuse_static then restore_preds t node saved_preds;
-    inst.consistent <- false;
-    record_failure t node p inst e;
-    (match e with
-    | Audit_failure _ -> raise e
-    | _ ->
-      Log.debug (fun m ->
-          m "parallel settle: %s#%d failed pre-body (%s)" p.name (G.id node)
-            (Printexc.to_string e)))
-
-(* Un-prepare tasks that will never run because the level aborted
-   mid-prep: put the pred snapshot back and re-mark, so no
-   invalidation is lost. *)
-let unprep t tasks =
-  masked t (fun () ->
-      List.iter
-        (fun pt ->
-          pt.pt_inst.consistent <- false;
-          if not pt.pt_reuse then restore_preds t pt.pt_node pt.pt_saved;
-          mark_inconsistent t pt.pt_node)
-        tasks)
-
-let run_level t par ~level queued =
-  let depth = make_depth t queued in
-  let dmin = List.fold_left (fun acc n -> min acc (depth n)) max_int queued in
-  let front = List.filter (fun n -> depth n = dmin) queued in
-  (* priority order: deterministic, and close to the serial drain *)
-  let front =
-    List.stable_sort (fun a b -> Int.compare (t.heap_key a) (t.heap_key b)) front
-  in
-  let tasks = ref [] in
-  let process_member node =
-    let p = G.payload node in
-    if p.queued then begin
-      if not (step t node p) then raise Par_degrade;
-      match p.kind with
-      | Instance ({ strategy = Eager; poison = None; _ } as inst) ->
-        prep_eager t tasks node p inst
-      | Instance { strategy = Eager; poison = Some _; _ } ->
-        (* a poisoned dependency still notifies its dependents (force's
-           [Poisoned] path, which the serial process_guarded would
-           swallow) *)
-        masked t (fun () -> forward t node 0)
-      | Storage | Instance _ -> process_guarded t node p
-    end
-  in
-  (match List.iter process_member front with
-  | () -> ()
-  | exception Par_degrade ->
-    (* degrading reset every instance to exhaustive recomputation, so
-       already-prepared members need no restore *)
-    raise Par_degrade
-  | exception e ->
-    unprep t !tasks;
-    raise e);
-  let tasks = List.rev !tasks in
-  let ntasks = List.length tasks in
-  t.c_par_levels <- t.c_par_levels + 1;
-  t.c_par_tasks <- t.c_par_tasks + ntasks;
-  (match t.metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.inc m.m_par_levels;
-    Metrics.add m.m_par_tasks ntasks);
-  emit t (fun () ->
-      Telemetry.Par_level_begin
-        {
-          level;
-          width = List.length front;
-          tasks = ntasks;
-          domains = Array.length par.lanes;
-        });
-  if ntasks > 0 then begin
-    Hashtbl.reset par.claims;
-    par.waiting <- [];
-    (* route the caller's domain to lane 0 while it drains tasks *)
-    par.ids.(0) <- (self_id (), par.lanes.(0));
-    Fun.protect
-      ~finally:(fun () -> par.ids.(0) <- (-1, t.ctx0))
-      (fun () ->
-        let cells =
-          match t.metrics with
-          | Some { m_pool = Some (_, c); _ } -> Some c
-          | _ -> None
-        in
-        Pool.run ?cells par.pool
-          (List.map (fun pt -> exec_task t par pt) tasks));
-    merge_barrier t par ~level
-  end
-  else
-    emit t (fun () ->
-        Telemetry.Par_level_end { level; executed = 0; failed = 0 });
-  if t.self_audit then audit_step t
-
-let settle_parallel t ~domains =
-  if domains < 1 then
-    invalid_arg "Engine.settle_parallel: domains must be >= 1";
-  if t.settling then ()
-  else if
-    (match t.ctx0.stack with _ :: _ -> true | [] -> false)
-    || match t.par with Some _ -> true | None -> false
-  then
-    (* called during an execution: the serial path's skip-on-stack
-       handling applies *)
-    stabilize_serial t
-  else begin
-    requeue_quarantined t;
-    match t.dirty_parts with
-    | [] -> ()
-    | _ :: _ ->
-      t.settling <- true;
-      t.session_mark <- t.clock.ticks;
-      let t0 =
-        match t.metrics with
-        | None -> 0.
-        | Some m ->
-          Metrics.inc m.m_settles_parallel;
-          (* per-lane pool cells, sized for this settle's lane count *)
-          (match m.m_pool with
-          | Some (l, _) when l = domains -> ()
-          | _ -> m.m_pool <- Some (domains, Pool.make_cells m.mreg ~lanes:domains));
-          Metrics.now ()
-      in
-      let pool = ensure_pool t ~domains in
-      let lanes = Array.init domains fresh_ctx in
-      let ids = Array.make (max domains 1) (-1, t.ctx0) in
-      List.iteri
-        (fun i did -> ids.(i + 1) <- (did, lanes.(i + 1)))
-        (Pool.worker_ids pool);
-      let par =
-        {
-          pool;
-          lanes;
-          ids;
-          pm = Mutex.create ();
-          powner = -1;
-          pdepth = 0;
-          tm = Mutex.create ();
-          tcv = Condition.create ();
-          claims = Hashtbl.create 64;
-          waiting = [];
-          pokem = Mutex.create ();
-        }
-      in
-      t.par <- Some par;
-      t.quick <- false;
-      let finally () =
-        t.par <- None;
-        refresh_quick t;
-        end_session t;
-        match t.metrics with
-        | None -> ()
-        | Some m -> Metrics.observe_since m.m_settle_seconds t0
-      in
-      Fun.protect ~finally @@ fun () ->
-        let level = ref 0 in
-        let rec rounds () =
-          match dirty_nodes t with
-          | [] ->
-            (* drop the stale entries the flag-based level drain left *)
-            clear_dirty t
-          | queued ->
-            (match run_level t par ~level:!level queued with
-            | () ->
-              incr level;
-              rounds ()
-            | exception Par_degrade -> ())
-        in
-        rounds ()
-  end
-
-let stabilize t =
-  (* from inside a pool lane the settle is already running *)
-  if Option.is_none t.par || ctx t == t.ctx0 then
-    match t.scheduling with
-    | Parallel { domains } -> settle_parallel t ~domains
-    | Creation_order | Topological | Fifo -> stabilize_serial t
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
@@ -2319,7 +1431,7 @@ let rollback_txn t tx =
 let transact t f =
   if t.txn <> None then
     invalid_arg "Engine.transact: already inside a transaction";
-  if t.ctx0.stack <> [] then
+  if t.stack <> [] then
     invalid_arg "Engine.transact: called during an incremental execution";
   let tx = { undos = []; tmarked = []; ran = [] } in
   t.txn <- Some tx;
@@ -2364,52 +1476,45 @@ let on_call t node =
   let p = G.payload node in
   match p.kind with
   | Storage -> invalid_arg "Engine.on_call: storage node"
-  | Instance inst -> (
-    match t.par with
-    | Some par when ctx t != t.ctx0 ->
-      (* a pool lane demanded a dependency mid-level *)
-      on_call_parallel t par node p inst
-    | _ ->
-      if p.on_stack then begin
-        (* Re-entrant call: a dependency cycle. The caller still observed
-           this instance (it will typically turn the exception into an error
-           value, as the spreadsheet does), so record the dependency before
-           raising — otherwise a cached error value would never be
-           invalidated when another cycle participant is edited. *)
-        record_dependency t node;
-        raise (Cycle p.name)
-      end;
-      (* Before trusting the cached value, propagate the pending
-         inconsistencies of this node's partition — Algorithm 5's
-         "IF SetSize(Inconsistent) > 0 THEN Evaluate". Inside the evaluator
-         itself we only force: re-entering settlement is both unnecessary
-         (the evaluator is already draining this queue) and guarded. A call
-         inside a transaction settles too — that is what lets reads observe
-         the partial batch; everything that executes is recorded in the
-         transaction's [ran] list and re-invalidated on rollback.
+  | Instance inst ->
+    if p.on_stack then begin
+      (* Re-entrant call: a dependency cycle. The caller still observed
+         this instance (it will typically turn the exception into an error
+         value, as the spreadsheet does), so record the dependency before
+         raising — otherwise a cached error value would never be
+         invalidated when another cycle participant is edited. *)
+      record_dependency t node;
+      raise (Cycle p.name)
+    end;
+    (* Before trusting the cached value, propagate the pending
+       inconsistencies of this node's partition — Algorithm 5's
+       "IF SetSize(Inconsistent) > 0 THEN Evaluate". Inside the evaluator
+       itself we only force: re-entering settlement is both unnecessary
+       (the evaluator is already draining this queue) and guarded. A call
+       inside a transaction settles too — that is what lets reads observe
+       the partial batch; everything that executes is recorded in the
+       transaction's [ran] list and re-invalidated on rollback.
 
-         The caller receives the value cached by the instance's own (body)
-         execution. Writes performed *during* that execution may leave the
-         instance re-queued (e.g. the AVL balance rotations); that dirt is
-         deliberately left for the next settlement — re-forcing here would
-         hand the mutator the value of a *later* re-execution under the
-         already-mutated state (for balance: the demoted node's local
-         subtree instead of the new root), which is not what the imperative
-         program's call returns. *)
-      if not t.settling then (
-        match t.scheduling with
-        | Parallel { domains } -> settle_parallel t ~domains
-        | Creation_order | Topological | Fifo ->
-          (* a quiescent partition is unlisted: a cache hit's settle
-             share is two loads and a branch *)
-          let part = partition_of t node in
-          if part.on_dirty_list then
-            ignore (session t ~all:false part max_int : bool));
-      force_or_hit t t.ctx0 node p inst;
-      (* The dependency edge is recorded only now, after any forcing, so the
-         consumer is never spuriously invalidated by the fresh value it is
-         about to read. *)
-      record_dependency t node)
+       The caller receives the value cached by the instance's own (body)
+       execution. Writes performed *during* that execution may leave the
+       instance re-queued (e.g. the AVL balance rotations); that dirt is
+       deliberately left for the next settlement — re-forcing here would
+       hand the mutator the value of a *later* re-execution under the
+       already-mutated state (for balance: the demoted node's local
+       subtree instead of the new root), which is not what the imperative
+       program's call returns. *)
+    if not t.settling then begin
+      (* a quiescent partition is unlisted: a cache hit's settle share
+         is two loads and a branch *)
+      let part = partition_of t node in
+      if part.on_dirty_list then
+        ignore (session t ~all:false part max_int : bool)
+    end;
+    force_or_hit t node p inst;
+    (* The dependency edge is recorded only now, after any forcing, so the
+       consumer is never spuriously invalidated by the fresh value it is
+       about to read. *)
+    record_dependency t node
 
 (* Clearing poison also resets [failures] to 0: the operator has
    (presumably) fixed the environment, so the instance gets a full
@@ -2443,17 +1548,14 @@ let discard t node =
   G.remove_node t.graph node
 
 let unchecked t f =
-  let c = ctx t in
-  let saved = c.mask in
-  c.mask <- false;
-  let finally () = c.mask <- saved in
+  let saved = t.mask in
+  t.mask <- false;
+  let finally () = t.mask <- saved in
   Fun.protect ~finally f
 
-let is_executing t = (ctx t).stack <> []
+let is_executing t = t.stack <> []
 
-let recording t =
-  let c = ctx t in
-  c.mask && c.stack <> []
+let recording t = t.mask && t.stack <> []
 
 let node_name node = (G.payload node).name
 let node_id node = G.id node
@@ -2477,8 +1579,6 @@ let stats t =
     rollbacks = t.c_rollbacks;
     degradations = t.c_degradations;
     audits = t.c_audits;
-    par_levels = t.c_par_levels;
-    par_tasks = t.c_par_tasks;
   }
 
 let reset_stats t =
@@ -2496,9 +1596,7 @@ let reset_stats t =
   t.c_poisonings <- 0;
   t.c_rollbacks <- 0;
   t.c_degradations <- 0;
-  t.c_audits <- 0;
-  t.c_par_levels <- 0;
-  t.c_par_tasks <- 0
+  t.c_audits <- 0
 
 let graph_stats t = G.stats t.graph
 
@@ -2516,8 +1614,8 @@ let iter_node_succ f node = G.iter_succ f node
 let iter_node_pred f node = G.iter_pred f node
 
 (* Tracked writers of a storage cell, oldest-recorded first — the
-   implicit write-then-read edges the parallel level rule serializes
-   (and {!Inspect.parallel_profile} charges to the critical path).
+   implicit write-then-read edges {!Inspect.parallel_profile} charges
+   to the critical path.
    Instances have no writers; discarded writers are skipped. *)
 let iter_node_writers f node =
   List.iter
@@ -2610,8 +1708,6 @@ let export t =
             ("rollbacks", num s.rollbacks);
             ("degradations", num s.degradations);
             ("audits", num s.audits);
-            ("par_levels", num s.par_levels);
-            ("par_tasks", num s.par_tasks);
           ] );
     ]
 
@@ -2725,8 +1821,6 @@ let import t j =
     t.c_poisonings <- get "poisonings";
     t.c_rollbacks <- get "rollbacks";
     t.c_degradations <- get "degradations";
-    t.c_audits <- get "audits";
-    t.c_par_levels <- get "par_levels";
-    t.c_par_tasks <- get "par_tasks"
+    t.c_audits <- get "audits"
   | None -> warn "snapshot has no stats");
   (!matched, List.rev !warnings)

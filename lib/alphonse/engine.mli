@@ -49,9 +49,8 @@ val set_metrics : t -> Metrics.t option -> unit
 (** Attaches (or detaches) a metrics registry. The engine resolves its
     cells once here — settles, steps, settle-duration histogram,
     first/re executions, cache hits, cutoffs, quarantines, poisonings,
-    retries, degradations, rollbacks, parallel levels/tasks and the
-    per-lane pool counters — and thereafter updates them lock-free from
-    any domain. With [None] (the default) every site is a single
+    retries, degradations, rollbacks — and thereafter updates them
+    lock-free. With [None] (the default) every site is a single
     predictable branch and allocates nothing (bench E20 gates the
     disabled-path overhead at 5%). *)
 
@@ -81,16 +80,6 @@ type scheduling =
       (** creation priorities plus Pearce–Kelly restoration on every
           order-violating edge, keeping the drain order topological *)
   | Fifo  (** no priorities: first marked, first processed *)
-  | Parallel of { domains : int }
-      (** level-synchronized parallel settling on [domains] concurrent
-          lanes (the caller's domain counts, so [domains = 1] spawns no
-          worker and serializes). Each settle round executes one level
-          front — the queued nodes at minimal longest-path depth over
-          the affected subgraph, which are mutually independent — on a
-          reusable OCaml 5 domain pool; workers buffer their engine
-          mutations and a per-level merge barrier applies them in lane
-          order, keeping propagation deterministic. See
-          {!settle_parallel}. *)
 
 exception Cycle of string
 (** Raised when an incremental procedure instance (transitively) calls
@@ -149,9 +138,9 @@ val create :
     Fault tolerance: [max_retries] (default 3, must be ≥ 1) is how many
     consecutive times an instance's execution may fail before it is
     poisoned ({!Poisoned}). [max_settle_steps] (unset by default) is a
-    watchdog on a single settle session (one {!stabilize},
-    {!settle_bounded} or {!settle_parallel} call, or the settle a call
-    runs on its partition): propagation exceeding it degrades to
+    watchdog on a single settle session (one {!stabilize} or
+    {!settle_bounded} call, or the settle a call runs on its
+    partition): propagation exceeding it degrades to
     exhaustive recomputation ({!degrade_to_exhaustive}) instead of
     spinning. [max_stack_depth] (unset by default) bounds the
     incremental call stack; exceeding it raises {!Watchdog}.
@@ -257,8 +246,7 @@ val settle_bounded : t -> max_steps:int -> bool
     of the inconsistent sets, in priority order, and returns whether the
     engine is now quiescent. Intended for spending idle cycles in slices
     ("the evaluation routine should be called whenever cycles are
-    available … and can be preempted when necessary"). Always serial,
-    regardless of the engine's scheduling.
+    available … and can be preempted when necessary").
 
     Three limits count settle steps, and all three count the same ones
     — the pops that {!type:stats}'s [settle_steps] reports, each
@@ -302,8 +290,8 @@ end
 
 val set_budget : t -> Budget.t option -> unit
 (** Arm (or disarm, with [None]) the engine's budget. Checked at every
-    settle-step boundary of every settle flavour (serial, bounded,
-    parallel), before the pop — so a trip leaves all pending work
+    settle-step boundary of every settle flavour (full, bounded, the
+    partition settle of a call), before the pop — so a trip leaves all pending work
     queued and resumable. A budget counts the steps of one engine at a
     time: arming it on another engine stops the count on the first. *)
 
@@ -314,53 +302,6 @@ val with_budget : t -> Budget.t -> (unit -> 'a) -> 'a
 (** [with_budget t b f] runs [f] with [b] armed, restoring the previous
     budget on return or raise. The daemon wraps each request batch:
     [with_budget eng b (fun () -> transact eng batch)]. *)
-
-(** {1 Parallel settlement} *)
-
-val settle_parallel : t -> domains:int -> unit
-(** Settles to quiescence with level-synchronized parallel propagation:
-    each round pops the front of queued nodes at minimal longest-path
-    depth (independent by construction — an edge between two queued
-    nodes forces distinct depths, and writers of a storage cell level
-    strictly below its other readers) and executes the front's eager
-    members concurrently on a reusable domain pool of [domains] lanes.
-    Storage and demand members are processed by the coordinator.
-    Workers buffer every engine mutation (edges, writes, marks,
-    telemetry, counters) in a per-lane context; the per-level merge
-    barrier journals write intents first and then applies the buffers
-    in lane order, so the propagated state is deterministic given the
-    workload. A worker that demands a dirty dependency mid-level claims
-    it (or waits for the sibling executing it); circular cross-worker
-    waits surface as {!Cycle}.
-
-    Failure semantics match the serial evaluator: a task whose body
-    raises has its previous edge set restored and its retry budget
-    charged at the barrier; fault-hook pokes fire on worker domains
-    (serialized); the settle-step watchdog degrades to exhaustive
-    recomputation. Equivalent to {!stabilize} when the engine was
-    created with [scheduling = Parallel _]. Falls back to the serial
-    evaluator when called during an execution. [domains = 1] uses the
-    full parallel machinery on the caller's lane only. *)
-
-val dirty_levels : t -> node list list
-(** The level fronts the next parallel settle would execute, shallowest
-    first; nodes within a front are in heap priority order's input
-    order. Introspection for {!Alphonse.Parallel.levels}, tests and
-    docs; an empty list means quiescent. *)
-
-val critical : t -> (unit -> 'a) -> 'a
-(** [critical t f] runs [f] under the engine's parallel-settle lock when
-    a parallel settle is active (and runs it plainly otherwise). Shared
-    caches that engine callbacks touch from worker domains — {!Func}
-    instance tables, {!Var} cell maps — wrap their mutations with this
-    to stay coherent; it is reentrant within one domain. *)
-
-val shutdown_pool : t -> unit
-(** Drops the engine's reference to its domain pool. Pools are
-    process-wide ({!Pool.shared}, keyed by domain count) and their
-    workers stay alive for reuse — this only detaches the engine. Safe
-    to call when no pool is attached; a later parallel settle
-    re-acquires one. *)
 
 (** {1 Fault tolerance} *)
 
@@ -529,8 +470,8 @@ val recording : t -> bool
 (** {1 The quick regime (the §6.1 ~1x fast path)}
 
     The engine maintains one boolean invariant, [quick], true exactly
-    when no parallel settle is active, no transaction is open, no
-    journal is attached, and no incremental instance is executing. In
+    when no transaction is open, no journal is attached, and no
+    incremental instance is executing. In
     that regime a tracked read is semantically just the typed cell
     load (nothing to record), and a tracked write to an
     already-queued, live cell is just the store (the journal append,
@@ -591,8 +532,6 @@ type stats = {
   rollbacks : int;  (** transactions rolled back *)
   degradations : int;  (** watchdog degradations to exhaustive mode *)
   audits : int;  (** auditor runs (on demand or per-step) *)
-  par_levels : int;  (** parallel level fronts dispatched *)
-  par_tasks : int;  (** eager executions handed to the domain pool *)
 }
 
 val stats : t -> stats
@@ -622,6 +561,5 @@ val iter_node_pred : (node -> unit) -> node -> unit
 
 val iter_node_writers : (node -> unit) -> node -> unit
 (** Tracked writers of a storage node, oldest-recorded first — the
-    implicit write-then-read serializations the parallel level rule
-    honours (and {!Inspect.parallel_profile} charges to the critical
-    path). Instances have no writers; discarded writers are skipped. *)
+    implicit write-then-read serializations {!Inspect.parallel_profile}
+    charges to the critical path. Instances have no writers; discarded writers are skipped. *)

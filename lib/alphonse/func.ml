@@ -106,13 +106,6 @@ let find_or_create t a =
   match Htbl.find t.table a with
   | Some e -> e
   | None ->
-    (* table/recency mutations are serialized across worker domains by
-       the engine's parallel-settle lock (reentrant; free when no
-       parallel settle is active) *)
-    Engine.critical t.eng @@ fun () ->
-    match Htbl.find t.table a with
-    | Some e -> e (* created by a sibling while we waited for the lock *)
-    | None ->
     let recompute_ref = ref (fun () -> true) in
     let iname =
       match t.pp_key with
@@ -151,11 +144,8 @@ let call t a =
     match t.newest with
     | Some n when n == e -> ()
     | _ ->
-      Engine.critical t.eng (fun () ->
-          if e.live then begin
-            unlink t e;
-            push_front t e
-          end))
+      unlink t e;
+      push_front t e)
   | _ -> ());
   Engine.on_call t.eng e.enode;
   match e.cache with

@@ -4,17 +4,8 @@
    resolves its instance through it — so the layout is chosen for load
    count: probe = one array read + one key compare, no chain of cons
    cells. Capacities are powers of two (mask, not modulo) and the table
-   grows at load factor 1/2.
-
-   Concurrency contract (unchanged from the chained version): writers
-   are serialized by Engine.critical; readers may race a writer. A
-   binding is published by a single store of an immutable [Bind] block,
-   and [grow] fills a fresh array before swapping it in, so a racing
-   [find] sees either the old or the new state — at worst it misses a
-   binding added after it snapshotted the array, which callers handle
-   by re-checking under the lock before creating. [Tomb] stones keep
-   probe chains intact across [remove]; they are recycled by the next
-   [grow]. *)
+   grows at load factor 1/2. [Tomb] stones keep probe chains intact
+   across [remove]; they are recycled by the next [grow]. *)
 
 type ('k, 'v) slot = Empty | Tomb | Bind of 'k * 'v
 
@@ -47,7 +38,7 @@ let find t k =
   probe (t.hash k land mask)
 
 (* Insert into [slots] directly; reuses the first tombstone on the probe
-   path. Only called under the writer lock. *)
+   path. *)
 let put slots mask hash equal k v =
   let rec probe i tomb =
     match slots.(i) with
@@ -78,7 +69,6 @@ let grow t =
       | Empty | Tomb -> ())
     old;
   t.used <- t.size;
-  (* publish last: racing finds probe a fully-formed array *)
   t.slots <- slots
 
 let add t k v =

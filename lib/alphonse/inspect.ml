@@ -25,10 +25,7 @@ let pp_stats ppf (s : Engine.stats) =
        rollbacks:      %d@,\
        degradations:   %d@]"
       s.failures s.retries s.poisonings s.rollbacks s.degradations;
-  if s.audits > 0 then Fmt.pf ppf "@,audits:         %d" s.audits;
-  if s.par_levels > 0 then
-    Fmt.pf ppf "@,parallel:       %d level(s), %d task(s) dispatched"
-      s.par_levels s.par_tasks
+  if s.audits > 0 then Fmt.pf ppf "@,audits:         %d" s.audits
 
 let pp_graph_stats ppf (g : Depgraph.Graph.stats) =
   Fmt.pf ppf
@@ -61,13 +58,12 @@ let parallel_profile eng =
      below the cell's writers — every dependency edge points from the
      cell to its consumers (readers and writers alike), so the writer
      is invisible to a pred walk and has to be consulted explicitly via
-     [Engine.iter_node_writers]. This is the same writers-aware rule
-     the parallel evaluator schedules with ([Engine.dirty_levels]); the
-     old pred-only rule placed a maintained write-then-read chain's
-     writer and reader on one level, overstating the E15 speedup bound
-     (the reader cannot start until the writer commits). The reading
-     instance excludes itself: a maintained writer that reads back its
-     own cell must not self-deepen. *)
+     [Engine.iter_node_writers]. A pred-only rule would place a
+     maintained write-then-read chain's writer and reader on one level,
+     overstating the E15 speedup bound (the reader cannot start until
+     the writer commits). The reading instance excludes itself: a
+     maintained writer that reads back its own cell must not
+     self-deepen. *)
   let rec level n =
     let id = Engine.node_id n in
     match Hashtbl.find_opt levels id with

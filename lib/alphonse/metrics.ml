@@ -1,4 +1,4 @@
-(* Domain-safe metrics registry: labeled counters, gauges and
+(* Thread-safe metrics registry: labeled counters, gauges and
    log-bucketed histograms, with Prometheus-text and JSON exposition.
 
    Design constraints, in order:
@@ -10,14 +10,14 @@
       allocation. That is what keeps the paper's 6.x
       instrumentation-overhead story (bench E20 gates it at <= 5%).
 
-   2. The *enabled* path must be safe to hit from worker domains
-      without the engine lock. Cells are lock-free: a counter is an
-      [int Atomic.t], a gauge a [float Atomic.t], a histogram an array
-      of bucket atomics plus a CAS-updated sum. Registration (the
+   2. The *enabled* path must be safe while another thread scrapes or
+      updates the same registry: the daemon updates cells from its
+      threads while its HTTP endpoint scrapes them. Cells are lock-free: a counter
+      is an [int Atomic.t], a gauge a [float Atomic.t], a histogram an
+      array of bucket atomics plus a CAS-updated sum. Registration (the
       get-or-create of a family/series) takes the registry mutex, but
       registration happens once per cell at attach time, never per
-      event — exact totals under domains=4 settles are a test
-      invariant, not a best effort.
+      event.
 
    3. Exposition is deterministic: families sort by name, series by
       label signature, so scrapes and cram goldens are stable.

@@ -1,8 +1,8 @@
-(** Domain-safe metrics registry: labeled counters, gauges and
+(** Thread-safe metrics registry: labeled counters, gauges and
     log-bucketed histograms, exposed as Prometheus text or JSON.
 
     Instrumented code resolves its cells {e once} (under the registry
-    mutex) and then updates them lock-free from any domain — a counter
+    mutex) and then updates them lock-free from any thread — a counter
     is an [int Atomic.t], a histogram an array of bucket atomics.
     Disabled instrumentation (no registry attached) costs exactly one
     immediate [option] branch per site and allocates nothing; bench E20
@@ -41,7 +41,7 @@ val default_bounds : float array
 (** Decade buckets for latencies in seconds: [1e-6 .. 10, +Inf] — the
     same geometry as [Telemetry]'s settle-latency histogram. *)
 
-(** {1 Updates} — lock-free, safe from worker domains. *)
+(** {1 Updates} — lock-free, safe from concurrent threads. *)
 
 val inc : counter -> unit
 val add : counter -> int -> unit

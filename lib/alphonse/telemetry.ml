@@ -58,18 +58,6 @@ type event =
       verified : bool; (* replayed write intents matched the journal *)
       degraded : bool; (* degrade_to_exhaustive was taken *)
     }
-  (* parallel settle *)
-  | Par_level_begin of { level : int; width : int; tasks : int; domains : int }
-      (* a level front starts: [width] members popped, [tasks] eager
-         executions dispatched to the pool *)
-  | Par_level_end of { level : int; executed : int; failed : int }
-      (* the level's merge barrier completed *)
-  | Par_domain_begin of { domain : int }
-      (* bracket: the following events replay one lane's buffered
-         stream, contiguously (worker events are buffered during the
-         level and flushed at the barrier, so each lane's stream stays
-         well nested) *)
-  | Par_domain_end of { domain : int }
 
 type record = { seq : int; at : float; ev : event }
 (* [at] is seconds since the recorder was created ([Unix.gettimeofday]
@@ -119,16 +107,6 @@ let count_drop t =
 
 let emit t ev =
   let r = { seq = t.next_seq; at = now t; ev } in
-  count_drop t;
-  t.ring.(t.next_seq mod t.capacity) <- Some r;
-  t.next_seq <- t.next_seq + 1;
-  match t.sink with None -> () | Some f -> f r
-
-(* Emit with a caller-supplied timestamp: the merge barrier replays
-   worker-buffered events with the time they actually happened, not the
-   flush time. The sequence number still reflects flush order. *)
-let emit_at t ~at ev =
-  let r = { seq = t.next_seq; at; ev } in
   count_drop t;
   t.ring.(t.next_seq mod t.capacity) <- Some r;
   t.next_seq <- t.next_seq + 1;
@@ -204,14 +182,6 @@ let pp_event ppf = function
       "recovery finished (snapshot=%b replayed=%d dropped=%d \
        discarded-txns=%d verified=%b degraded=%b)"
       snapshot replayed dropped discarded_txns verified degraded
-  | Par_level_begin { level; width; tasks; domains } ->
-    Fmt.pf ppf "par-level %d begin (width %d, %d tasks, %d domains)" level
-      width tasks domains
-  | Par_level_end { level; executed; failed } ->
-    Fmt.pf ppf "par-level %d end (%d executed, %d failed)" level executed
-      failed
-  | Par_domain_begin { domain } -> Fmt.pf ppf "par-domain %d {" domain
-  | Par_domain_end { domain } -> Fmt.pf ppf "} par-domain %d" domain
 
 let pp_record ppf r = Fmt.pf ppf "[%06d %.6fs] %a" r.seq r.at pp_event r.ev
 
@@ -343,27 +313,6 @@ let trace_records ?(meta = []) records =
           ("verified", Json.Bool verified);
           ("degraded", Json.Bool degraded);
         ]
-    | Par_level_begin { level; width; tasks; domains } ->
-      instant "par-level-begin" "parallel"
-        [
-          ("level", Json.Num (float_of_int level));
-          ("width", Json.Num (float_of_int width));
-          ("tasks", Json.Num (float_of_int tasks));
-          ("domains", Json.Num (float_of_int domains));
-        ]
-    | Par_level_end { level; executed; failed } ->
-      instant "par-level-end" "parallel"
-        [
-          ("level", Json.Num (float_of_int level));
-          ("executed", Json.Num (float_of_int executed));
-          ("failed", Json.Num (float_of_int failed));
-        ]
-    | Par_domain_begin { domain } ->
-      instant "par-domain-begin" "parallel"
-        [ ("domain", Json.Num (float_of_int domain)) ]
-    | Par_domain_end { domain } ->
-      instant "par-domain-end" "parallel"
-        [ ("domain", Json.Num (float_of_int domain)) ]
   in
   (* A truncated ring can start mid-execution: drop unmatched E events
      (and close unmatched Bs) so the trace stays well nested. *)
@@ -559,87 +508,6 @@ let pp_profile ?top ppf profiles =
         (p.total_time *. 1e3) pp_latency p.latency)
     profiles;
   Fmt.pf ppf "@]"
-
-(* ------------------------------------------------------------------ *)
-(* Parallel-settle occupancy                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* How evenly the level fronts spread across the pool: per-domain
-   execution counts and busy time, recovered from the per-lane replay
-   brackets ([Par_domain_begin]/[end]). Busy time charges only
-   top-level execution spans — a nested forcing's duration is already
-   inside its parent's. *)
-
-type par_occupancy = {
-  domain : int;
-  domain_tasks : int;  (** executions attributed to this domain *)
-  busy : float;  (** wall time inside bodies on this domain, seconds *)
-}
-
-type par_summary = {
-  par_levels : int;  (** level fronts dispatched *)
-  par_dispatched : int;  (** eager tasks handed to the pool, total *)
-  occupancy : par_occupancy list;  (** by domain index, ascending *)
-}
-
-let par_occupancy t =
-  let levels = ref 0 and dispatched = ref 0 in
-  let tbl : (int, int ref * float ref) Hashtbl.t = Hashtbl.create 8 in
-  let get d =
-    match Hashtbl.find_opt tbl d with
-    | Some p -> p
-    | None ->
-      let p = (ref 0, ref 0.) in
-      Hashtbl.replace tbl d p;
-      p
-  in
-  let cur = ref None in
-  let stack = ref [] in
-  iter t (fun r ->
-      match r.ev with
-      | Par_level_begin { tasks; _ } ->
-        incr levels;
-        dispatched := !dispatched + tasks
-      | Par_domain_begin { domain } ->
-        cur := Some domain;
-        stack := []
-      | Par_domain_end _ ->
-        cur := None;
-        stack := []
-      | Exec_begin _ when !cur <> None -> stack := r.at :: !stack
-      | Exec_end _ -> (
-        match (!cur, !stack) with
-        | Some d, t_begin :: rest ->
-          stack := rest;
-          let cnt, busy = get d in
-          incr cnt;
-          if rest = [] then busy := !busy +. Float.max 0. (r.at -. t_begin)
-        | _ -> ())
-      | _ -> ());
-  {
-    par_levels = !levels;
-    par_dispatched = !dispatched;
-    occupancy =
-      Hashtbl.fold
-        (fun d (cnt, busy) acc ->
-          { domain = d; domain_tasks = !cnt; busy = !busy } :: acc)
-        tbl []
-      |> List.sort (fun a b -> compare a.domain b.domain);
-  }
-
-let pp_par_occupancy ppf s =
-  if s.par_levels = 0 then
-    Fmt.string ppf "no parallel settles recorded"
-  else begin
-    Fmt.pf ppf "@[<v>parallel levels: %d (%d tasks dispatched)@," s.par_levels
-      s.par_dispatched;
-    List.iter
-      (fun o ->
-        Fmt.pf ppf "  domain %d: %4d execs, %8.2fms busy@," o.domain
-          o.domain_tasks (o.busy *. 1e3))
-      s.occupancy;
-    Fmt.pf ppf "@]"
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Provenance: why did this instance re-execute?                       *)

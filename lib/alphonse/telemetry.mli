@@ -70,16 +70,6 @@ type event =
       verified : bool;  (** replayed write intents matched the journal *)
       degraded : bool;  (** recovery took [degrade_to_exhaustive] *)
     }
-  | Par_level_begin of { level : int; width : int; tasks : int; domains : int }
-      (** a parallel settle level front starts: [width] members popped,
-          [tasks] eager executions dispatched to the domain pool *)
-  | Par_level_end of { level : int; executed : int; failed : int }
-      (** the level's merge barrier completed *)
-  | Par_domain_begin of { domain : int }
-      (** bracket opening one lane's replayed event stream — worker
-          events are buffered during the level and flushed contiguously
-          at the barrier, so each lane's stream stays well nested *)
-  | Par_domain_end of { domain : int }
 
 type record = { seq : int; at : float; ev : event }
 (** [seq] numbers all events ever emitted; [at] is seconds since the
@@ -101,15 +91,9 @@ val create : ?capacity:int -> unit -> t
 val emit : t -> event -> unit
 (** Records an event (engine-side entry point). *)
 
-val emit_at : t -> at:float -> event -> unit
-(** Records an event with a caller-supplied timestamp — used by the
-    parallel merge barrier to replay worker-buffered events with the
-    time they actually happened. Sequence numbers still reflect flush
-    order. *)
-
 val now : t -> float
 (** Seconds since the recorder was created — the clock {!emit} stamps
-    records with (and what workers capture for {!emit_at}). *)
+    records with. *)
 
 val set_sink : t -> sink option -> unit
 (** Streams every subsequent event to [sink] in addition to the ring. *)
@@ -182,28 +166,6 @@ val profile : t -> instance_profile list
 
 val pp_profile :
   ?top:int -> Format.formatter -> instance_profile list -> unit
-
-(** {1 Parallel-settle occupancy} *)
-
-type par_occupancy = {
-  domain : int;
-  domain_tasks : int;  (** executions attributed to this domain *)
-  busy : float;  (** wall time inside bodies on this domain, seconds *)
-}
-
-type par_summary = {
-  par_levels : int;  (** level fronts dispatched *)
-  par_dispatched : int;  (** eager tasks handed to the pool, total *)
-  occupancy : par_occupancy list;  (** by domain index, ascending *)
-}
-
-val par_occupancy : t -> par_summary
-(** How evenly the level fronts spread across the pool, recovered from
-    the per-lane replay brackets. Busy time charges only top-level
-    execution spans (a nested forcing's duration is already inside its
-    parent's). *)
-
-val pp_par_occupancy : Format.formatter -> par_summary -> unit
 
 (** {1 Provenance} *)
 

@@ -16,20 +16,14 @@ let create eng ?name ?(equal = ( = )) v =
   { eng; vname; equal; contents = v; vnode = None }
 
 (* Algorithm 3: the dependency node appears on the first access made under
-   an executing incremental procedure. Materialization is serialized by
-   the engine's parallel-settle lock: two worker domains making the
-   cell's first tracked access must agree on one node. *)
+   an executing incremental procedure. *)
 let ensure_node t =
   match t.vnode with
   | Some n -> n
   | None ->
-    Engine.critical t.eng @@ fun () ->
-    (match t.vnode with
-    | Some n -> n
-    | None ->
-      let n = Engine.new_storage t.eng ~name:t.vname in
-      t.vnode <- Some n;
-      n)
+    let n = Engine.new_storage t.eng ~name:t.vname in
+    t.vnode <- Some n;
+    n
 
 let get t =
   (* Quick regime: no instance executing, so nothing to record — the read

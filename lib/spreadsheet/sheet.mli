@@ -42,10 +42,8 @@ val create :
   ?partitioning:bool ->
   unit ->
   t
-(** [scheduling] selects the inconsistent-set drain order — pass
-    [Alphonse.Parallel.scheduling ~domains] to recalculate with
-    level-synchronized parallel settling (independent cells of one
-    dependency level re-evaluate concurrently). *)
+(** [scheduling] selects the inconsistent-set drain order
+    ({!Alphonse.Engine.scheduling}; default [Creation_order]). *)
 
 val engine : t -> Alphonse.Engine.t
 

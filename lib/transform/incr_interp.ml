@@ -430,15 +430,9 @@ type outcome = {
 }
 
 let init_state ?fuel ?default_strategy ?partitioning ?telemetry ?metrics
-    ?fault_seed ?audit ?domains (env : Tc.env) (analysis : Analysis.result) =
-  (* [domains]: settle with the level-synchronized parallel evaluator on
-     that many lanes (1 = parallel machinery, caller's lane only) *)
-  let scheduling =
-    Option.map (fun d -> Engine.Parallel { domains = d }) domains
-  in
+    ?fault_seed ?audit (env : Tc.env) (analysis : Analysis.result) =
   let eng =
-    Engine.create ?default_strategy ?scheduling ?partitioning
-      ?self_audit:audit ()
+    Engine.create ?default_strategy ?partitioning ?self_audit:audit ()
   in
   Engine.set_telemetry eng telemetry;
   (* metrics before the fault injector: injectors resolve their counter
@@ -481,11 +475,11 @@ let init_state ?fuel ?default_strategy ?partitioning ?telemetry ?metrics
 
 (** Run the module body under Alphonse execution. *)
 let run ?fuel ?default_strategy ?partitioning ?telemetry ?metrics ?fault_seed
-    ?audit ?domains (env : Tc.env) : outcome =
+    ?audit (env : Tc.env) : outcome =
   let analysis = Analysis.analyze env in
   match
     init_state ?fuel ?default_strategy ?partitioning ?telemetry ?metrics
-      ?fault_seed ?audit ?domains env analysis
+      ?fault_seed ?audit env analysis
   with
   | exception Runtime_error (msg, p) ->
     {

@@ -37,7 +37,6 @@ val run :
   ?metrics:Alphonse.Metrics.t ->
   ?fault_seed:int ->
   ?audit:bool ->
-  ?domains:int ->
   Lang.Typecheck.env ->
   outcome
 (** Run the module body under Alphonse execution (the analysis is run
@@ -54,13 +53,7 @@ val run :
     decision points occasionally raise, exercising the recovery paths;
     incremental calls are retried once after an injected fault. [audit]
     enables the per-step invariant auditor ({!Alphonse.Audit}); a
-    violation is reported through [error].
-
-    [domains] selects level-synchronized parallel settling
-    ([Engine.Parallel]) on that many concurrent lanes — Theorem 5.1
-    holds under every domain count; [1] exercises the parallel
-    machinery on the caller's lane only. Omitted: serial
-    creation-order settling. *)
+    violation is reported through [error]. *)
 
 (** {1 Internal entry points (the CLI's [graph] command, benches)} *)
 
@@ -72,7 +65,6 @@ val init_state :
   ?metrics:Alphonse.Metrics.t ->
   ?fault_seed:int ->
   ?audit:bool ->
-  ?domains:int ->
   Lang.Typecheck.env ->
   Analysis.result ->
   state

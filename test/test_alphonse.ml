@@ -1063,6 +1063,48 @@ let test_parallel_profile_chain () =
     p.Alphonse.Inspect.critical_path;
   checki "max width" 1 p.Alphonse.Inspect.max_width
 
+(* The E14 diamond (one input fanning out to two siblings joined by a
+   top sum) has exactly 3 instances over 2 levels: E15 bound 1.5. *)
+let test_profile_diamond_bound () =
+  let eng = Engine.create ~default_strategy:Engine.Eager () in
+  let a = Var.create eng ~name:"a" 1 in
+  let f = Func.create eng ~name:"f" (fun _ () -> Var.get a + 1) in
+  let g = Func.create eng ~name:"g" (fun _ () -> Var.get a * 2) in
+  let top =
+    Func.create eng ~name:"top" (fun _ () -> Func.call f () + Func.call g ())
+  in
+  ignore (Func.call top ());
+  Engine.stabilize eng;
+  let p = Alphonse.Inspect.parallel_profile eng in
+  checki "instances" 3 p.Alphonse.Inspect.total_instances;
+  checki "critical path" 2 p.Alphonse.Inspect.critical_path;
+  checki "max width" 2 p.Alphonse.Inspect.max_width;
+  Alcotest.(check (float 1e-6))
+    "E15 speedup bound" 1.5 p.Alphonse.Inspect.speedup_bound
+
+(* A maintained write-then-read chain w -> s -> r is serial. All
+   dependency edges point from the cell s to its consumers, so a pred
+   walk sees w and r as independent — a pred-only rule would put both
+   on one level and report a 2.0x bound for a chain with no parallelism
+   at all. The writers-aware rule charges the writer to the reader's
+   depth: critical path 2, bound 1.0. *)
+let test_profile_writers_chain () =
+  let eng = Engine.create ~default_strategy:Engine.Eager () in
+  let a = Var.create eng ~name:"a" 1 in
+  let s = Var.create eng ~name:"s" 0 in
+  let w =
+    Func.create eng ~name:"w" (fun _ () -> Var.set s (Var.get a * 10))
+  in
+  let r = Func.create eng ~name:"r" (fun _ () -> Var.get s + 1) in
+  ignore (Func.call w ());
+  checki "r sees the maintained write" 11 (Func.call r ());
+  Engine.stabilize eng;
+  let p = Alphonse.Inspect.parallel_profile eng in
+  checki "instances" 2 p.Alphonse.Inspect.total_instances;
+  checki "write-then-read critical path" 2 p.Alphonse.Inspect.critical_path;
+  Alcotest.(check (float 1e-6))
+    "no parallelism" 1.0 p.Alphonse.Inspect.speedup_bound
+
 let contains sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -1516,6 +1558,13 @@ let () =
           Alcotest.test_case "parallel profile" `Quick test_parallel_profile;
           Alcotest.test_case "parallel profile chain" `Quick
             test_parallel_profile_chain;
+        ] );
+      ( "profile",
+        [
+          Alcotest.test_case "diamond E15 bound is 1.5" `Quick
+            test_profile_diamond_bound;
+          Alcotest.test_case "write-then-read chain is serial" `Quick
+            test_profile_writers_chain;
         ] );
       ( "telemetry",
         [

@@ -417,6 +417,57 @@ let export_import_roundtrip ?(strict = true) (make : unit -> dctx) () =
       (String.concat ";" (snap_edges snap2))
   end
 
+(* Snapshots and state dirs written while the engine still had a
+   parallel evaluator carry [par_levels]/[par_tasks] in [stats]. Export
+   no longer writes them; import must accept them silently and restore
+   every other counter. *)
+let test_import_legacy_par_stats () =
+  let c = diamond_dctx () in
+  Array.iter
+    (fun op ->
+      op ();
+      ignore (c.render ()))
+    c.ops;
+  let domain = c.persist.Durable.p_save () in
+  let snap = Engine.export c.eng in
+  let stats =
+    match Json.member "stats" snap with
+    | Some (Json.Obj kvs) -> kvs
+    | _ -> Alcotest.fail "snapshot has no stats object"
+  in
+  checkb "export writes no par_* keys" false
+    (List.mem_assoc "par_levels" stats || List.mem_assoc "par_tasks" stats);
+  checkb "counters are not all zero" true
+    (List.exists (fun (_, v) -> v <> Json.Num 0.) stats);
+  let legacy =
+    match snap with
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             if k = "stats" then
+               ( k,
+                 Json.Obj
+                   (stats
+                   @ [ ("par_levels", Json.Num 3.); ("par_tasks", Json.Num 7.) ]) )
+             else (k, v))
+           kvs)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  checks "schema string unchanged" "alphonse-engine/1"
+    (Option.value ~default:"?"
+       (Option.bind (Json.member "schema" legacy) Json.to_str));
+  let c2 = diamond_dctx () in
+  c2.persist.Durable.p_load domain;
+  ignore (c2.render ());
+  let _matched, warnings = Engine.import c2.eng legacy in
+  checks "no import warnings" "" (String.concat "; " warnings);
+  checks "other counters restored"
+    (Json.to_string (Json.Obj stats))
+    (Json.to_string
+       (Option.value ~default:Json.Null
+          (Json.member "stats" (Engine.export c2.eng))))
+
 (* ------------------------------------------------------------------ *)
 (* The crash-kill sweep                                                *)
 (* ------------------------------------------------------------------ *)
@@ -663,6 +714,8 @@ let () =
             (export_import_roundtrip sheet_dctx);
           Alcotest.test_case "avl round-trip" `Quick
             (export_import_roundtrip ~strict:false avl_dctx);
+          Alcotest.test_case "old par_* stats keys import" `Quick
+            test_import_legacy_par_stats;
         ] );
       ( "kill-sweep",
         [

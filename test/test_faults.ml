@@ -23,7 +23,7 @@ module Binary = Attrgram.Binary
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
-let par4 = Engine.Parallel { domains = 4 }
+let topological = Engine.Topological
 
 let check_audit what eng =
   match Engine.audit_errors eng with
@@ -886,23 +886,24 @@ let () =
           Alcotest.test_case "avl" `Quick (sweep (avl_workload ?scheduling:None));
           Alcotest.test_case "attribute grammar" `Quick
             (sweep (attrgram_workload ?scheduling:None));
-          (* The same per-poke sweeps with the parallel evaluator on 4
-             domains: every fault site must fire, recover, and converge
-             when pokes originate from worker domains. *)
-          Alcotest.test_case "diamond (eager, parallel-4)" `Quick
+          (* The same per-poke sweeps under Topological scheduling,
+             whose Pearce–Kelly reorders move queued nodes' priorities
+             mid-settle: every fault site must fire, recover, and
+             converge there too. *)
+          Alcotest.test_case "diamond (eager, topological)" `Quick
             (sweep
-               (diamond ~scheduling:par4 ~strategy:Engine.Eager
+               (diamond ~scheduling:topological ~strategy:Engine.Eager
                   ~partitioning:false));
-          Alcotest.test_case "diamond (eager, partitioned, parallel-4)" `Quick
+          Alcotest.test_case "diamond (eager, partitioned, topological)" `Quick
             (sweep
-               (diamond ~scheduling:par4 ~strategy:Engine.Eager
+               (diamond ~scheduling:topological ~strategy:Engine.Eager
                   ~partitioning:true));
-          Alcotest.test_case "spreadsheet (parallel-4)" `Quick
-            (sweep (sheet_workload ~scheduling:par4));
-          Alcotest.test_case "avl (parallel-4)" `Quick
-            (sweep (avl_workload ~scheduling:par4));
-          Alcotest.test_case "attribute grammar (parallel-4)" `Quick
-            (sweep (attrgram_workload ~scheduling:par4));
+          Alcotest.test_case "spreadsheet (topological)" `Quick
+            (sweep (sheet_workload ~scheduling:topological));
+          Alcotest.test_case "avl (topological)" `Quick
+            (sweep (avl_workload ~scheduling:topological));
+          Alcotest.test_case "attribute grammar (topological)" `Quick
+            (sweep (attrgram_workload ~scheduling:topological));
         ] );
       ( "quarantine",
         [
@@ -934,13 +935,13 @@ let () =
           Alcotest.test_case "cancel sweep: diamond (eager)" `Quick
             (cancel_sweep
                (diamond_cancel ?scheduling:None ~strategy:Engine.Eager));
-          Alcotest.test_case "cancel sweep: diamond (eager, parallel-4)" `Quick
+          Alcotest.test_case "cancel sweep: diamond (eager, topological)" `Quick
             (cancel_sweep
-               (diamond_cancel ~scheduling:par4 ~strategy:Engine.Eager));
+               (diamond_cancel ~scheduling:topological ~strategy:Engine.Eager));
           Alcotest.test_case "cancel sweep: spreadsheet" `Quick
             (cancel_sweep (sheet_cancel ?scheduling:None));
-          Alcotest.test_case "cancel sweep: spreadsheet (parallel-4)" `Quick
-            (cancel_sweep (sheet_cancel ~scheduling:par4));
+          Alcotest.test_case "cancel sweep: spreadsheet (topological)" `Quick
+            (cancel_sweep (sheet_cancel ~scheduling:topological));
           Alcotest.test_case "cancel sweep: avl" `Quick
             (cancel_sweep (avl_cancel ?scheduling:None));
           Alcotest.test_case "expired deadline trips and rolls back" `Quick

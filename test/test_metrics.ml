@@ -1,14 +1,12 @@
 (* The observability surface: registry semantics (get-or-create, label
    series, kind clashes), quantile estimation, exposition formats, the
-   engine instrumentation's exactness under domains=4 (lock-free cells
-   must not lose increments in a race), the telemetry ring's overflow
+   engine instrumentation's exactness, the telemetry ring's overflow
    accounting, the HTTP exposition endpoint, and the flight recorder's
    incident reports. *)
 
 module Engine = Alphonse.Engine
 module Var = Alphonse.Var
 module Func = Alphonse.Func
-module Parallel = Alphonse.Parallel
 module Metrics = Alphonse.Metrics
 module Telemetry = Alphonse.Telemetry
 module Flight = Alphonse.Flight
@@ -113,13 +111,12 @@ let test_exposition () =
     (Json.of_string_opt (Json.to_string j) <> None)
 
 (* ------------------------------------------------------------------ *)
-(* Engine instrumentation: exact totals, serial and under domains=4    *)
+(* Engine instrumentation: exact totals                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A fan: one input, [width] siblings, a top sum — enough level width
-   that a 4-domain settle genuinely races the counter cells. *)
-let fan ?scheduling ~width () =
-  let eng = Engine.create ?scheduling ~default_strategy:Engine.Eager () in
+(* A fan: one input, [width] siblings, a top sum. *)
+let fan ~width () =
+  let eng = Engine.create ~default_strategy:Engine.Eager () in
   let a = Var.create eng ~name:"a" 1 in
   let mids =
     List.init width (fun i ->
@@ -132,8 +129,8 @@ let fan ?scheduling ~width () =
   in
   (eng, a, top)
 
-let check_engine_counters ?scheduling ~rounds ~width () =
-  let eng, a, top = fan ?scheduling ~width () in
+let check_engine_counters ~rounds ~width () =
+  let eng, a, top = fan ~width () in
   let reg = Metrics.create () in
   Engine.set_metrics eng (Some reg);
   ignore (Func.call top ());
@@ -146,8 +143,7 @@ let check_engine_counters ?scheduling ~rounds ~width () =
   done;
   let st = Engine.stats eng in
   let counter ?labels name = Metrics.counter_value (Metrics.counter reg ?labels name) in
-  (* the registry must agree exactly with the engine's own (serially
-     merged) stats — a lost lock-free increment shows up here *)
+  (* the registry must agree exactly with the engine's own stats *)
   checki "first executions exact" st.Engine.first_executions
     (counter "executions_total" ~labels:[ ("kind", "first") ]);
   checki "re-executions exact"
@@ -156,14 +152,10 @@ let check_engine_counters ?scheduling ~rounds ~width () =
   checki "cache hits exact" st.Engine.cache_hits (counter "cache_hits_total");
   checki "settle steps exact" st.Engine.settle_steps
     (counter "settle_steps_total");
-  checki "parallel levels exact" st.Engine.par_levels
-    (counter "parallel_levels_total");
-  checki "parallel tasks exact" st.Engine.par_tasks
-    (counter "parallel_tasks_total");
-  (eng, reg, st)
+  reg
 
 let test_serial_counters () =
-  let _, reg, _ = check_engine_counters ~rounds:8 ~width:8 () in
+  let reg = check_engine_counters ~rounds:8 ~width:8 () in
   checki "serial settles counted" 8
     (Metrics.counter_value
        (Metrics.counter reg "settles_total" ~labels:[ ("mode", "serial") ]))
@@ -188,28 +180,6 @@ let test_quiescent_stabilize_not_a_session () =
   checki "no serial session counted" 0
     (Metrics.counter_value
        (Metrics.counter reg "settles_total" ~labels:[ ("mode", "serial") ]))
-
-let test_parallel_counters_race () =
-  let _, reg, st =
-    check_engine_counters
-      ~scheduling:(Parallel.scheduling ~domains:4)
-      ~rounds:20 ~width:32 ()
-  in
-  checkb "parallel machinery actually ran" true (st.Engine.par_tasks > 0);
-  checki "parallel settles counted" 20
-    (Metrics.counter_value
-       (Metrics.counter reg "settles_total" ~labels:[ ("mode", "parallel") ]));
-  (* per-lane pool counters: lanes together account for work *)
-  let pool_total =
-    List.fold_left
-      (fun acc lane ->
-        acc
-        + Metrics.counter_value
-            (Metrics.counter reg "pool_tasks_total"
-               ~labels:[ ("lane", string_of_int lane) ]))
-      0 [ 0; 1; 2; 3 ]
-  in
-  checkb "pool lanes saw work" true (pool_total > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry ring overflow accounting (the silent-discard bugfix)      *)
@@ -370,8 +340,6 @@ let () =
             test_serial_counters;
           Alcotest.test_case "quiescent stabilize is not a session" `Quick
             test_quiescent_stabilize_not_a_session;
-          Alcotest.test_case "domains=4 counters exact under race" `Quick
-            test_parallel_counters_race;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "ring overflow is counted" `Quick test_ring_overflow ] );

