@@ -1183,11 +1183,13 @@ let settle_shapes =
     ("deep chain (64 levels of width 1)", chain);
   ]
 
-(* Every engine hot path now carries a metrics branch ([match t.metrics
-   with None -> () | Some m -> ...]). E20 measures what that costs on
-   the E15 shapes with no-op bodies — the regime where per-event
-   instrumentation cost has nowhere to hide. Three configurations per
-   shape:
+(* The engine's counters are plain fields an attached registry reads
+   when it is scraped, so no per-event site touches the registry; what
+   a registry adds is on [stabilize]: one [match t.metrics] per call
+   and, when attached, two clock reads and one [settle_seconds]
+   observation per session. E20 measures what that costs on the E15
+   shapes with no-op bodies — the regime where per-settle cost has
+   nowhere to hide. Three configurations per shape:
 
      base      a fresh engine, registry never attached
      disabled  registry attached, then detached ([set_metrics None])
@@ -1195,8 +1197,8 @@ let settle_shapes =
                "disabled instrumentation is one dead branch" claim
                (E6/E17 discipline) is broken; check_bench gates these
                rows at <= 1.05x
-     enabled   registry attached for the timed rounds: atomic counter
-               bumps plus two histogram observations per settle —
+     enabled   registry attached for the timed rounds: two clock reads
+               and one histogram observation per stabilize session —
                reported, not gated (it is the price of observability) *)
 let e20 () =
   let module Metrics = Alphonse.Metrics in
@@ -1264,8 +1266,9 @@ let e20 () =
   print_table ~title:"E20  metrics registry overhead (per settle round)"
     ~claim:
       "detached metrics cost nothing measurable (disabled rows <= 1.05x \
-       base, gated by check_bench); attached metrics cost atomic \
-       counter bumps plus two histogram observations per settle"
+       base, gated by check_bench); an attached registry costs two clock \
+       reads and one histogram observation per stabilize session, not \
+       per-event atomics"
     [ "workload"; "mode"; "config"; "time"; "overhead" ]
     rows
 

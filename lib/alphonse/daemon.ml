@@ -75,8 +75,6 @@ type cells = {
   dm_shed_tenant : Metrics.counter;
   dm_cancelled : Metrics.counter;
   dm_batch_seconds : Metrics.histogram;
-  dm_tenants : Metrics.gauge;
-  dm_inflight : Metrics.gauge;
 }
 
 type t = {
@@ -210,9 +208,6 @@ let create ?metrics cfg w =
       dm_batch_seconds =
         Metrics.histogram reg "daemon_batch_seconds"
           ~help:"request latency, admission to response";
-      dm_tenants = Metrics.gauge reg "daemon_tenants" ~help:"live tenants";
-      dm_inflight =
-        Metrics.gauge reg "daemon_inflight" ~help:"requests in flight";
     }
   in
   let t =
@@ -233,6 +228,12 @@ let create ?metrics cfg w =
       cells;
     }
   in
+  (* read at scrape time; the daemon lives as long as its registry *)
+  let gauge name help read =
+    ignore (Metrics.source reg ~help `Gauge name read : Metrics.source)
+  in
+  gauge "daemon_tenants" "live tenants" (fun () -> Hashtbl.length t.tenants);
+  gauge "daemon_inflight" "requests in flight" (fun () -> t.inflight);
   (* the health routes close over [t], so the HTTP side binds second *)
   (match cfg.d_metrics_port with
   | None -> ()
@@ -278,7 +279,6 @@ let get_tenant t id =
           e_pending = 0 }
       in
       Hashtbl.replace t.tenants id e;
-      Metrics.set t.cells.dm_tenants (float_of_int (Hashtbl.length t.tenants));
       Ok e
     end
 
@@ -347,13 +347,11 @@ let admit t entry =
   else begin
     t.inflight <- t.inflight + 1;
     entry.e_pending <- entry.e_pending + 1;
-    Metrics.set t.cells.dm_inflight (float_of_int t.inflight);
     Ok
       (fun () ->
         locked t @@ fun () ->
         t.inflight <- t.inflight - 1;
         entry.e_pending <- entry.e_pending - 1;
-        Metrics.set t.cells.dm_inflight (float_of_int t.inflight);
         if t.inflight = 0 then Condition.broadcast t.idle)
   end
 

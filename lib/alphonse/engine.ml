@@ -40,9 +40,9 @@ exception Cancelled of string
    never reset. Every step limit is a comparison against a mark taken
    on this clock when the limited span starts: the [max_settle_steps]
    watchdog (per settle session), a [Budget] step cap (per arming) and
-   [settle_bounded]'s [max_steps] (per call). [Engine.stats] reports
-   it relative to the base that [reset_stats]/[import] move. A record
-   of its own so an armed budget can read it without the engine. *)
+   [settle_bounded]'s [max_steps] (per call). It is also the
+   [settle_steps] counter. A record of its own so an armed budget can
+   read it without the engine. *)
 type clock = { mutable ticks : int }
 
 (* A cooperative execution budget (the daemon's deadline machinery).
@@ -105,7 +105,7 @@ type payload = {
   mutable queued : bool;
   mutable on_stack : bool;
   mutable discarded : bool;
-  mutable seq : int; (* mark order, for Fifo scheduling *)
+  mutable seq : int; (* mark order ([queue_pushes] at the mark), for Fifo *)
   mutable part_elt : partition Uf.elt option; (* Some iff partitioning on *)
   mutable writers : nd list;
       (* instances that recorded a tracked *write* to this storage cell
@@ -191,6 +191,9 @@ type stats = {
   rollbacks : int;
   degradations : int;
   audits : int;
+  cutoffs : int;
+  cancellations : int;
+  settles : int;
 }
 
 (* Durability journal hooks (the write-ahead layer, [Durable], installs
@@ -203,27 +206,6 @@ type journal = {
   on_txn : [ `Begin | `Commit | `Abort ] -> unit;
 }
 
-(* Metrics cells, resolved once at [set_metrics] time so the hot sites
-   never touch the registry (and its mutex). Each site is one [match]
-   on [t.metrics] — the same single-branch disabled-path discipline as
-   telemetry. *)
-type mcells = {
-  mreg : Metrics.t;
-  m_settles : Metrics.counter;
-  m_settle_steps : Metrics.counter;
-  m_settle_seconds : Metrics.histogram;
-  m_exec_first : Metrics.counter;
-  m_exec_re : Metrics.counter;
-  m_hits : Metrics.counter;
-  m_cutoffs : Metrics.counter;
-  m_quarantines : Metrics.counter;
-  m_poisonings : Metrics.counter;
-  m_retries : Metrics.counter;
-  m_degradations : Metrics.counter;
-  m_rollbacks : Metrics.counter;
-  m_cancellations : Metrics.counter;
-}
-
 type t = {
   graph : payload G.t;
   heap_key : nd -> int; (* the settle order: order key, or mark stamp *)
@@ -234,7 +216,6 @@ type t = {
   max_retries : int;
   max_settle_steps : int option;
   max_stack_depth : int option;
-  mutable seq_counter : int;
   (* the call-stack discipline of Algorithm 5 *)
   mutable stack : frame list;
   mutable stack_depth : int;
@@ -251,7 +232,10 @@ type t = {
          when the drain ends *)
   mutable all_nodes : nd list;
   mutable telemetry : Telemetry.t option;
-  mutable metrics : mcells option;
+  (* the attached registry and its [settle_seconds] cell; the counters
+     below reach it as scrape-time sources *)
+  mutable metrics : (Metrics.t * Metrics.histogram) option;
+  mutable sources : Metrics.source list;
   (* fault tolerance *)
   mutable quarantined : nd list;
   mutable txn : txn option;
@@ -271,11 +255,10 @@ type t = {
      telemetry, profiles and DOT reports keep the snapshot's stable
      identities across a restore *)
   mutable stable_ids : (int, int) Hashtbl.t option;
-  (* counters *)
+  (* counters, never reset: see [counters] *)
   mutable c_executions : int;
   mutable c_first : int;
   mutable c_hits : int;
-  mutable steps_base : int; (* stats report [clock.ticks - steps_base] *)
   mutable c_pushes : int;
   mutable c_unions : int;
   mutable c_ooo : int;
@@ -287,7 +270,67 @@ type t = {
   mutable c_rollbacks : int;
   mutable c_degradations : int;
   mutable c_audits : int;
+  mutable c_cutoffs : int;
+  mutable c_cancellations : int;
+  mutable c_settles : int;
+  base : int array; (* [stats] reports each counter minus its base *)
 }
+
+(* Every counter, named once, in [stats] field order: its [stats] field
+   and snapshot key, its reading, and the registry series that reports
+   it, less the counter named by [less] when there is one — so every
+   engine series is a projection of [stats]. [export], [import],
+   [reset_stats] and [set_metrics] all walk this table. Updates to a
+   counter and its [less] sit next to each other with no allocation
+   between them, so a scrape on another thread reads a consistent
+   pair. *)
+type counter = {
+  key : string;
+  read : t -> int;
+  series : (string * (string * string) list * string) option;
+      (* name, labels, help *)
+  less : string option;
+}
+
+let counters =
+  let c ?series ?less key read = { key; read; series; less } in
+  [|
+    c "executions" (fun t -> t.c_executions) ~less:"first_executions"
+      ~series:("executions_total", [ ("kind", "re") ], "instance executions");
+    c "first_executions" (fun t -> t.c_first)
+      ~series:
+        ("executions_total", [ ("kind", "first") ], "instance executions");
+    c "cache_hits" (fun t -> t.c_hits)
+      ~series:("cache_hits_total", [], "calls answered from consistent cache");
+    c "settle_steps" (fun t -> t.clock.ticks)
+      ~series:("settle_steps_total", [], "inconsistent-set pops");
+    c "queue_pushes" (fun t -> t.c_pushes);
+    c "unions" (fun t -> t.c_unions);
+    c "out_of_order_edges" (fun t -> t.c_ooo);
+    c "order_fixups" (fun t -> t.c_fixups);
+    c "evictions" (fun t -> t.c_evictions);
+    c "failures" (fun t -> t.c_failures) ~less:"poisonings"
+      ~series:("quarantines_total", [], "executions that raised");
+    c "retries" (fun t -> t.c_retries)
+      ~series:("retries_total", [], "quarantined instances re-marked");
+    c "poisonings" (fun t -> t.c_poisonings)
+      ~series:("poisonings_total", [], "retry budgets exhausted");
+    c "rollbacks" (fun t -> t.c_rollbacks)
+      ~series:("rollbacks_total", [], "transactions rolled back");
+    c "degradations" (fun t -> t.c_degradations)
+      ~series:("degradations_total", [], "watchdog degradations to exhaustive");
+    c "audits" (fun t -> t.c_audits);
+    c "cutoffs" (fun t -> t.c_cutoffs)
+      ~series:
+        ("cutoffs_total", [], "re-executions that left the value unchanged");
+    c "cancellations" (fun t -> t.c_cancellations)
+      ~series:
+        ( "cancellations_total",
+          [],
+          "settles aborted by a budget (deadline, step cap or cancel)" );
+    c "settles" (fun t -> t.c_settles)
+      ~series:("settles_total", [ ("mode", "serial") ], "settle sessions");
+  |]
 
 let create ?(partitioning = false) ?(default_strategy = Demand)
     ?(scheduling = Creation_order) ?(max_retries = 3) ?max_settle_steps
@@ -311,7 +354,6 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     max_retries;
     max_settle_steps;
     max_stack_depth;
-    seq_counter = 0;
     stack = [];
     stack_depth = 0;
     mask = true;
@@ -326,6 +368,7 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     all_nodes = [];
     telemetry = None;
     metrics = None;
+    sources = [];
     quarantined = [];
     txn = None;
     fault_hook = None;
@@ -336,7 +379,6 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     c_executions = 0;
     c_first = 0;
     c_hits = 0;
-    steps_base = 0;
     c_pushes = 0;
     c_unions = 0;
     c_ooo = 0;
@@ -348,6 +390,10 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     c_rollbacks = 0;
     c_degradations = 0;
     c_audits = 0;
+    c_cutoffs = 0;
+    c_cancellations = 0;
+    c_settles = 0;
+    base = Array.make (Array.length counters) 0;
   }
 
 (* Recompute the [quick] invariant from its three inputs; called by
@@ -399,46 +445,33 @@ let[@inline] tele_on t =
 let set_telemetry t tm = t.telemetry <- tm
 let telemetry t = t.telemetry
 
-let set_metrics t = function
-  | None -> t.metrics <- None
-  | Some reg ->
-    let c name help = Metrics.counter reg name ~help in
-    t.metrics <-
-      Some
-        {
-          mreg = reg;
-          m_settles =
-            Metrics.counter reg "settles_total" ~labels:[ ("mode", "serial") ]
-              ~help:"settle sessions";
-          m_settle_steps = c "settle_steps_total" "inconsistent-set pops";
-          m_settle_seconds =
-            Metrics.histogram reg "settle_seconds"
-              ~help:"settle session duration";
-          m_exec_first =
-            Metrics.counter reg "executions_total"
-              ~labels:[ ("kind", "first") ] ~help:"instance executions";
-          m_exec_re =
-            Metrics.counter reg "executions_total" ~labels:[ ("kind", "re") ]
-              ~help:"instance executions";
-          m_hits = c "cache_hits_total" "calls answered from consistent cache";
-          m_cutoffs =
-            c "cutoffs_total" "re-executions that left the value unchanged";
-          m_quarantines = c "quarantines_total" "executions that raised";
-          m_poisonings = c "poisonings_total" "retry budgets exhausted";
-          m_retries = c "retries_total" "quarantined instances re-marked";
-          m_degradations =
-            c "degradations_total" "watchdog degradations to exhaustive";
-          m_rollbacks = c "rollbacks_total" "transactions rolled back";
-          m_cancellations =
-            c "cancellations_total"
-              "settles aborted by a budget (deadline, step cap or cancel)";
-        }
+(* Attaching registers one source per series; a counter source counts
+   from its reading at registration, so the registry counts events
+   after attach. Detaching releases them; a re-attach replaces them. *)
+let set_metrics t reg =
+  List.iter Metrics.release t.sources;
+  let source reg c (name, labels, help) =
+    let less =
+      Array.to_list counters |> List.find_opt (fun l -> Some l.key = c.less)
+    in
+    Metrics.source reg ~help ~labels `Counter name (fun () ->
+        c.read t - match less with Some l -> l.read t | None -> 0)
+  in
+  t.sources <-
+    (match reg with
+    | None -> []
+    | Some reg ->
+      List.filter_map
+        (fun c -> Option.map (source reg c) c.series)
+        (Array.to_list counters));
+  t.metrics <-
+    Option.map
+      (fun reg ->
+        let help = "settle session duration" in
+        (reg, Metrics.histogram reg "settle_seconds" ~help))
+      reg
 
-let metrics t = match t.metrics with None -> None | Some m -> Some m.mreg
-
-(* Bump one metrics cell, picked by a closed (allocation-free) selector. *)
-let[@inline] minc t cell =
-  match t.metrics with None -> () | Some m -> Metrics.inc (cell m)
+let metrics t = Option.map fst t.metrics
 
 (* Budget enforcement. [budget_check] runs at the head of every settle
    step, *before* the inconsistent-set pop: a raise here leaves the
@@ -452,7 +485,7 @@ let[@inline] budget_check t =
   | None -> ()
   | Some b ->
     let trip reason =
-      minc t (fun m -> m.m_cancellations);
+      t.c_cancellations <- t.c_cancellations + 1;
       Log.debug (fun m -> m "budget tripped: %s" reason);
       raise (Cancelled reason)
     in
@@ -602,9 +635,8 @@ let mark_caused t ~caused cause node =
               cause = (if caused then Some (eid t cause) else None);
             });
     p.queued <- true;
-    t.seq_counter <- t.seq_counter + 1;
-    p.seq <- t.seq_counter;
     t.c_pushes <- t.c_pushes + 1;
+    p.seq <- t.c_pushes;
     (match t.txn with Some tx -> tx.tmarked <- node :: tx.tmarked | None -> ());
     enqueue t node
   end
@@ -798,9 +830,8 @@ let record_failure t node p (inst : instance) e =
     t.c_failures <- t.c_failures + 1;
     inst.failures <- inst.failures + 1;
     if inst.failures >= t.max_retries then begin
-      inst.poison <- Some e;
       t.c_poisonings <- t.c_poisonings + 1;
-      minc t (fun m -> m.m_poisonings);
+      inst.poison <- Some e;
       t.quarantined <- List.filter (fun n -> not (n == node)) t.quarantined;
       Log.debug (fun m ->
           m "poisoned after %d failures: %s#%d" inst.failures p.name
@@ -812,7 +843,6 @@ let record_failure t node p (inst : instance) e =
     else begin
       if not (List.memq node t.quarantined) then
         t.quarantined <- node :: t.quarantined;
-      minc t (fun m -> m.m_quarantines);
       emit t (fun () ->
           Telemetry.Quarantined
             {
@@ -838,7 +868,6 @@ let requeue_quarantined t =
         match p.kind with
         | Instance inst when inst.poison = None && not p.discarded ->
           t.c_retries <- t.c_retries + 1;
-          minc t (fun m -> m.m_retries);
           emit t (fun () ->
               Telemetry.Retried
                 { id = eid t node; name = p.name; attempt = inst.failures });
@@ -888,16 +917,6 @@ let pop_frame t p saved_mask =
   t.stack_depth <- t.stack_depth - 1;
   t.stack <- List.tl t.stack;
   refresh_quick t
-
-(* Metrics of a successful execution, before [ever_ran] is set. *)
-let count_exec t inst changed =
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.inc (if inst.ever_ran then m.m_exec_re else m.m_exec_first);
-    (* an early cutoff: the re-execution produced the same value, so
-       propagation stops here (quiescence, paper §4.5) *)
-    if inst.ever_ran && not changed then Metrics.inc m.m_cutoffs
 
 (* Re-execute an incremental procedure instance under the call-stack
    discipline of Algorithm 5: drop the dependencies recorded by the
@@ -987,17 +1006,18 @@ let run_instance t node p inst =
     emit t (fun () ->
         Telemetry.Exec_end
           { id = eid t node; name = p.name; changed; ok = true });
-  count_exec t inst changed;
-  t.c_executions <- t.c_executions + 1;
   if dbg_on () then
     Log.debug (fun m ->
         m "%s: %s#%d (changed=%b)"
           (if inst.ever_ran then "re-executed" else "first execution")
           p.name (G.id node) changed);
-  if not inst.ever_ran then begin
-    t.c_first <- t.c_first + 1;
-    inst.ever_ran <- true
-  end;
+  t.c_executions <- t.c_executions + 1;
+  if not inst.ever_ran then t.c_first <- t.c_first + 1
+  else if not changed then
+    (* an early cutoff: the re-execution produced the same value, so
+       propagation stops here (quiescence, paper §4.5) *)
+    t.c_cutoffs <- t.c_cutoffs + 1;
+  inst.ever_ran <- true;
   changed
 
 (* Force a dirty instance to currency, notifying dependents on change.
@@ -1013,7 +1033,6 @@ let force t node p inst =
 (* A call answered from a consistent cache. *)
 let cache_hit t node p =
   t.c_hits <- t.c_hits + 1;
-  minc t (fun m -> m.m_hits);
   if tele_on t then
     emit t (fun () -> Telemetry.Cache_hit { id = eid t node; name = p.name })
 
@@ -1185,7 +1204,6 @@ let clear_dirty t =
    scratch — the exhaustive semantics, guaranteed to terminate. *)
 let degrade_to_exhaustive t =
   t.c_degradations <- t.c_degradations + 1;
-  minc t (fun m -> m.m_degradations);
   emit t (fun () ->
       Telemetry.Degraded
         { steps = (match t.max_settle_steps with Some n -> n | None -> 0) });
@@ -1334,14 +1352,7 @@ and walk_pass t stop = function
 
 (* Every step runs inside a settle session: [settling] is set while it
    runs (calls made inside force instead of re-entering it), and the
-   watchdog's mark is taken at its start. Its end, on return or raise,
-   reports the session's steps to the metrics registry in one add. *)
-let end_session t =
-  t.settling <- false;
-  match t.metrics with
-  | None -> ()
-  | Some m -> Metrics.add m.m_settle_steps (t.clock.ticks - t.session_mark)
-
+   watchdog's mark is taken at its start. *)
 (* The session. [~all] walks the dirty list; otherwise only
    [part] drains — the demand settle of [on_call]. *)
 let session t ~all part stop =
@@ -1349,10 +1360,10 @@ let session t ~all part stop =
   t.session_mark <- t.clock.ticks;
   match if all then walk t stop else drain_partition t part stop with
   | quiet ->
-    end_session t;
+    t.settling <- false;
     quiet
   | exception e ->
-    end_session t;
+    t.settling <- false;
     raise e
 
 (* [stabilize] is the walk with no step limit, after re-marking the
@@ -1363,12 +1374,14 @@ let stabilize t =
   if not t.settling then
     match (t.dirty_parts, t.metrics) with
     | [], _ -> ()
-    | _ :: _, None -> ignore (session t ~all:true t.global_part max_int : bool)
-    | _ :: _, Some m ->
-      Metrics.inc m.m_settles;
+    | _ :: _, None ->
+      t.c_settles <- t.c_settles + 1;
+      ignore (session t ~all:true t.global_part max_int : bool)
+    | _ :: _, Some (_, seconds) ->
+      t.c_settles <- t.c_settles + 1;
       let t0 = Metrics.now () in
       Fun.protect
-        ~finally:(fun () -> Metrics.observe_since m.m_settle_seconds t0)
+        ~finally:(fun () -> Metrics.observe_since seconds t0)
         (fun () -> ignore (session t ~all:true t.global_part max_int : bool))
 
 (* Preemptable evaluation (§4.5: "the evaluation routine should be called
@@ -1424,7 +1437,6 @@ let rollback_txn t tx =
         end)
       tx.ran;
     t.c_rollbacks <- t.c_rollbacks + 1;
-    minc t (fun m -> m.m_rollbacks);
     emit t (fun () ->
         Telemetry.Txn_rollback { undone; remarked = !remarked })
 
@@ -1562,41 +1574,33 @@ let node_id node = G.id node
 let succ_count node = G.succ_count node
 let pred_count node = G.pred_count node
 
+(* What [stats] reports of the [i]th counter. *)
+let stat t i = counters.(i).read t - t.base.(i)
+
 let stats t =
+  let v = stat t in
   {
-    executions = t.c_executions;
-    first_executions = t.c_first;
-    cache_hits = t.c_hits;
-    settle_steps = t.clock.ticks - t.steps_base;
-    queue_pushes = t.c_pushes;
-    unions = t.c_unions;
-    out_of_order_edges = t.c_ooo;
-    order_fixups = t.c_fixups;
-    evictions = t.c_evictions;
-    failures = t.c_failures;
-    retries = t.c_retries;
-    poisonings = t.c_poisonings;
-    rollbacks = t.c_rollbacks;
-    degradations = t.c_degradations;
-    audits = t.c_audits;
+    executions = v 0;
+    first_executions = v 1;
+    cache_hits = v 2;
+    settle_steps = v 3;
+    queue_pushes = v 4;
+    unions = v 5;
+    out_of_order_edges = v 6;
+    order_fixups = v 7;
+    evictions = v 8;
+    failures = v 9;
+    retries = v 10;
+    poisonings = v 11;
+    rollbacks = v 12;
+    degradations = v 13;
+    audits = v 14;
+    cutoffs = v 15;
+    cancellations = v 16;
+    settles = v 17;
   }
 
-let reset_stats t =
-  t.c_executions <- 0;
-  t.c_first <- 0;
-  t.c_hits <- 0;
-  t.steps_base <- t.clock.ticks;
-  t.c_pushes <- 0;
-  t.c_unions <- 0;
-  t.c_ooo <- 0;
-  t.c_fixups <- 0;
-  t.c_evictions <- 0;
-  t.c_failures <- 0;
-  t.c_retries <- 0;
-  t.c_poisonings <- 0;
-  t.c_rollbacks <- 0;
-  t.c_degradations <- 0;
-  t.c_audits <- 0
+let reset_stats t = Array.iteri (fun i c -> t.base.(i) <- c.read t) counters
 
 let graph_stats t = G.stats t.graph
 
@@ -1684,7 +1688,6 @@ let export t =
         List.rev !acc)
       nodes
   in
-  let s = stats t in
   Json.Obj
     [
       ("schema", Json.Str "alphonse-engine/1");
@@ -1692,23 +1695,9 @@ let export t =
       ("edges", Json.Arr edges);
       ( "stats",
         Json.Obj
-          [
-            ("executions", num s.executions);
-            ("first_executions", num s.first_executions);
-            ("cache_hits", num s.cache_hits);
-            ("settle_steps", num s.settle_steps);
-            ("queue_pushes", num s.queue_pushes);
-            ("unions", num s.unions);
-            ("out_of_order_edges", num s.out_of_order_edges);
-            ("order_fixups", num s.order_fixups);
-            ("evictions", num s.evictions);
-            ("failures", num s.failures);
-            ("retries", num s.retries);
-            ("poisonings", num s.poisonings);
-            ("rollbacks", num s.rollbacks);
-            ("degradations", num s.degradations);
-            ("audits", num s.audits);
-          ] );
+          (List.mapi
+             (fun i c -> (c.key, num (stat t i)))
+             (Array.to_list counters)) );
     ]
 
 (* Best-effort restore of exported logical state onto a live engine
@@ -1720,8 +1709,9 @@ let export t =
    splicing them in without the cached values they justified would
    fake consistency the caches cannot back. Restored per matched node:
    dirty marks (re-queued), failure counts, poison (as [Failure] of
-   the recorded message) and quarantine membership; counters resume
-   from the snapshot so stats stay continuous across restarts. *)
+   the recorded message) and quarantine membership; [stats] resume
+   from the snapshot so they stay continuous across restarts (the
+   counters themselves, and so the registry, do not move). *)
 let import t j =
   let warnings = ref [] in
   let warn fmt = Printf.ksprintf (fun s -> warnings := s :: !warnings) fmt in
@@ -1807,20 +1797,6 @@ let import t j =
       | Some f -> int_of_float f
       | None -> 0
     in
-    t.c_executions <- get "executions";
-    t.c_first <- get "first_executions";
-    t.c_hits <- get "cache_hits";
-    t.steps_base <- t.clock.ticks - get "settle_steps";
-    t.c_pushes <- get "queue_pushes";
-    t.c_unions <- get "unions";
-    t.c_ooo <- get "out_of_order_edges";
-    t.c_fixups <- get "order_fixups";
-    t.c_evictions <- get "evictions";
-    t.c_failures <- get "failures";
-    t.c_retries <- get "retries";
-    t.c_poisonings <- get "poisonings";
-    t.c_rollbacks <- get "rollbacks";
-    t.c_degradations <- get "degradations";
-    t.c_audits <- get "audits"
+    Array.iteri (fun i c -> t.base.(i) <- c.read t - get c.key) counters
   | None -> warn "snapshot has no stats");
   (!matched, List.rev !warnings)

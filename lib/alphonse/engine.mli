@@ -46,13 +46,20 @@ val telemetry : t -> Telemetry.t option
 (** The attached recorder, or [None]. *)
 
 val set_metrics : t -> Metrics.t option -> unit
-(** Attaches (or detaches) a metrics registry. The engine resolves its
-    cells once here — settles, steps, settle-duration histogram,
-    first/re executions, cache hits, cutoffs, quarantines, poisonings,
-    retries, degradations, rollbacks — and thereafter updates them
-    lock-free. With [None] (the default) every site is a single
-    predictable branch and allocates nothing (bench E20 gates the
-    disabled-path overhead at 5%). *)
+(** Attaches (or detaches) a metrics registry. Every engine series is a
+    projection of {!stats} that the registry reads when scraped: settles,
+    steps, first executions, re-executions ([executions -
+    first_executions]), cache hits, cutoffs, quarantines ([failures -
+    poisonings]), poisonings, retries, degradations, rollbacks and
+    cancellations. Attaching registers them as {!Metrics.source}s, which
+    count from their values now, so the registry counts events after
+    attach;
+    engines sharing a registry sum. [None] releases them, freezing each
+    series at its value; a re-attach replaces them, it never counts
+    twice. The one cell is the [settle_seconds] histogram: an attached
+    registry costs two clock reads and one observation per
+    {!stabilize} session, a detached one a single branch (bench E20
+    gates the disabled path at 5%). *)
 
 val metrics : t -> Metrics.t option
 (** The attached registry, for layers above the engine ([Durable],
@@ -532,13 +539,22 @@ type stats = {
   rollbacks : int;  (** transactions rolled back *)
   degradations : int;  (** watchdog degradations to exhaustive mode *)
   audits : int;  (** auditor runs (on demand or per-step) *)
+  cutoffs : int;
+      (** re-executions that left the value unchanged, so propagation
+          stopped there *)
+  cancellations : int;
+      (** settles aborted by a {!Budget} (deadline, step cap or cancel) *)
+  settles : int;  (** {!stabilize} calls that had work to do *)
 }
 
 val stats : t -> stats
-(** The engine's lifetime counters (see {!type:stats}). *)
+(** The engine's counters (see {!type:stats}), since creation or the
+    last {!reset_stats}, or continued from an {!import}ed snapshot. *)
 
 val reset_stats : t -> unit
-(** Zeroes the counters of {!stats} (graph totals are unaffected). *)
+(** Zeroes the counters of {!stats} (graph totals are unaffected). The
+    counts behind them are never reset: only [stats]' base moves, so an
+    attached registry is unaffected, as it is by {!import}. *)
 
 val graph_stats : t -> Depgraph.Graph.stats
 (** Node/edge/order counters of the underlying arena graph. *)

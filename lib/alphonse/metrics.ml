@@ -3,21 +3,27 @@
 
    Design constraints, in order:
 
-   1. The *disabled* path must stay allocation-free. Instrumented code
-      holds a [counter]/[histogram] cell inside an [option] it resolved
-      once at attach time; when no registry is attached the hot site is
-      a single immediate branch on [None] — no closure, no lookup, no
-      allocation. That is what keeps the paper's 6.x
-      instrumentation-overhead story (bench E20 gates it at <= 5%).
+   1. Counting costs nothing here. A count the program already keeps in
+      a plain field (the engine's executions, the WAL's appends, ...)
+      is registered once as a *source*: a read function the registry
+      calls when it is scraped. The hot site is the field's own
+      increment, with or without a registry attached. Releasing a
+      source folds its last reading into the series, so a series never
+      decreases and the registry stops holding the released object.
+      Only a count with no plain twin, and every histogram, is a cell
+      updated at the event; such a site holds its cell inside an
+      [option] resolved once at attach time, so its disabled path is a
+      single immediate branch on [None] (bench E20 gates the overhead
+      at <= 5%).
 
-   2. The *enabled* path must be safe while another thread scrapes or
-      updates the same registry: the daemon updates cells from its
-      threads while its HTTP endpoint scrapes them. Cells are lock-free: a counter
-      is an [int Atomic.t], a gauge a [float Atomic.t], a histogram an
-      array of bucket atomics plus a CAS-updated sum. Registration (the
-      get-or-create of a family/series) takes the registry mutex, but
-      registration happens once per cell at attach time, never per
-      event.
+   2. Updates, registrations and scrapes may run on different threads:
+      the daemon updates cells from its threads while its HTTP endpoint
+      scrapes them. Cells are lock-free: a counter is an [int Atomic.t],
+      a gauge a [float Atomic.t], a histogram an array of bucket atomics
+      plus a CAS-updated sum. A series' sources are one immutable
+      record behind an atomic, so a scrape sees a source either live or
+      folded, never both or neither. Registration (the get-or-create of
+      a family/series) takes the registry mutex, once per series.
 
    3. Exposition is deterministic: families sort by name, series by
       label signature, so scrapes and cram goldens are stable.
@@ -28,12 +34,18 @@
    [quantile] is shared with [Inspect]'s per-instance profiles so both
    report the same p50/p90/p99 for the same counts. *)
 
-type counter = int Atomic.t
-type gauge = float Atomic.t
+(* A series' scrape-time sources: [folded] is the sum of the last
+   values of the released ones. A source's value is its reading less
+   [base]: its reading at registration for a counter, 0 for a gauge. *)
+type sources = { folded : int; live : source list }
+and source = { read : unit -> int; base : int; home : sources Atomic.t }
+
+type counter = { n : int Atomic.t; c_sources : sources Atomic.t }
+type gauge = { x : float Atomic.t; g_sources : sources Atomic.t }
 
 type histogram = {
   h_bounds : float array; (* upper bounds, last one [infinity] *)
-  h_counts : counter array; (* same length as [h_bounds] *)
+  h_counts : int Atomic.t array; (* same length as [h_bounds] *)
   h_sum : float Atomic.t;
 }
 
@@ -118,15 +130,17 @@ let series reg ~kind ~help ~labels name mk =
     Hashtbl.replace fam.f_series sig_ (List.sort compare labels, cell);
     cell
 
+let no_sources () = Atomic.make { folded = 0; live = [] }
+
 let counter reg ?(help = "") ?(labels = []) name =
-  match series reg ~kind:`Counter ~help ~labels name (fun () -> C (Atomic.make 0))
-  with
+  let mk () = C { n = Atomic.make 0; c_sources = no_sources () } in
+  match series reg ~kind:`Counter ~help ~labels name mk with
   | C c -> c
   | _ -> assert false
 
 let gauge reg ?(help = "") ?(labels = []) name =
-  match series reg ~kind:`Gauge ~help ~labels name (fun () -> G (Atomic.make 0.))
-  with
+  let mk () = G { x = Atomic.make 0.; g_sources = no_sources () } in
+  match series reg ~kind:`Gauge ~help ~labels name mk with
   | G g -> g
   | _ -> assert false
 
@@ -156,21 +170,44 @@ let histogram reg ?(help = "") ?(labels = []) ?(bounds = default_bounds) name =
 (* Hot-path operations (lock-free)                                     *)
 (* ------------------------------------------------------------------ *)
 
-let inc c = ignore (Atomic.fetch_and_add c 1)
-let add c n = ignore (Atomic.fetch_and_add c n)
-let counter_value c = Atomic.get c
-let set g v = Atomic.set g v
-let gauge_value g = Atomic.get g
+let inc c = Atomic.incr c.n
+let add c k = ignore (Atomic.fetch_and_add c.n k)
+let set g v = Atomic.set g.x v
 
-let rec cas_add a v =
+let rec update a f =
   let old = Atomic.get a in
-  if not (Atomic.compare_and_set a old (old +. v)) then cas_add a v
+  if not (Atomic.compare_and_set a old (f old)) then update a f
+
+let source reg ?help ?labels kind name read =
+  let s =
+    match kind with
+    | `Counter ->
+      { read; base = read (); home = (counter reg ?help ?labels name).c_sources }
+    | `Gauge -> { read; base = 0; home = (gauge reg ?help ?labels name).g_sources }
+  in
+  update s.home (fun st -> { st with live = s :: st.live });
+  s
+
+let release s =
+  update s.home (fun st ->
+      if List.memq s st.live then
+        let live = List.filter (( != ) s) st.live in
+        { folded = st.folded + s.read () - s.base; live }
+      else st)
+
+let sources_value a =
+  let st = Atomic.get a in
+  List.fold_left (fun acc s -> acc + s.read () - s.base) st.folded st.live
+
+let counter_value c = Atomic.get c.n + sources_value c.c_sources
+let gauge_value g = Atomic.get g.x +. float_of_int (sources_value g.g_sources)
+
 
 let observe h v =
   let n = Array.length h.h_bounds in
   let rec bucket i = if i >= n - 1 || v < h.h_bounds.(i) then i else bucket (i + 1) in
-  inc h.h_counts.(bucket 0);
-  cas_add h.h_sum v
+  Atomic.incr h.h_counts.(bucket 0);
+  update h.h_sum (fun sum -> sum +. v)
 
 let histogram_counts h = Array.map Atomic.get h.h_counts
 let histogram_count h = Array.fold_left (fun a c -> a + Atomic.get c) 0 h.h_counts
@@ -259,11 +296,11 @@ let to_prometheus reg =
           match cell with
           | C c ->
             Buffer.add_string buf
-              (Printf.sprintf "%s%s %d\n" fam.f_name sig_ (Atomic.get c))
+              (Printf.sprintf "%s%s %d\n" fam.f_name sig_ (counter_value c))
           | G g ->
             Buffer.add_string buf
               (Printf.sprintf "%s%s %s\n" fam.f_name sig_
-                 (float_str (Atomic.get g)))
+                 (float_str (gauge_value g)))
           | H h ->
             let cum = ref 0 in
             Array.iteri
@@ -290,8 +327,9 @@ let to_json reg =
     in
     match cell with
     | C c ->
-      Json.Obj [ labels_json; ("value", Json.Num (float_of_int (Atomic.get c))) ]
-    | G g -> Json.Obj [ labels_json; ("value", Json.Num (Atomic.get g)) ]
+      let v = float_of_int (counter_value c) in
+      Json.Obj [ labels_json; ("value", Json.Num v) ]
+    | G g -> Json.Obj [ labels_json; ("value", Json.Num (gauge_value g)) ]
     | H h ->
       let counts = histogram_counts h in
       let p50, p90, p99 = quantiles ~counts ~bounds:h.h_bounds in

@@ -1,12 +1,16 @@
 (** Thread-safe metrics registry: labeled counters, gauges and
     log-bucketed histograms, exposed as Prometheus text or JSON.
 
-    Instrumented code resolves its cells {e once} (under the registry
+    A count the program already keeps in a plain field is registered
+    once as a {!source}: the registry reads it when scraped, so the
+    counting site is the field's own increment, with or without a
+    registry attached. Counts with no plain twin, and histograms, are
+    cells: instrumented code resolves them {e once} (under the registry
     mutex) and then updates them lock-free from any thread — a counter
-    is an [int Atomic.t], a histogram an array of bucket atomics.
-    Disabled instrumentation (no registry attached) costs exactly one
-    immediate [option] branch per site and allocates nothing; bench E20
-    gates that overhead at 5%. *)
+    cell is an [int Atomic.t], a histogram an array of bucket atomics.
+    Disabled cell instrumentation (no registry attached) costs exactly
+    one immediate [option] branch per site and allocates nothing; bench
+    E20 gates that overhead at 5%. *)
 
 type t
 (** A registry: a mutable set of metric families. *)
@@ -54,10 +58,39 @@ val now : unit -> float
 val observe_since : histogram -> float -> unit
 (** [observe_since h t0] records [now () -. t0]. *)
 
+(** {1 Scrape-time sources} *)
+
+type source
+
+val source :
+  t ->
+  ?help:string ->
+  ?labels:(string * string) list ->
+  [ `Counter | `Gauge ] ->
+  string ->
+  (unit -> int) ->
+  source
+(** [source reg kind name read] registers [read] as a source of the
+    counter or gauge series [name] (get-or-create, as {!counter} and
+    {!gauge}, so the series is exposed even while it is 0). The series
+    then reports its own cell plus the sum of its live sources' values,
+    taken when it is read: {!counter_value}, {!gauge_value} and the
+    exposition all include them. A counter source's value is its
+    reading less its reading at registration, so it counts the events
+    after registration; a gauge source's value is its reading. [read]
+    may run on the scraping thread. *)
+
+val release : source -> unit
+(** [release s] folds [s]'s last value into its series and drops [s]:
+    the series keeps its value (a counter never decreases) and the
+    registry no longer holds [read] or what it closes over. Idempotent. *)
+
 (** {1 Reading} *)
 
 val counter_value : counter -> int
 val gauge_value : gauge -> float
+(** Cell plus sources, as a scrape reports the series. *)
+
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
 

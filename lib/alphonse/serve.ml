@@ -29,8 +29,7 @@ type t = {
      loop, but they must not be invisible either *)
   mutable accept_errors : int;
   mutable oversize_requests : int;
-  mutable m_accept_errors : Metrics.counter option;
-  mutable m_oversize : Metrics.counter option;
+  mutable sources : Metrics.source list; (* the registry's view of both *)
 }
 
 let reason = function
@@ -68,8 +67,7 @@ let create_gen ?(host = "127.0.0.1") ?(timeout = 5.0) ~port routes =
     closed = false;
     accept_errors = 0;
     oversize_requests = 0;
-    m_accept_errors = None;
-    m_oversize = None;
+    sources = [];
   }
 
 let create ?host ~port routes = create_gen ?host ~port routes
@@ -78,23 +76,21 @@ let port s = s.port
 let accept_errors s = s.accept_errors
 let oversize_requests s = s.oversize_requests
 
-let set_metrics s = function
-  | None ->
-    s.m_accept_errors <- None;
-    s.m_oversize <- None
+let set_metrics s reg =
+  List.iter Metrics.release s.sources;
+  s.sources <- [];
+  match reg with
+  | None -> ()
   | Some reg ->
-    s.m_accept_errors <-
-      Some
-        (Metrics.counter reg "serve_accept_errors_total"
-           ~help:"transient accept(2) failures survived by the listener");
-    s.m_oversize <-
-      Some
-        (Metrics.counter reg "serve_oversize_requests_total"
-           ~help:"requests rejected with 431 (over the 8 KiB cap)")
-
-let count_accept_error s =
-  s.accept_errors <- s.accept_errors + 1;
-  match s.m_accept_errors with None -> () | Some c -> Metrics.inc c
+    s.sources <-
+      [
+        Metrics.source reg `Counter "serve_accept_errors_total"
+          ~help:"transient accept(2) failures survived by the listener"
+          (fun () -> s.accept_errors);
+        Metrics.source reg `Counter "serve_oversize_requests_total"
+          ~help:"requests rejected with 431 (over the 8 KiB cap)" (fun () ->
+            s.oversize_requests);
+      ]
 
 (* Accept one connection, surviving the transient failures a hostile
    network hands a long-running listener: EINTR (signals), ECONNABORTED
@@ -123,10 +119,10 @@ let rec accept s =
     | exception
         Unix.Unix_error
           ((EINTR | ECONNABORTED | EAGAIN | EWOULDBLOCK), _, _) ->
-      count_accept_error s;
+      s.accept_errors <- s.accept_errors + 1;
       accept s
     | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
-      count_accept_error s;
+      s.accept_errors <- s.accept_errors + 1;
       if not s.closed then (try Unix.sleepf 0.05 with _ -> ());
       accept s
     | exception _ when s.closed -> None
@@ -185,7 +181,6 @@ let handle s fd =
     match read_request fd with
     | `Oversize ->
       s.oversize_requests <- s.oversize_requests + 1;
-      (match s.m_oversize with None -> () | Some c -> Metrics.inc c);
       text ~status:431 "request header fields too large\n"
     | `Request req -> (
       match String.index_opt req '\n' with

@@ -63,9 +63,10 @@ val oversize_requests : t -> int
 (** Requests answered 431 so far. *)
 
 val set_metrics : t -> Metrics.t option -> unit
-(** Attach a registry: transient accept failures and oversize requests
-    are counted as [serve_accept_errors_total] and
-    [serve_oversize_requests_total]. *)
+(** Attach a registry: it reads {!accept_errors} and
+    {!oversize_requests} since attach, at scrape time, as
+    [serve_accept_errors_total] and [serve_oversize_requests_total].
+    [None] detaches, freezing both series. *)
 
 val serve : max_requests:int -> t -> unit
 (** Accept and answer exactly [max_requests] connections, then return.

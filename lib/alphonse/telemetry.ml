@@ -70,7 +70,7 @@ type t = {
   capacity : int;
   mutable next_seq : int; (* total events ever emitted *)
   mutable sink : sink option;
-  mutable drop_counter : Metrics.counter option;
+  mutable drop_source : Metrics.source option;
   t0 : float;
 }
 
@@ -83,31 +83,30 @@ let create ?(capacity = default_capacity) () =
     capacity;
     next_seq = 0;
     sink = None;
-    drop_counter = None;
+    drop_source = None;
     t0 = Unix.gettimeofday ();
   }
 
 let now t = Unix.gettimeofday () -. t.t0
 
-let set_metrics t = function
-  | None -> t.drop_counter <- None
-  | Some reg ->
-    t.drop_counter <-
-      Some
-        (Metrics.counter reg "telemetry_dropped_total"
-           ~help:"events overwritten in the bounded telemetry ring")
-
 (* Each emit into a full ring overwrites its oldest record: that is the
    bounded-buffer contract, but the loss must never be silent — it is
-   counted (see [dropped]) and, when a registry is attached, surfaced
-   as a metric the moment it happens. *)
-let count_drop t =
-  if t.next_seq >= t.capacity then
-    match t.drop_counter with None -> () | Some c -> Metrics.inc c
+   counted here and, when a registry is attached, surfaced as a
+   metric. *)
+let dropped t = max 0 (t.next_seq - t.capacity)
+
+let set_metrics t reg =
+  Option.iter Metrics.release t.drop_source;
+  t.drop_source <-
+    Option.map
+      (fun reg ->
+        Metrics.source reg `Counter "telemetry_dropped_total"
+          ~help:"events overwritten in the bounded telemetry ring" (fun () ->
+            dropped t))
+      reg
 
 let emit t ev =
   let r = { seq = t.next_seq; at = now t; ev } in
-  count_drop t;
   t.ring.(t.next_seq mod t.capacity) <- Some r;
   t.next_seq <- t.next_seq + 1;
   match t.sink with None -> () | Some f -> f r
@@ -115,13 +114,8 @@ let emit t ev =
 let set_sink t sink = t.sink <- sink
 let sink t = t.sink
 
-let clear t =
-  Array.fill t.ring 0 t.capacity None;
-  t.next_seq <- 0
-
 let total_emitted t = t.next_seq
 let capacity t = t.capacity
-let dropped t = max 0 (t.next_seq - t.capacity)
 
 (* Oldest-first contents of the ring. *)
 let events t =

@@ -103,16 +103,15 @@ val sink : t -> sink option
     chain onto an existing stream instead of replacing it. *)
 
 val set_metrics : t -> Metrics.t option -> unit
-(** Counts ring overwrites into the registry's
-    [telemetry_dropped_total] counter as they happen, so bounded-buffer
-    loss is visible on a metrics scrape and not only post-hoc via
-    {!dropped}. *)
+(** Exposes ring overwrites since attach as the registry's
+    [telemetry_dropped_total] counter, read from {!dropped} at scrape
+    time, so bounded-buffer loss is visible on a metrics scrape and not
+    only post-hoc. [None] detaches, freezing the series. *)
 
 val events : t -> record list
 (** The ring contents, oldest first. *)
 
 val iter : t -> (record -> unit) -> unit
-val clear : t -> unit
 
 val total_emitted : t -> int
 (** Events ever emitted, including those overwritten in the ring. *)
@@ -120,7 +119,8 @@ val total_emitted : t -> int
 val capacity : t -> int
 
 val dropped : t -> int
-(** Events lost to ring overwrite: [max 0 (total_emitted - capacity)]. *)
+(** Events lost to ring overwrite: [max 0 (total_emitted - capacity)].
+    Never decreases. *)
 
 val pp_event : Format.formatter -> event -> unit
 val pp_record : Format.formatter -> record -> unit

@@ -84,10 +84,10 @@ type t = {
   mutable last_error : string option;
   mutable last_recovery : Durable.outcome option;
   mutable kill_hook : (string -> unit) option;
-  (* shared metric cells (same names across tenants; label-free) *)
-  m_restarts : Metrics.counter option;
+  (* shared series (same names across tenants; label-free): crashes is
+     a cell, since [crashes] above is reset on success; restarts and
+     trips are read from the fields above *)
   m_crashes : Metrics.counter option;
-  m_trips : Metrics.counter option;
 }
 
 type error =
@@ -134,6 +134,7 @@ let id t = t.id
 let teardown t =
   match t.state with
   | Up { ls; ld } ->
+    Engine.set_metrics ls.s_engine None;
     (try ls.s_set_journal None with _ -> ());
     (match ld with
     | Some d -> ( try Durable.detach d with _ -> ())
@@ -149,7 +150,7 @@ let start_session t =
   (match t.cfg.c_metrics with
   | Some reg -> Engine.set_metrics s.s_engine (Some reg)
   | None -> ());
-  let d =
+  let durable () =
     if t.cfg.c_durable then begin
       mkdirs t.tdir;
       let o = Durable.recover ~dir:t.tdir s.s_engine s.s_persist in
@@ -164,7 +165,13 @@ let start_session t =
     end
     else None
   in
-  { ls = s; ld = d }
+  match durable () with
+  | d -> { ls = s; ld = d }
+  | exception e ->
+    (* a session that fails to start is never torn down: release its
+       engine's sources here *)
+    Engine.set_metrics s.s_engine None;
+    raise e
 
 let crash t ~now e =
   let msg = Printexc.to_string e in
@@ -174,7 +181,6 @@ let crash t ~now e =
   (match t.m_crashes with Some c -> Metrics.inc c | None -> ());
   if t.crashes > t.cfg.c_max_restarts then begin
     t.trips <- t.trips + 1;
-    (match t.m_trips with Some c -> Metrics.inc c | None -> ());
     Log.warn (fun m ->
         m "tenant %s: circuit open after %d consecutive crashes (%s)" t.id
           t.crashes msg);
@@ -193,7 +199,6 @@ let crash t ~now e =
 
 let try_restart t ~now =
   t.restarts <- t.restarts + 1;
-  (match t.m_restarts with Some c -> Metrics.inc c | None -> ());
   match start_session t with
   | live ->
     t.state <- Up live;
@@ -218,11 +223,6 @@ let ensure t ~now =
 let create ?kill_hook cfg w ~id =
   if not (valid_id id) then
     invalid_arg ("Tenant.create: invalid tenant id: " ^ String.escaped id);
-  let c name help =
-    match cfg.c_metrics with
-    | None -> None
-    | Some reg -> Some (Metrics.counter reg name ~help)
-  in
   let t =
     {
       id;
@@ -237,11 +237,25 @@ let create ?kill_hook cfg w ~id =
       last_error = None;
       last_recovery = None;
       kill_hook;
-      m_restarts = c "tenant_restarts_total" "tenant session (re)starts";
-      m_crashes = c "tenant_crashes_total" "tenant session crashes";
-      m_trips = c "tenant_trips_total" "tenant circuit-breaker trips";
+      m_crashes =
+        Option.map
+          (fun reg ->
+            Metrics.counter reg "tenant_crashes_total"
+              ~help:"tenant session crashes")
+          cfg.c_metrics;
     }
   in
+  (* lifetime counts, so a tenant's sources are never released *)
+  Option.iter
+    (fun reg ->
+      let src name help read =
+        ignore (Metrics.source reg ~help `Counter name read : Metrics.source)
+      in
+      src "tenant_restarts_total" "tenant session (re)starts" (fun () ->
+          t.restarts);
+      src "tenant_trips_total" "tenant circuit-breaker trips" (fun () ->
+          t.trips))
+    cfg.c_metrics;
   (match try_restart t ~now:(Unix.gettimeofday ()) with
   | Ok _ -> ()
   | Error _ -> () (* stays Down/Tripped; submits surface the backoff *));

@@ -122,15 +122,6 @@ let rec mkdir_p dir =
 
 let default_segment_limit = 1 lsl 20
 
-(* Metrics cells, resolved once at [set_metrics]: append/rotation
-   counters and the fsync-latency histogram. The fsync is timed only
-   when a registry is attached — the disabled path stays one branch. *)
-type wcells = {
-  w_appends : Metrics.counter;
-  w_fsyncs : Metrics.histogram;
-  w_rotations : Metrics.counter;
-}
-
 type t = {
   dir : string;
   policy : policy;
@@ -139,10 +130,15 @@ type t = {
   mutable oc : out_channel;
   mutable seg_bytes : int;
   mutable appended : int;
+  mutable rotations : int;
   mutable closed : bool;
   mutable kill_hook : (string -> unit) option;
   mutable on_rotate : (int -> unit) option;
-  mutable metrics : wcells option;
+  (* the fsync-latency cell, timed only when a registry is attached —
+     the disabled path stays one branch — and the sources that read
+     [appended] and [rotations] *)
+  mutable fsyncs : Metrics.histogram option;
+  mutable sources : Metrics.source list;
 }
 
 let kill_sites = [ "wal-append"; "wal-torn"; "wal-sync"; "wal-rotate" ]
@@ -172,28 +168,33 @@ let open_ ?(policy = Commit) ?(segment_limit = default_segment_limit) dir =
     oc = open_segment dir next;
     seg_bytes = 0;
     appended = 0;
+    rotations = 0;
     closed = false;
     kill_hook = None;
     on_rotate = None;
-    metrics = None;
+    fsyncs = None;
+    sources = [];
   }
 
-let set_metrics w = function
-  | None -> w.metrics <- None
+let set_metrics w reg =
+  List.iter Metrics.release w.sources;
+  w.sources <- [];
+  w.fsyncs <- None;
+  match reg with
+  | None -> ()
   | Some reg ->
-    w.metrics <-
+    w.sources <-
+      [
+        Metrics.source reg `Counter "wal_appends_total"
+          ~help:"frames appended to the write-ahead journal" (fun () ->
+            w.appended);
+        Metrics.source reg `Counter "wal_rotations_total"
+          ~help:"journal segment rotations" (fun () -> w.rotations);
+      ];
+    w.fsyncs <-
       Some
-        {
-          w_appends =
-            Metrics.counter reg "wal_appends_total"
-              ~help:"frames appended to the write-ahead journal";
-          w_fsyncs =
-            Metrics.histogram reg "wal_fsync_seconds"
-              ~help:"latency of journal fsync calls";
-          w_rotations =
-            Metrics.counter reg "wal_rotations_total"
-              ~help:"journal segment rotations";
-        }
+        (Metrics.histogram reg "wal_fsync_seconds"
+           ~help:"latency of journal fsync calls")
 
 let fsync_channel oc =
   flush oc;
@@ -202,18 +203,16 @@ let fsync_channel oc =
 let sync w =
   if w.closed then invalid_arg "Wal.sync: closed";
   poke w "wal-sync";
-  match w.metrics with
+  match w.fsyncs with
   | None -> fsync_channel w.oc
-  | Some c ->
+  | Some h ->
     let t0 = Metrics.now () in
     fsync_channel w.oc;
-    Metrics.observe_since c.w_fsyncs t0
+    Metrics.observe_since h t0
 
 let rotate w =
   if w.closed then invalid_arg "Wal.rotate: closed";
-  (match w.metrics with
-  | None -> ()
-  | Some c -> Metrics.inc c.w_rotations);
+  w.rotations <- w.rotations + 1;
   poke w "wal-rotate";
   fsync_channel w.oc;
   close_out w.oc;
@@ -246,10 +245,10 @@ let append ?sync:(do_sync = false) w json =
   flush w.oc;
   w.seg_bytes <- w.seg_bytes + String.length fr;
   w.appended <- w.appended + 1;
-  (match w.metrics with None -> () | Some c -> Metrics.inc c.w_appends);
   if w.policy = Always || (do_sync && w.policy <> Never) then sync w
 
 let close w =
+  set_metrics w None;
   if not w.closed then begin
     w.closed <- true;
     (* All frame bytes were flushed at append time, so this close cannot

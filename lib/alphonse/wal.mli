@@ -50,8 +50,9 @@ val rotate : t -> unit
     {!Durable.checkpoint} to cut the journal at a snapshot. *)
 
 val close : t -> unit
-(** Close the writer (idempotent). Never writes new bytes: every frame
-    was already flushed at append time. *)
+(** Close the writer (idempotent), first releasing its metrics sources.
+    Never writes new bytes: every frame was already flushed at append
+    time. *)
 
 val policy : t -> policy
 val segment : t -> int
@@ -74,11 +75,12 @@ val set_on_rotate : t -> (int -> unit) option -> unit
 (** Notification when rotation opens a new segment (telemetry). *)
 
 val set_metrics : t -> Metrics.t option -> unit
-(** Count appends and rotations, and time fsyncs, into a registry
-    ([wal_appends_total], [wal_rotations_total], [wal_fsync_seconds]).
-    [None] (the default) detaches; the disabled path costs one branch
-    per operation. {!Durable.attach} wires this automatically from the
-    engine's registry. *)
+(** Report appends and rotations since attach, and time fsyncs, into a
+    registry ([wal_appends_total] and [wal_rotations_total] read this
+    writer's counts at scrape time; [wal_fsync_seconds] is timed per
+    fsync). [None] (the default) detaches, releasing the sources; the
+    disabled path costs one branch per fsync. {!Durable.attach} wires
+    this automatically from the engine's registry. *)
 
 (** {1 Replay} *)
 

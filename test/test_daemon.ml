@@ -9,6 +9,7 @@ module Tenant = Alphonse.Tenant
 module Daemon = Alphonse.Daemon
 module Faults = Alphonse.Faults
 module Serve = Alphonse.Serve
+module Metrics = Alphonse.Metrics
 module Sheet = Spreadsheet.Sheet
 
 let checki = Alcotest.(check int)
@@ -311,12 +312,30 @@ let test_crash_isolation_and_recovery () =
     (status (Daemon.submit d (request ~tenant:"a" [ set_op "A1" "7" ])));
   checki "seed b" 200
     (status (Daemon.submit d (request ~tenant:"b" [ set_op "A1" "8" ])));
+  (* the counters a crash must not move backwards: a torn-down
+     session's counts stay in the registry *)
+  Alcotest.(check (float 0.0))
+    "a reads its seed" 7.0
+    (sheet_get d ~tenant:"a" "A1");
+  let scrape () =
+    let c ?labels name =
+      Metrics.counter_value (Metrics.counter (Daemon.metrics d) ?labels name)
+    in
+    [
+      ("first executions", c "executions_total" ~labels:[ ("kind", "first") ]);
+      ("re-executions", c "executions_total" ~labels:[ ("kind", "re") ]);
+      ("wal appends", c "wal_appends_total");
+      ("tenant restarts", c "tenant_restarts_total");
+    ]
+  in
+  let before = scrape () in
   (* kill tenant a's next WAL append: the batch crashes the session *)
   (match Daemon.find_tenant d "a" with
   | Some t -> Tenant.set_kill_hook t (Some (fst (Faults.kill_nth 1)))
   | None -> Alcotest.fail "tenant a missing");
   let resp = Daemon.submit d (request ~tenant:"a" [ set_op "A1" "9" ]) in
   checki "crashed batch is a 503" 503 (status resp);
+  let crashed = scrape () in
   checkb "crash quotes retry_after_ms" true (has_retry_after resp);
   (* the blast radius is one tenant *)
   Alcotest.(check (float 0.0)) "tenant b keeps serving" 8.0
@@ -335,6 +354,24 @@ let test_crash_isolation_and_recovery () =
     checkb "restart counted" true (Tenant.restarts t >= 1);
     checki "success resets consecutive crashes" 0 (Tenant.crashes t)
   | None -> assert false);
+  let after = scrape () in
+  let monotone s0 s1 =
+    List.iter2
+      (fun (what, v0) (_, v1) ->
+        checkb (Printf.sprintf "%s never decrease (%d -> %d)" what v0 v1) true
+          (v1 >= v0))
+      s0 s1
+  in
+  monotone before crashed;
+  monotone crashed after;
+  checki "tenant_restarts_total is the tenants' restarts"
+    (List.fold_left
+       (fun acc id ->
+         match Daemon.find_tenant d id with
+         | Some t -> acc + Tenant.restarts t
+         | None -> acc)
+       0 (Daemon.tenant_ids d))
+    (List.assoc "tenant restarts" after);
   Daemon.drain d;
   rm_rf root
 

@@ -1,8 +1,8 @@
 (* The observability surface: registry semantics (get-or-create, label
    series, kind clashes), quantile estimation, exposition formats, the
-   engine instrumentation's exactness, the telemetry ring's overflow
-   accounting, the HTTP exposition endpoint, and the flight recorder's
-   incident reports. *)
+   engine's series as scrape-time projections of its stats, the
+   telemetry ring's overflow accounting, the HTTP exposition endpoint,
+   and the flight recorder's incident reports. *)
 
 module Engine = Alphonse.Engine
 module Var = Alphonse.Var
@@ -129,6 +129,45 @@ let fan ~width () =
   in
   (eng, a, top)
 
+(* Every engine family in the registry, as the projection of
+   [Engine.stats] it reports. *)
+let engine_families =
+  let open Engine in
+  [
+    ("settles_total", [ ("mode", "serial") ], fun s -> s.settles);
+    ("settle_steps_total", [], fun s -> s.settle_steps);
+    ("executions_total", [ ("kind", "first") ], fun s -> s.first_executions);
+    ( "executions_total",
+      [ ("kind", "re") ],
+      fun s -> s.executions - s.first_executions );
+    ("cache_hits_total", [], fun s -> s.cache_hits);
+    ("cutoffs_total", [], fun s -> s.cutoffs);
+    ("quarantines_total", [], fun s -> s.failures - s.poisonings);
+    ("poisonings_total", [], fun s -> s.poisonings);
+    ("retries_total", [], fun s -> s.retries);
+    ("degradations_total", [], fun s -> s.degradations);
+    ("rollbacks_total", [], fun s -> s.rollbacks);
+    ("cancellations_total", [], fun s -> s.cancellations);
+  ]
+
+let family_values reg =
+  List.map
+    (fun (name, labels, _) ->
+      Metrics.counter_value (Metrics.counter reg ~labels name))
+    engine_families
+
+(* The registry must agree exactly with the engine's own stats. *)
+let check_families what reg (st : Engine.stats) =
+  List.iter2
+    (fun (name, labels, proj) v ->
+      let series =
+        name
+        ^ String.concat ""
+            (List.map (fun (k, v) -> Printf.sprintf "{%s=%s}" k v) labels)
+      in
+      checki (Printf.sprintf "%s: %s exact" what series) (proj st) v)
+    engine_families (family_values reg)
+
 let check_engine_counters ~rounds ~width () =
   let eng, a, top = fan ~width () in
   let reg = Metrics.create () in
@@ -152,6 +191,7 @@ let check_engine_counters ~rounds ~width () =
   checki "cache hits exact" st.Engine.cache_hits (counter "cache_hits_total");
   checki "settle steps exact" st.Engine.settle_steps
     (counter "settle_steps_total");
+  check_families "fan" reg st;
   reg
 
 let test_serial_counters () =
@@ -180,6 +220,174 @@ let test_quiescent_stabilize_not_a_session () =
   checki "no serial session counted" 0
     (Metrics.counter_value
        (Metrics.counter reg "settles_total" ~labels:[ ("mode", "serial") ]))
+
+(* A program that takes every counted path: a cutoff, a quarantine, a
+   retry that poisons, a rollback, a budget cancellation and a
+   degradation to exhaustive evaluation. *)
+let eventful () =
+  let eng = Engine.create ~default_strategy:Engine.Eager ~max_retries:2 () in
+  let a = Var.create eng ~name:"a" 1 in
+  let b = Var.create eng ~name:"b" 2 in
+  let f =
+    Func.create eng ~name:"f" (fun _ () ->
+        if Var.get a = 13 then failwith "unlucky";
+        Var.get a)
+  in
+  let parity = Func.create eng ~name:"parity" (fun _ () -> Var.get b mod 2) in
+  let top =
+    Func.create eng ~name:"top" (fun _ () -> Func.call parity () + Var.get b)
+  in
+  let run () =
+    ignore (Func.call f ());
+    ignore (Func.call top ());
+    (* parity re-executes to the same value: a cutoff *)
+    Var.set b 4;
+    Engine.stabilize eng;
+    ignore (Func.call top ());
+    (* f raises: quarantined, retried at the next settle, poisoned *)
+    Var.set a 13;
+    Engine.stabilize eng;
+    Engine.stabilize eng;
+    (try
+       Engine.transact eng (fun () ->
+           Var.set b 6;
+           failwith "abort")
+     with Failure _ -> ());
+    let budget = Engine.Budget.create () in
+    Engine.Budget.cancel budget;
+    (try
+       Engine.with_budget eng budget (fun () ->
+           Var.set b 8;
+           Engine.stabilize eng)
+     with Engine.Cancelled _ -> ());
+    Engine.stabilize eng;
+    Engine.degrade_to_exhaustive eng;
+    ignore (Func.call top ())
+  in
+  (eng, run)
+
+let test_every_family_is_a_projection () =
+  let eng, run = eventful () in
+  let reg = Metrics.create () in
+  Engine.set_metrics eng (Some reg);
+  run ();
+  let st = Engine.stats eng in
+  List.iter
+    (fun (what, n) -> checkb (what ^ " happened") true (n > 0))
+    Engine.
+      [
+        ("cutoff", st.cutoffs);
+        ("quarantine", st.failures - st.poisonings);
+        ("retry", st.retries);
+        ("poisoning", st.poisonings);
+        ("rollback", st.rollbacks);
+        ("cancellation", st.cancellations);
+        ("degradation", st.degradations);
+      ];
+  check_families "eventful" reg st
+
+let test_engines_sum () =
+  let reg = Metrics.create () in
+  let e1, run1 = eventful () and e2, run2 = eventful () in
+  Engine.set_metrics e1 (Some reg);
+  Engine.set_metrics e2 (Some reg);
+  run1 ();
+  run2 ();
+  let s1 = Engine.stats e1 and s2 = Engine.stats e2 in
+  List.iter2
+    (fun (name, _, proj) v ->
+      checki (name ^ " sums both engines") (proj s1 + proj s2) v)
+    engine_families (family_values reg)
+
+(* [reset_stats] and [import] move what [stats] reports, never what the
+   registry has counted. *)
+let test_reset_and_import_leave_registry () =
+  let eng, run = eventful () in
+  let reg = Metrics.create () in
+  Engine.set_metrics eng (Some reg);
+  run ();
+  let snap = Engine.export eng in
+  let a = Var.create eng ~name:"a2" 1 in
+  let g = Func.create eng ~name:"g" (fun _ () -> Var.get a + 1) in
+  ignore (Func.call g ());
+  let before = Metrics.to_prometheus reg in
+  Engine.reset_stats eng;
+  checki "reset zeroes stats" 0 (Engine.stats eng).Engine.executions;
+  checks "reset leaves the registry" before (Metrics.to_prometheus reg);
+  ignore (Engine.import eng snap : int * string list);
+  checki "import restores stats"
+    (Option.get
+       (Option.bind (Json.member "stats" snap) (fun j ->
+            Option.bind (Json.member "executions" j) Json.to_float))
+    |> int_of_float)
+    (Engine.stats eng).Engine.executions;
+  checks "import leaves the registry" before (Metrics.to_prometheus reg);
+  (* and the registry keeps counting from where it was *)
+  let re () =
+    Metrics.counter_value
+      (Metrics.counter reg ~labels:[ ("kind", "re") ] "executions_total")
+  in
+  let re0 = re () in
+  Var.set a 5;
+  ignore (Func.call g ());
+  checki "counting resumes" (re0 + 1) (re ())
+
+(* Detaching freezes every series at its value; re-attaching counts on
+   from there, once. Events while detached, or before the first attach,
+   are not counted. *)
+let test_detach_and_reattach () =
+  let eng, a, top = fan ~width:4 () in
+  ignore (Func.call top ());
+  let reg = Metrics.create () in
+  Engine.set_metrics eng (Some reg);
+  checkb "events before the first attach are not counted" true
+    (List.for_all (( = ) 0) (family_values reg));
+  let edit v =
+    Var.set a v;
+    Engine.stabilize eng;
+    ignore (Func.call top ())
+  in
+  let s0 = Engine.stats eng in
+  edit 10;
+  let s1 = Engine.stats eng in
+  Engine.set_metrics eng None;
+  let frozen = family_values reg in
+  edit 11;
+  checkb "detached series stay frozen" true (frozen = family_values reg);
+  let s2 = Engine.stats eng in
+  Engine.set_metrics eng (Some reg);
+  Engine.set_metrics eng (Some reg);
+  edit 12;
+  let s3 = Engine.stats eng in
+  List.iter2
+    (fun (name, _, proj) v ->
+      checki (name ^ " counts attached spans once")
+        (proj s1 - proj s0 + (proj s3 - proj s2))
+        v)
+    engine_families (family_values reg)
+
+(* The registry holds a released engine through nothing: once detached,
+   an engine is garbage like any other. *)
+let test_detached_engine_collectable () =
+  let reg = Metrics.create () in
+  let collected = ref false in
+  let attach_and_drop () =
+    let eng, a, top = fan ~width:4 () in
+    Engine.set_metrics eng (Some reg);
+    ignore (Func.call top ());
+    Var.set a 7;
+    Engine.stabilize eng;
+    Engine.set_metrics eng None;
+    Gc.finalise (fun _ -> collected := true) eng
+  in
+  attach_and_drop ();
+  Gc.full_major ();
+  Gc.full_major ();
+  checkb "detached engine collected" true !collected;
+  checkb "its counts outlive it" true
+    (Metrics.counter_value
+       (Metrics.counter reg ~labels:[ ("kind", "first") ] "executions_total")
+    > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry ring overflow accounting (the silent-discard bugfix)      *)
@@ -340,6 +548,16 @@ let () =
             test_serial_counters;
           Alcotest.test_case "quiescent stabilize is not a session" `Quick
             test_quiescent_stabilize_not_a_session;
+          Alcotest.test_case "every family is a projection of stats" `Quick
+            test_every_family_is_a_projection;
+          Alcotest.test_case "engines sharing a registry sum" `Quick
+            test_engines_sum;
+          Alcotest.test_case "reset_stats and import leave the registry"
+            `Quick test_reset_and_import_leave_registry;
+          Alcotest.test_case "detach freezes, re-attach counts once" `Quick
+            test_detach_and_reattach;
+          Alcotest.test_case "a detached engine is collectable" `Quick
+            test_detached_engine_collectable;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "ring overflow is counted" `Quick test_ring_overflow ] );
