@@ -18,18 +18,6 @@ let[@inline] dbg_on () =
 
 type strategy = Demand | Eager
 
-(* How the evaluator picks the next inconsistent element (§4.5: "The
-   selection of u from the set is done using an algorithm such as
-   [Hud86, Hoo86, Hoo87, AHR+90]"). *)
-type scheduling =
-  | Creation_order
-      (* priorities fixed at node creation (dependencies discovered during
-         an execution are ordered before their consumer) *)
-  | Topological
-      (* creation priorities plus Pearce–Kelly restoration on every
-         order-violating edge: the drain order stays topological *)
-  | Fifo  (* no priorities: first marked, first processed *)
-
 exception Cycle of string
 exception Poisoned of string
 exception Audit_failure of string list
@@ -105,7 +93,6 @@ type payload = {
   mutable queued : bool;
   mutable on_stack : bool;
   mutable discarded : bool;
-  mutable seq : int; (* mark order ([queue_pushes] at the mark), for Fifo *)
   mutable part_elt : partition Uf.elt option; (* Some iff partitioning on *)
   mutable writers : nd list;
       (* instances that recorded a tracked *write* to this storage cell
@@ -208,11 +195,9 @@ type journal = {
 
 type t = {
   graph : payload G.t;
-  heap_key : nd -> int; (* the settle order: order key, or mark stamp *)
   global_part : partition; (* used when partitioning is off *)
   use_partitions : bool;
   strategy0 : strategy;
-  scheduling : scheduling;
   max_retries : int;
   max_settle_steps : int option;
   max_stack_depth : int option;
@@ -230,7 +215,6 @@ type t = {
   mutable skipped : nd list;
       (* popped by the running drain while on the call stack; re-queued
          when the drain ends *)
-  mutable all_nodes : nd list;
   mutable telemetry : Telemetry.t option;
   (* the attached registry and its [settle_seconds] cell; the counters
      below reach it as scrape-time sources *)
@@ -333,24 +317,17 @@ let counters =
   |]
 
 let create ?(partitioning = false) ?(default_strategy = Demand)
-    ?(scheduling = Creation_order) ?(max_retries = 3) ?max_settle_steps
-    ?max_stack_depth ?(self_audit = false) () =
+    ?(max_retries = 3) ?max_settle_steps ?max_stack_depth
+    ?(self_audit = false) () =
   if max_retries < 1 then invalid_arg "Engine.create: max_retries must be >= 1";
-  let key =
-    match scheduling with
-    | Creation_order | Topological -> G.order_key
-    | Fifo -> fun n -> (G.payload n).seq
-  in
   let graph = G.create () in
   {
     graph;
-    heap_key = key;
     global_part =
-      { queue = Heap.create ~key; keyed = G.order_epoch graph;
+      { queue = Heap.create ~key:G.order_key; keyed = G.order_epoch graph;
         on_dirty_list = false };
     use_partitions = partitioning;
     strategy0 = default_strategy;
-    scheduling;
     max_retries;
     max_settle_steps;
     max_stack_depth;
@@ -365,7 +342,6 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     budget = None;
     dirty_parts = [];
     skipped = [];
-    all_nodes = [];
     telemetry = None;
     metrics = None;
     sources = [];
@@ -514,7 +490,6 @@ let with_budget t b f =
 
 let default_strategy t = t.strategy0
 let partitioning t = t.use_partitions
-let scheduling t = t.scheduling
 let max_retries t = t.max_retries
 
 (* ------------------------------------------------------------------ *)
@@ -636,7 +611,6 @@ let mark_caused t ~caused cause node =
             });
     p.queued <- true;
     t.c_pushes <- t.c_pushes + 1;
-    p.seq <- t.c_pushes;
     (match t.txn with Some tx -> tx.tmarked <- node :: tx.tmarked | None -> ());
     enqueue t node
   end
@@ -673,19 +647,18 @@ let new_node t payload =
   in
   if t.use_partitions then begin
     let part =
-      { queue = Heap.create ~key:t.heap_key;
+      { queue = Heap.create ~key:G.order_key;
         keyed = G.order_epoch t.graph; on_dirty_list = false }
     in
     (G.payload node).part_elt <- Some (Uf.make part)
   end;
-  t.all_nodes <- node :: t.all_nodes;
   node
 
 let new_storage t ~name =
   let node =
     new_node t
       { name; kind = Storage; queued = false; on_stack = false;
-        discarded = false; seq = 0; part_elt = None; writers = [] }
+        discarded = false; part_elt = None; writers = [] }
   in
   emit t (fun () -> Telemetry.Storage_created { id = eid t node; name });
   node
@@ -702,7 +675,6 @@ let new_instance t ~name ~strategy ?(static_deps = false) ~recompute () =
       queued = false;
       on_stack = false;
       discarded = false;
-      seq = 0;
       part_elt = None;
       writers = [];
     }
@@ -757,14 +729,15 @@ let record_dependency ?(is_write = false) t src =
       poke t "edge";
       if G.order_lt consumer src then begin
         t.c_ooo <- t.c_ooo + 1;
-        (* under Topological scheduling, repair the drain order so this
-           dependency is processed before its consumer *)
-        (match t.scheduling with
-        | Topological -> (
+        (* repair the drain order (Pearce–Kelly) only where a pop
+           executes: a demand pop just flips a flag and forwards, so an
+           out-of-order edge into a demand instance is left alone *)
+        match (G.payload consumer).kind with
+        | Instance { strategy = Eager; _ } -> (
           match G.restore_topological_order t.graph ~src ~dst:consumer with
           | `Reordered _ -> t.c_fixups <- t.c_fixups + 1
           | `Already_ordered | `Cycle -> ())
-        | Creation_order | Fifo -> ())
+        | Instance { strategy = Demand; _ } | Storage -> ()
       end;
       G.add_edge ~stamp ~src ~dst:consumer;
       if is_write then note_writer src consumer;
@@ -1106,14 +1079,10 @@ let audit_errors_run t ~idle =
       heap_members := (part, tbl) :: !heap_members;
       tbl
   in
-  List.iter
+  G.iter_nodes
     (fun node ->
       let p = G.payload node in
-      if p.discarded then begin
-        if p.queued then err "discarded node %s#%d still queued" p.name (G.id node);
-        if p.on_stack then
-          err "discarded node %s#%d flagged on_stack" p.name (G.id node)
-      end
+      if p.discarded then err "discarded node %s#%d still in the graph" p.name (G.id node)
       else begin
         if p.on_stack && not (List.mem (G.id node) stack_ids) then
           err "%s#%d flagged on_stack without a stack frame" p.name (G.id node);
@@ -1135,7 +1104,7 @@ let audit_errors_run t ~idle =
               p.name (G.id node)
         end
       end)
-    t.all_nodes;
+    t.graph;
   (* the dirty-list rule: every listed partition flagged, listed once *)
   if not t.settling then begin
     let rec check_list = function
@@ -1149,18 +1118,11 @@ let audit_errors_run t ~idle =
   end;
   (* the settle order: each listed heap is in heap order on its stored
      keys, and one keyed under the current order epoch stores current
-     keys — so its minimum is the queued node of least priority. Under
-     Fifo a node re-marked while a stale entry of it is still queued has
-     two entries with different stamps, so only the order is checked. *)
+     keys — so its minimum is the queued node of least priority *)
   let epoch = G.order_epoch t.graph in
-  let order_keyed =
-    match t.scheduling with
-    | Fifo -> false
-    | Creation_order | Topological -> true
-  in
   List.iter
     (fun part ->
-      try Heap.validate ~current:(order_keyed && part.keyed = epoch) part.queue
+      try Heap.validate ~current:(part.keyed = epoch) part.queue
       with Failure m -> err "inconsistent set out of priority order: %s" m)
     t.dirty_parts;
   if idle then begin
@@ -1208,16 +1170,14 @@ let degrade_to_exhaustive t =
       Telemetry.Degraded
         { steps = (match t.max_settle_steps with Some n -> n | None -> 0) });
   Log.debug (fun m -> m "watchdog: degrading to exhaustive recomputation");
-  List.iter
+  G.iter_nodes
     (fun node ->
       let p = G.payload node in
-      if not p.discarded then begin
-        p.queued <- false;
-        match p.kind with
-        | Instance inst -> inst.consistent <- false
-        | Storage -> ()
-      end)
-    t.all_nodes;
+      p.queued <- false;
+      match p.kind with
+      | Instance inst -> inst.consistent <- false
+      | Storage -> ())
+    t.graph;
   clear_dirty t;
   t.quarantined <- []
 
@@ -1557,6 +1517,14 @@ let discard t node =
   t.c_evictions <- t.c_evictions + 1;
   t.quarantined <- List.filter (fun n -> not (n == node)) t.quarantined;
   emit t (fun () -> Telemetry.Evicted { id = eid t node; name = p.name });
+  (* the cells it last wrote list it as a writer: unlist it, so nothing
+     in the engine keeps the instance (and its cached value) alive *)
+  G.iter_pred
+    (fun src ->
+      let sp = G.payload src in
+      if List.memq node sp.writers then
+        sp.writers <- List.filter (fun w -> w != node) sp.writers)
+    node;
   G.remove_node t.graph node
 
 let unchecked t f =
@@ -1604,8 +1572,7 @@ let reset_stats t = Array.iteri (fun i c -> t.base.(i) <- c.read t) counters
 
 let graph_stats t = G.stats t.graph
 
-let iter_nodes t f =
-  List.iter (fun n -> if not (G.payload n).discarded then f n) t.all_nodes
+let iter_nodes t f = G.iter_nodes f t.graph
 
 let node_kind node =
   match (G.payload node).kind with
@@ -1646,12 +1613,15 @@ let export t =
   (* node ids are written through [eid]: an engine that was itself
      restored re-exports the ids of the snapshot lineage it came from,
      so identities stay stable across restart chains *)
+  let nodes = ref [] in
+  G.iter_nodes (fun n -> nodes := n :: !nodes) t.graph;
   let nodes =
-    List.filter (fun n -> not (G.payload n).discarded) t.all_nodes
-    |> List.sort (fun a b ->
-           match compare (eid t a) (eid t b) with
-           | 0 -> compare (G.id a) (G.id b)
-           | c -> c)
+    List.sort
+      (fun a b ->
+        match compare (eid t a) (eid t b) with
+        | 0 -> compare (G.id a) (G.id b)
+        | c -> c)
+      !nodes
   in
   let node_json n =
     let p = G.payload n in

@@ -73,21 +73,6 @@ type strategy =
   | Demand  (** lazily update on calls (the [DEMAND] pragma argument) *)
   | Eager   (** update during propagation (the [EAGER] pragma argument) *)
 
-(** How the evaluator selects the next element of the inconsistent set —
-    §4.5's "selection of u from the set is done using an algorithm such
-    as [Hud86, Hoo86, Hoo87, AHR+90]". Correctness is order-independent
-    (a dirty dependency reached during an execution is recomputed on the
-    spot); the order governs how much redundant re-execution eager
-    propagation performs on diamond-shaped graphs. *)
-type scheduling =
-  | Creation_order
-      (** priorities fixed at node creation: dependencies discovered
-          during an execution drain before their consumer (default) *)
-  | Topological
-      (** creation priorities plus Pearce–Kelly restoration on every
-          order-violating edge, keeping the drain order topological *)
-  | Fifo  (** no priorities: first marked, first processed *)
-
 exception Cycle of string
 (** Raised when an incremental procedure instance (transitively) calls
     itself with identical arguments — e.g. a circular spreadsheet formula.
@@ -128,7 +113,6 @@ exception Cancelled of string
 val create :
   ?partitioning:bool ->
   ?default_strategy:strategy ->
-  ?scheduling:scheduling ->
   ?max_retries:int ->
   ?max_settle_steps:int ->
   ?max_stack_depth:int ->
@@ -139,8 +123,18 @@ val create :
     enables the dynamic union–find partitioning of §6.3: each call then
     propagates only the inconsistencies of the called node's partition.
     [default_strategy] (default [Demand]) applies to instances created
-    without an explicit strategy. [scheduling] (default
-    [Creation_order]) picks the inconsistent-set drain order.
+    without an explicit strategy.
+
+    The drain order (§4.5's "selection of u from the set") is fixed:
+    priorities come from node creation (a dependency created during an
+    execution drains before its consumer), and an edge recorded out of
+    that order into an [Eager] instance is repaired by Pearce–Kelly, so
+    eager propagation runs in topological order (§2: "the amount of
+    computation is minimized when done in a topological order"): on an
+    all-eager graph no instance runs twice in one settle. An
+    out-of-order edge into a [Demand] instance is left alone, since its
+    pop executes nothing; an eager reader of that instance may then run
+    twice. Correctness never depends on the order.
 
     Fault tolerance: [max_retries] (default 3, must be ≥ 1) is how many
     consecutive times an instance's execution may fail before it is
@@ -159,9 +153,6 @@ val default_strategy : t -> strategy
 
 val partitioning : t -> bool
 (** Whether §6.3 dynamic partitioning is enabled for this engine. *)
-
-val scheduling : t -> scheduling
-(** The inconsistent-set drain order this engine was created with. *)
 
 val max_retries : t -> int
 (** Consecutive execution failures before an instance is poisoned. *)
@@ -232,7 +223,9 @@ val removable : t -> node -> bool
 
 val discard : t -> node -> unit
 (** Removes an instance node from the graph (cache eviction). The caller
-    must have checked {!removable}. *)
+    must have checked {!removable}. Afterwards the engine holds no
+    reference to the node, so its [recompute] closure and what that
+    captures can be collected. *)
 
 (** {1 Control} *)
 
@@ -531,7 +524,8 @@ type stats = {
       (** edges whose source was ordered after its destination when added —
           how far the priority order strays from topological *)
   order_fixups : int;
-      (** Pearce–Kelly reorderings performed (Topological scheduling) *)
+      (** Pearce–Kelly reorderings performed: out-of-order edges into
+          [Eager] instances whose repair moved some priority *)
   evictions : int;
   failures : int;  (** executions that raised (excluding Cycle/Poisoned) *)
   retries : int;  (** quarantined instances re-marked for retry *)
@@ -560,7 +554,10 @@ val graph_stats : t -> Depgraph.Graph.stats
 (** Node/edge/order counters of the underlying arena graph. *)
 
 val iter_nodes : t -> (node -> unit) -> unit
-(** Iterates over all live nodes, for {!Inspect}. *)
+(** Iterates over all live nodes, for {!Inspect}: newest first in an
+    engine that never discarded a node. A {!discard}ed node is not
+    visited; the engine keeps no reference to it, so an evicted
+    instance's cached value can be collected. *)
 
 val node_kind : node -> [ `Storage | `Instance ]
 (** Whether the node is a storage location or an instance. *)

@@ -323,6 +323,11 @@ let iter_succ f n =
     f (handle t n.succ_node.(i))
   done
 
+let iter_nodes f t =
+  for s = t.slots - 1 downto 0 do
+    match t.handles.(s) with Some n -> f n | None -> ()
+  done
+
 let iter_pred f n =
   check_alive "Graph.iter_pred" n;
   let t = n.owner in

@@ -38,6 +38,12 @@ val create : unit -> 'a t
 
 (** {1 Nodes} *)
 
+val iter_nodes : ('a node -> unit) -> 'a t -> unit
+(** Applies a function to every live node, highest arena slot first —
+    newest first in a graph that never removed a node. Removed nodes are
+    not visited, so the graph holds no reference to them. The callback
+    must not add or remove nodes. *)
+
 val add_node : 'a t -> order_after:'a node option -> 'a -> 'a node
 (** [add_node t ~order_after:anchor payload] creates a node. Its priority is
     inserted immediately after [anchor]'s, or at the very end of the order

@@ -175,10 +175,8 @@ let cell_at t (c, r) =
     Hashtbl.add t.cells (c, r) cell;
     cell
 
-let create ?strategy ?scheduling ?partitioning () =
-  let eng =
-    Engine.create ?default_strategy:strategy ?scheduling ?partitioning ()
-  in
+let create ?strategy ?partitioning () =
+  let eng = Engine.create ?default_strategy:strategy ?partitioning () in
   let t = { eng; cells = Hashtbl.create 64; value_fn = None; journal = None } in
   (* the CellExp operation: read another cell's maintained value,
      converting a detected dependency cycle into an error value *)
@@ -490,12 +488,11 @@ let apply_op t op =
   | Some other -> bad ("unknown op " ^ other)
   | None -> bad "op missing"
 
-let workload ?strategy ?scheduling ?partitioning () : Alphonse.Tenant.workload
-    =
+let workload ?strategy ?partitioning () : Alphonse.Tenant.workload =
   {
     Alphonse.Tenant.w_make =
       (fun () ->
-        let t = create ?strategy ?scheduling ?partitioning () in
+        let t = create ?strategy ?partitioning () in
         {
           Alphonse.Tenant.s_engine = engine t;
           s_apply = (fun op -> apply_op t op);

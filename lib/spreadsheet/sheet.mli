@@ -38,12 +38,12 @@ type t
 
 val create :
   ?strategy:Alphonse.Engine.strategy ->
-  ?scheduling:Alphonse.Engine.scheduling ->
   ?partitioning:bool ->
   unit ->
   t
-(** [scheduling] selects the inconsistent-set drain order
-    ({!Alphonse.Engine.scheduling}; default [Creation_order]). *)
+(** [strategy] and [partitioning] configure the sheet's engine
+    ({!Alphonse.Engine.create}'s [default_strategy] and
+    [partitioning]). *)
 
 val engine : t -> Alphonse.Engine.t
 
@@ -112,7 +112,6 @@ val persist : t -> Alphonse.Durable.persistable
 
 val workload :
   ?strategy:Alphonse.Engine.strategy ->
-  ?scheduling:Alphonse.Engine.scheduling ->
   ?partitioning:bool ->
   unit ->
   Alphonse.Tenant.workload

@@ -23,7 +23,6 @@ module Binary = Attrgram.Binary
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
-let topological = Engine.Topological
 
 let check_audit what eng =
   match Engine.audit_errors eng with
@@ -76,8 +75,8 @@ let sweep (make : workload) () =
 
 (* A var/func diamond plus an independent component: marks, edges,
    settles, and — when partitioned — partition melds. *)
-let diamond ?scheduling ~strategy ~partitioning () =
-  let eng = Engine.create ?scheduling ~default_strategy:strategy ~partitioning () in
+let diamond ~strategy ~partitioning () =
+  let eng = Engine.create ~default_strategy:strategy ~partitioning () in
   let a = Var.create eng ~name:"a" 2 in
   let b = Var.create eng ~name:"b" 5 in
   let z = Var.create eng ~name:"z" 100 in
@@ -115,8 +114,8 @@ let diamond ?scheduling ~strategy ~partitioning () =
 (* The §7.2 spreadsheet. Queries record the incremental AND the
    exhaustive value of every cell, so convergence to the from-scratch
    specification is part of the oracle string itself. *)
-let sheet_workload ?scheduling () =
-  let s = S.create ?scheduling () in
+let sheet_workload () =
+  let s = S.create () in
   let cells = [ (0, 0); (0, 1); (0, 2); (1, 0); (1, 1) ] in
   (* A1 A2 A3 B1 B2 *)
   let play () =
@@ -147,8 +146,8 @@ let sheet_workload ?scheduling () =
 (* The §7.3 AVL tree: side-effecting maintained balancing. The prologue
    deletes the whole key universe so the scenario is idempotent even
    when a fault aborted the previous attempt midway. *)
-let avl_workload ?scheduling () =
-  let eng = Engine.create ?scheduling () in
+let avl_workload () =
+  let eng = Engine.create () in
   let t = Avl.create eng in
   let universe = [ 1; 2; 3; 5; 6; 7; 8; 9 ] in
   let play () =
@@ -176,8 +175,8 @@ let avl_workload ?scheduling () =
 (* Knuth's binary-numeral attribute grammar: inherited + synthesized
    attribute re-evaluation under edits, with the from-scratch reference
    folded into the oracle. Bit edits are idempotent sets (not flips). *)
-let attrgram_workload ?scheduling () =
-  let eng = Engine.create ?scheduling () in
+let attrgram_workload () =
+  let eng = Engine.create () in
   let g = Binary.create eng in
   let n = Binary.of_string g "1101.01" in
   let leaves = Array.of_list (Binary.bit_leaves n) in
@@ -763,10 +762,8 @@ let cancel_sweep
   let cancelled_trips = sweep 1 in
   checkb "sweep exercised at least one cancellation" true (cancelled_trips >= 1)
 
-let diamond_cancel ?scheduling ~strategy ?partitioning () =
-  let eng =
-    Engine.create ?scheduling ?partitioning ~default_strategy:strategy ()
-  in
+let diamond_cancel ~strategy ?partitioning () =
+  let eng = Engine.create ?partitioning ~default_strategy:strategy () in
   let a = Var.create eng ~name:"a" 2 in
   let b = Var.create eng ~name:"b" 5 in
   let z = Var.create eng ~name:"z" 100 in
@@ -788,8 +785,8 @@ let diamond_cancel ?scheduling ~strategy ?partitioning () =
   in
   (eng, snap, batch)
 
-let sheet_cancel ?scheduling ?partitioning () =
-  let s = S.create ?scheduling ?partitioning () in
+let sheet_cancel ?partitioning () =
+  let s = S.create ?partitioning () in
   S.set s "A1" "4";
   S.set s "A2" "=A1*A1";
   S.set s "A3" "=A2+A1";
@@ -804,8 +801,8 @@ let sheet_cancel ?scheduling ?partitioning () =
   in
   (S.engine s, snap, batch)
 
-let avl_cancel ?scheduling ?partitioning () =
-  let eng = Engine.create ?scheduling ?partitioning () in
+let avl_cancel ?partitioning () =
+  let eng = Engine.create ?partitioning () in
   let t = Avl.create eng in
   List.iter (fun k -> Avl.insert t k) [ 5; 2; 8; 1; 9 ];
   Avl.rebalance t;
@@ -882,28 +879,12 @@ let () =
             (sweep (diamond ~strategy:Engine.Demand ~partitioning:false));
           Alcotest.test_case "diamond (eager, partitioned)" `Quick
             (sweep (diamond ~strategy:Engine.Eager ~partitioning:true));
-          Alcotest.test_case "spreadsheet" `Quick (sweep (sheet_workload ?scheduling:None));
-          Alcotest.test_case "avl" `Quick (sweep (avl_workload ?scheduling:None));
+          Alcotest.test_case "spreadsheet" `Quick (sweep sheet_workload);
+          Alcotest.test_case "avl" `Quick (sweep avl_workload);
           Alcotest.test_case "attribute grammar" `Quick
-            (sweep (attrgram_workload ?scheduling:None));
-          (* The same per-poke sweeps under Topological scheduling,
-             whose Pearce–Kelly reorders move queued nodes' priorities
-             mid-settle: every fault site must fire, recover, and
-             converge there too. *)
-          Alcotest.test_case "diamond (eager, topological)" `Quick
-            (sweep
-               (diamond ~scheduling:topological ~strategy:Engine.Eager
-                  ~partitioning:false));
-          Alcotest.test_case "diamond (eager, partitioned, topological)" `Quick
-            (sweep
-               (diamond ~scheduling:topological ~strategy:Engine.Eager
-                  ~partitioning:true));
-          Alcotest.test_case "spreadsheet (topological)" `Quick
-            (sweep (sheet_workload ~scheduling:topological));
-          Alcotest.test_case "avl (topological)" `Quick
-            (sweep (avl_workload ~scheduling:topological));
-          Alcotest.test_case "attribute grammar (topological)" `Quick
-            (sweep (attrgram_workload ~scheduling:topological));
+            (sweep attrgram_workload);
+          Alcotest.test_case "diamond (eager)" `Quick
+            (sweep (diamond ~strategy:Engine.Eager ~partitioning:false));
         ] );
       ( "quarantine",
         [
@@ -930,20 +911,13 @@ let () =
       ( "budget",
         [
           Alcotest.test_case "cancel sweep: diamond (demand)" `Quick
-            (cancel_sweep
-               (diamond_cancel ?scheduling:None ~strategy:Engine.Demand));
+            (cancel_sweep (diamond_cancel ~strategy:Engine.Demand));
           Alcotest.test_case "cancel sweep: diamond (eager)" `Quick
-            (cancel_sweep
-               (diamond_cancel ?scheduling:None ~strategy:Engine.Eager));
-          Alcotest.test_case "cancel sweep: diamond (eager, topological)" `Quick
-            (cancel_sweep
-               (diamond_cancel ~scheduling:topological ~strategy:Engine.Eager));
+            (cancel_sweep (diamond_cancel ~strategy:Engine.Eager));
           Alcotest.test_case "cancel sweep: spreadsheet" `Quick
-            (cancel_sweep (sheet_cancel ?scheduling:None));
-          Alcotest.test_case "cancel sweep: spreadsheet (topological)" `Quick
-            (cancel_sweep (sheet_cancel ~scheduling:topological));
+            (cancel_sweep sheet_cancel);
           Alcotest.test_case "cancel sweep: avl" `Quick
-            (cancel_sweep (avl_cancel ?scheduling:None));
+            (cancel_sweep avl_cancel);
           Alcotest.test_case "expired deadline trips and rolls back" `Quick
             test_budget_deadline_expired;
           Alcotest.test_case "cancel flag preempts the settle" `Quick

@@ -7,6 +7,10 @@
      Theorem 5.1 checked by construction (Alphonse execution output equals
      conventional execution output) under all strategy/partitioning
      combinations.
+   - Random dependency DAGs of Func instances, created in a shuffled
+     order and driven by random writes: values equal exhaustive
+     recomputation, and on all-eager static shapes no instance runs
+     twice in one stabilize.
    - Oracle tests for the remaining substrate pieces: the closure-based
      hash table against Stdlib.Hashtbl, and the order-maintenance list
      under interleaved inserts and deletes. *)
@@ -278,6 +282,152 @@ let prop_schedule_theorem_5_1 =
             ]))
 
 (* ------------------------------------------------------------------ *)
+(* Generated dependency DAGs of Func instances                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Instance [i] reads inputs among the vars and the instances below
+   it, but only while its gate var is open: [(const + sum of the
+   inputs) mod 1000], or [const] with the gate shut. Instances are first
+   called in a shuffled order, gate as generated, so a consumer can be
+   created before its inputs and open its gate onto them later — an
+   edge recorded against the creation order, as in E14. *)
+type dag_input = In_var of int | In_fn of int
+
+type dag_fn = {
+  eager : bool;
+  gate0 : bool;
+  const : int;
+  inputs : dag_input list;
+}
+
+type dag_write = W_var of int * int | W_gate of int * bool
+
+type dag = {
+  nvars : int;
+  fns : dag_fn array;
+  creation : int list; (* the order of the first calls *)
+  rounds : dag_write list list; (* each round: writes, then stabilize *)
+}
+
+let dag_gen =
+  let open QCheck.Gen in
+  let* nvars = int_range 1 4 in
+  let* nfns = int_range 1 10 in
+  let* all_eager = bool in
+  let input i =
+    if i = 0 then map (fun v -> In_var v) (int_bound (nvars - 1))
+    else
+      frequency
+        [ (1, map (fun v -> In_var v) (int_bound (nvars - 1)));
+          (2, map (fun j -> In_fn j) (int_bound (i - 1))) ]
+  in
+  let fn i =
+    let* eager = if all_eager then return true else bool in
+    let* gate0 = frequencyl [ (1, true); (2, false) ] in
+    let* const = int_bound 9 in
+    let+ inputs = list_size (int_range 0 3) (input i) in
+    { eager; gate0; const; inputs }
+  in
+  let* fns = flatten_a (Array.init nfns fn) in
+  let* creation = shuffle_l (List.init nfns Fun.id) in
+  let write =
+    frequency
+      [ (3, map2 (fun v x -> W_var (v, x)) (int_bound (nvars - 1)) (int_bound 20));
+        (2, map2 (fun i b -> W_gate (i, b)) (int_bound (nfns - 1)) bool) ]
+  in
+  let+ rounds = list_size (int_range 1 12) (list_size (int_range 1 3) write) in
+  { nvars; fns; creation; rounds }
+
+let print_dag d =
+  let input = function In_var v -> Fmt.str "v%d" v | In_fn j -> Fmt.str "f%d" j in
+  let fn i f =
+    Fmt.str "f%d=%s%s %d+[%s]" i (if f.eager then "E" else "D")
+      (if f.gate0 then "" else " shut") f.const
+      (String.concat "," (List.map input f.inputs))
+  in
+  let write = function
+    | W_var (v, x) -> Fmt.str "v%d:=%d" v x
+    | W_gate (i, b) -> Fmt.str "g%d:=%b" i b
+  in
+  Fmt.str "%d vars; %s; created %s; rounds %s" d.nvars
+    (String.concat "; " (Array.to_list (Array.mapi fn d.fns)))
+    (String.concat "," (List.map string_of_int d.creation))
+    (String.concat " | "
+       (List.map (fun r -> String.concat "," (List.map write r)) d.rounds))
+
+let prop_dag_theorem_5_1 =
+  QCheck.Test.make ~name:"random DAGs: Theorem 5.1"
+    ~count:500
+    (QCheck.make ~print:print_dag dag_gen)
+    (fun d ->
+      let module Var = Alphonse.Var in
+      let module Func = Alphonse.Func in
+      let eng = Engine.create ~self_audit:true () in
+      let vars = Array.init d.nvars (fun _ -> Var.create eng 1) in
+      let gates = Array.map (fun f -> Var.create eng f.gate0) d.fns in
+      let runs = Array.make (Array.length d.fns) 0 in
+      let fns = Array.make (Array.length d.fns) None in
+      let call j = Func.call (Option.get fns.(j)) () in
+      Array.iteri
+        (fun i f ->
+          let strategy = if f.eager then Engine.Eager else Engine.Demand in
+          fns.(i) <-
+            Some
+              (Func.create eng ~strategy (fun _ () ->
+                   runs.(i) <- runs.(i) + 1;
+                   if Var.get gates.(i) then
+                     List.fold_left
+                       (fun acc -> function
+                         | In_var v -> acc + Var.get vars.(v)
+                         | In_fn j -> acc + call j)
+                       f.const f.inputs
+                     mod 1000
+                   else f.const)))
+        d.fns;
+      (* the specification: recompute every instance from the inputs *)
+      let rec exhaustive i =
+        let f = d.fns.(i) in
+        if Var.get gates.(i) then
+          List.fold_left
+            (fun acc -> function
+              | In_var v -> acc + Var.get vars.(v)
+              | In_fn j -> acc + exhaustive j)
+            f.const f.inputs
+          mod 1000
+        else f.const
+      in
+      let agree () =
+        List.for_all (fun i -> call i = exhaustive i)
+          (List.init (Array.length d.fns) Fun.id)
+      in
+      List.iter (fun i -> ignore (call i : int)) d.creation;
+      let all_eager = Array.for_all (fun f -> f.eager) d.fns in
+      let ok =
+        List.for_all
+          (fun writes ->
+            List.iter
+              (function
+                | W_var (v, x) -> Var.set vars.(v) x
+                | W_gate (i, b) -> Var.set gates.(i) b)
+              writes;
+            (* the shape is static unless a gate moved this round *)
+            let static =
+              List.for_all (function W_var _ -> true | W_gate _ -> false) writes
+            in
+            Array.fill runs 0 (Array.length runs) 0;
+            Engine.stabilize eng;
+            let once = Array.for_all (fun n -> n <= 1) runs in
+            if all_eager && static && not once then
+              QCheck.Test.fail_reportf "an instance ran %d times in one round"
+                (Array.fold_left max 0 runs);
+            agree ())
+          d.rounds
+      in
+      match Engine.audit_errors eng with
+      | [] -> ok
+      | errs -> QCheck.Test.fail_reportf "audit: %s" (String.concat "; " errs))
+
+(* ------------------------------------------------------------------ *)
 (* Substrate oracles                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -435,6 +585,7 @@ let () =
         qsuite
           [ prop_expr_oracle; prop_module_roundtrip; prop_schedule_theorem_5_1 ]
       );
+      ("engine", qsuite [ prop_dag_theorem_5_1 ]);
       ("substrate", qsuite [ prop_htbl_oracle; prop_order_list_with_deletes ]);
       ("json", qsuite [ prop_json_roundtrip ]);
     ]

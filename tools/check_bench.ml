@@ -82,7 +82,7 @@ let () =
   let names =
     List.filter_map (fun e -> Option.bind (member "name" e) to_str) exps
   in
-  let required = [ "E4"; "E6"; "E16"; "E17"; "E18"; "E20"; "E21" ] in
+  let required = [ "E4"; "E6"; "E14"; "E16"; "E17"; "E18"; "E20"; "E21" ] in
   let missing =
     List.filter
       (fun r ->
@@ -118,17 +118,16 @@ let () =
     | Some v, _, _ | _, Some v, _ | _, _, Some v -> Some v
     | None, None, None -> None
   in
-  let metric_value exp_name row_label =
+  let tables_of exp =
     let e =
-      get
-        (exp_name ^ " experiment")
+      get (exp ^ " experiment")
         (List.find_opt
-           (fun e -> Option.bind (member "name" e) to_str = Some exp_name)
+           (fun e -> Option.bind (member "name" e) to_str = Some exp)
            exps)
     in
-    let tables =
-      get (exp_name ^ " tables") (Option.bind (member "tables" e) to_list)
-    in
+    get (exp ^ " tables") (Option.bind (member "tables" e) to_list)
+  in
+  let metric_value exp_name row_label =
     let found =
       List.find_map
         (fun t ->
@@ -144,7 +143,7 @@ let () =
               | _ -> None)
             (Option.value ~default:[]
                (Option.bind (member "rows" t) to_list)))
-        tables
+        (tables_of exp_name)
     in
     match found with
     | Some v -> v
@@ -169,6 +168,48 @@ let () =
       "%s: E6 tracked/plain factor %.1fx exceeds the 20x gate (the arena \
        representation held this under 10x)"
       file e6_factor;
+  (* the index of column [name] in an [exp] table's [headers] *)
+  let column exp headers name =
+    let rec go i = function
+      | [] -> fail "%s: %s table lacks a %S column" file exp name
+      | h :: _ when h = name -> i
+      | _ :: rest -> go (i + 1) rest
+    in
+    go 0 headers
+  in
+  let int_of_cell exp s =
+    match int_of_string_opt s with
+    | Some n -> n
+    | None -> fail "%s: %s cell %S is not an integer" file exp s
+  in
+  (* E14 carries §2's claim that a topological drain order minimises
+     computation: on its eager diamonds no instance runs more than once
+     per change, so the re-executions may not exceed the bound printed
+     beside them (instances x rounds). *)
+  let e14_rows = ref 0 in
+  List.iter
+    (fun t ->
+      let headers =
+        List.filter_map to_str
+          (get "E14 headers" (Option.bind (member "headers" t) to_list))
+      in
+      let ri = column "E14" headers "re-executions"
+      and bi = column "E14" headers "bound (instances x rounds)" in
+      List.iter
+        (fun row ->
+          incr e14_rows;
+          let cells = List.filter_map to_str (get "E14 row" (to_list row)) in
+          let re = int_of_cell "E14" (List.nth cells ri)
+          and bound = int_of_cell "E14" (List.nth cells bi) in
+          if re > bound then
+            fail
+              "%s: E14 re-executions %d exceed the bound of one execution \
+               per instance per round (%d): the drain order is not \
+               topological"
+              file re bound)
+        (get "E14 rows" (Option.bind (member "rows" t) to_list)))
+    (tables_of "E14");
+  if !e14_rows = 0 then fail "%s: E14 present but has no rows" file;
   let speedup_of s =
     (* "3.68x" -> 3.68 *)
     let s = String.trim s in
@@ -186,13 +227,7 @@ let () =
      baseline, and make sure both configs actually appear (a bench edit
      that drops the enabled rows would hide a regression in the
      instrumented path's plausibility). *)
-  let e20 =
-    get "E20 experiment"
-      (List.find_opt
-         (fun e -> Option.bind (member "name" e) to_str = Some "E20")
-         exps)
-  in
-  let tables = get "E20 tables" (Option.bind (member "tables" e20) to_list) in
+  let tables = tables_of "E20" in
   let disabled_rows = ref 0 and enabled_rows = ref 0 in
   List.iter
     (fun t ->
@@ -200,14 +235,7 @@ let () =
         List.filter_map to_str
           (get "E20 headers" (Option.bind (member "headers" t) to_list))
       in
-      let idx name =
-        let rec go i = function
-          | [] -> fail "%s: E20 table lacks a %S column" file name
-          | h :: _ when h = name -> i
-          | _ :: rest -> go (i + 1) rest
-        in
-        go 0 headers
-      in
+      let idx = column "E20" headers in
       let ci = idx "config" and oi = idx "overhead" and mi = idx "mode" in
       let rows = get "E20 rows" (Option.bind (member "rows" t) to_list) in
       List.iter
@@ -240,13 +268,7 @@ let () =
      accepting work — a 2x row with shed = 0 means the bench stopped
      creating overload, and ok = 0 means the daemon stalled instead of
      degrading. *)
-  let e21 =
-    get "E21 experiment"
-      (List.find_opt
-         (fun e -> Option.bind (member "name" e) to_str = Some "E21")
-         exps)
-  in
-  let tables = get "E21 tables" (Option.bind (member "tables" e21) to_list) in
+  let tables = tables_of "E21" in
   let saw_1x = ref false and saw_2x = ref false in
   List.iter
     (fun t ->
@@ -254,14 +276,7 @@ let () =
         List.filter_map to_str
           (get "E21 headers" (Option.bind (member "headers" t) to_list))
       in
-      let idx name =
-        let rec go i = function
-          | [] -> fail "%s: E21 table lacks a %S column" file name
-          | h :: _ when h = name -> i
-          | _ :: rest -> go (i + 1) rest
-        in
-        go 0 headers
-      in
+      let idx = column "E21" headers in
       let li = idx "load"
       and ni = idx "tenants"
       and oi = idx "ok"
@@ -271,11 +286,7 @@ let () =
         (fun row ->
           let cells = List.filter_map to_str (get "E21 row" (to_list row)) in
           let cell i = List.nth cells i in
-          let int_cell i =
-            match int_of_string_opt (cell i) with
-            | Some n -> n
-            | None -> fail "%s: E21 cell %S is not an integer" file (cell i)
-          in
+          let int_cell i = int_of_cell "E21" (cell i) in
           if int_cell ni < 1000 then
             fail "%s: E21 ran %s tenant(s); the claim needs >= 1000" file
               (cell ni);
