@@ -87,15 +87,10 @@ let fuel_arg =
 
 let log_arg =
   let doc =
-    "Stream the engine's decisions (marks, re-executions, settle steps)      to stderr while running — the alphonse.engine Logs source at Debug."
+    "Stream the engine's decisions (marks, executions, settle pops, \
+     budget trips) to stderr while running, one telemetry event a line."
   in
   Arg.(value & flag & info [ "log" ] ~doc)
-
-let setup_log enabled =
-  if enabled then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.Src.set_level Engine.log_src (Some Logs.Debug)
-  end
 
 let trace_arg =
   let doc =
@@ -150,8 +145,8 @@ let emit_profile ~ppf profile tm =
 
 (* The flight recorder is always on: even without --trace/--profile the
    engine keeps a small bounded telemetry window, and an anomaly — a
-   quarantine, a poisoning, a watchdog degradation, a degraded crash
-   recovery — dumps it as a timestamped incident report. *)
+   quarantine, a poisoning, a degraded crash recovery — dumps it as a
+   timestamped incident report. *)
 let incidents_arg =
   let doc =
     "Directory for flight-recorder incident reports (created on the \
@@ -349,7 +344,6 @@ let lint_cmd =
 let run_cmd =
   let run path conventional strategy partitioning fuel log trace profile
       fault_seed audit incidents =
-    setup_log log;
     with_module path (fun env ->
         if conventional then begin
           let out = Interp.run ~fuel env in
@@ -373,6 +367,10 @@ let run_cmd =
           (* an always-on registry too, so an incident report carries the
              counters at the moment of the trigger *)
           let reg = Metrics.create () in
+          (* before arming the flight recorder, which chains onto it *)
+          if log then
+            Telemetry.set_sink tm
+              (Some (Fmt.epr "%a@." Telemetry.pp_record));
           arm_flight ~metrics:reg ~incidents tm;
           let tm = Some tm in
           let out =
@@ -897,6 +895,9 @@ let recover_cmd =
 let daemon_cmd =
   let run port metrics_port state ephemeral wal max_tenants tenant_queue
       global_queue max_settles deadline_ms =
+    (* the daemon's and tenants' warnings (an open circuit, a failed
+       checkpoint, requests still in flight at drain) go to stderr *)
+    Logs.set_reporter (Logs_fmt.reporter ());
     let reg = Metrics.create () in
     let base = Daemon.default_config ~root:state () in
     let cfg =

@@ -29,7 +29,6 @@ module Func = Func
 module Policy = Policy
 module Inspect = Inspect
 module Telemetry = Telemetry
-module Audit = Audit
 module Faults = Faults
 module Json = Json
 module Wal = Wal

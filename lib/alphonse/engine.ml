@@ -2,20 +2,6 @@ module G = Depgraph.Graph
 module Heap = Depgraph.Flat_heap
 module Uf = Depgraph.Union_find
 
-(* Tracing: `Logs.Src.set_level Engine.log_src (Some Debug)` (or the
-   alphonsec --trace flag) streams the engine's decisions — marks,
-   (re-)executions, settle pops — the observability counterpart of the
-   paper's §10 debugging remark. Disabled, the cost is one branch. *)
-let log_src = Logs.Src.create "alphonse.engine" ~doc:"Alphonse engine tracing"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-(* Without flambda, [Log.debug (fun m -> ...)] allocates its callback
-   closure even when tracing is off (the arguments it captures are
-   real). Hot sites ask first; one load and branch when disabled. *)
-let[@inline] dbg_on () =
-  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
-
 type strategy = Demand | Eager
 
 exception Cycle of string
@@ -25,10 +11,9 @@ exception Watchdog of string
 exception Cancelled of string
 
 (* The settle-step clock: advanced by exactly one site ([step]) and
-   never reset. Every step limit is a comparison against a mark taken
-   on this clock when the limited span starts: the [max_settle_steps]
-   watchdog (per settle session), a [Budget] step cap (per arming) and
-   [settle_bounded]'s [max_steps] (per call). It is also the
+   never reset. Both step limits are a comparison against a mark taken
+   on this clock when the limited span starts: a [Budget] step cap (per
+   arming) and [settle_bounded]'s [max_steps] (per call). It is also the
    [settle_steps] counter. A record of its own so an armed budget can
    read it without the engine. *)
 type clock = { mutable ticks : int }
@@ -50,13 +35,7 @@ module Budget = struct
     cancel : bool Atomic.t;
   }
 
-  let create ?deadline ?deadline_in ?max_steps () =
-    let deadline =
-      match (deadline, deadline_in) with
-      | Some d, _ -> Some d
-      | None, Some dt -> Some (Unix.gettimeofday () +. dt)
-      | None, None -> None
-    in
+  let create ?deadline ?max_steps () =
     (match max_steps with
     | Some n when n < 1 ->
       invalid_arg "Engine.Budget.create: max_steps must be >= 1"
@@ -199,7 +178,6 @@ type t = {
   use_partitions : bool;
   strategy0 : strategy;
   max_retries : int;
-  max_settle_steps : int option;
   max_stack_depth : int option;
   (* the call-stack discipline of Algorithm 5 *)
   mutable stack : frame list;
@@ -209,7 +187,6 @@ type t = {
   mutable exec_serial : int; (* the last execution's stamp *)
   mutable settling : bool;
   clock : clock; (* settle steps, never reset *)
-  mutable session_mark : int; (* [clock] at the running session's start *)
   mutable budget : Budget.t option; (* cooperative deadline/step budget *)
   mutable dirty_parts : partition list;
   mutable skipped : nd list;
@@ -302,7 +279,10 @@ let counters =
     c "rollbacks" (fun t -> t.c_rollbacks)
       ~series:("rollbacks_total", [], "transactions rolled back");
     c "degradations" (fun t -> t.c_degradations)
-      ~series:("degradations_total", [], "watchdog degradations to exhaustive");
+      ~series:
+        ( "degradations_total",
+          [],
+          "degradations to exhaustive recomputation" );
     c "audits" (fun t -> t.c_audits);
     c "cutoffs" (fun t -> t.c_cutoffs)
       ~series:
@@ -317,8 +297,7 @@ let counters =
   |]
 
 let create ?(partitioning = false) ?(default_strategy = Demand)
-    ?(max_retries = 3) ?max_settle_steps ?max_stack_depth
-    ?(self_audit = false) () =
+    ?(max_retries = 3) ?max_stack_depth () =
   if max_retries < 1 then invalid_arg "Engine.create: max_retries must be >= 1";
   let graph = G.create () in
   {
@@ -329,7 +308,6 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     use_partitions = partitioning;
     strategy0 = default_strategy;
     max_retries;
-    max_settle_steps;
     max_stack_depth;
     stack = [];
     stack_depth = 0;
@@ -338,7 +316,6 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     exec_serial = 0;
     settling = false;
     clock = { ticks = 0 };
-    session_mark = 0;
     budget = None;
     dirty_parts = [];
     skipped = [];
@@ -351,7 +328,7 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     journal = None;
     quick = true;
     stable_ids = None;
-    self_audit;
+    self_audit = false;
     c_executions = 0;
     c_first = 0;
     c_hits = 0;
@@ -462,7 +439,7 @@ let[@inline] budget_check t =
   | Some b ->
     let trip reason =
       t.c_cancellations <- t.c_cancellations + 1;
-      Log.debug (fun m -> m "budget tripped: %s" reason);
+      emit t (fun () -> Telemetry.Budget_tripped { reason });
       raise (Cancelled reason)
     in
     if Atomic.get b.Budget.cancel then trip "cancelled";
@@ -476,7 +453,7 @@ let[@inline] budget_check t =
 
 (* Arming marks the engine clock; disarming folds the steps since into
    the budget, so it is charged exactly the steps taken while armed. *)
-let set_budget t b =
+let arm_budget t b =
   Option.iter Budget.disarm t.budget;
   Option.iter (fun b -> Budget.arm b t.clock) b;
   t.budget <- b
@@ -485,8 +462,8 @@ let budget t = t.budget
 
 let with_budget t b f =
   let saved = t.budget in
-  set_budget t (Some b);
-  Fun.protect ~finally:(fun () -> set_budget t saved) f
+  arm_budget t (Some b);
+  Fun.protect ~finally:(fun () -> arm_budget t saved) f
 
 let default_strategy t = t.strategy0
 let partitioning t = t.use_partitions
@@ -599,8 +576,6 @@ let mark_caused t ~caused cause node =
     (* before any mutation: a fault here is a clean no-op, and callers
        that must not lose the mark redo it under [masked] *)
     poke t "mark";
-    if dbg_on () then
-      Log.debug (fun m -> m "mark inconsistent: %s#%d" p.name (G.id node));
     if tele_on t then
       emit t (fun () ->
           Telemetry.Marked
@@ -806,9 +781,6 @@ let record_failure t node p (inst : instance) e =
       t.c_poisonings <- t.c_poisonings + 1;
       inst.poison <- Some e;
       t.quarantined <- List.filter (fun n -> not (n == node)) t.quarantined;
-      Log.debug (fun m ->
-          m "poisoned after %d failures: %s#%d" inst.failures p.name
-            (G.id node));
       emit t (fun () ->
           Telemetry.Instance_poisoned
             { id = eid t node; name = p.name; error = Printexc.to_string e })
@@ -979,11 +951,6 @@ let run_instance t node p inst =
     emit t (fun () ->
         Telemetry.Exec_end
           { id = eid t node; name = p.name; changed; ok = true });
-  if dbg_on () then
-    Log.debug (fun m ->
-        m "%s: %s#%d (changed=%b)"
-          (if inst.ever_ran then "re-executed" else "first execution")
-          p.name (G.id node) changed);
   t.c_executions <- t.c_executions + 1;
   if not inst.ever_ran then t.c_first <- t.c_first + 1
   else if not changed then
@@ -1161,15 +1128,12 @@ let clear_dirty t =
     t.dirty_parts;
   t.dirty_parts <- []
 
-(* Give up incrementality rather than spin: forget all pending marks and
-   flag every instance inconsistent, so each next demand recomputes from
-   scratch — the exhaustive semantics, guaranteed to terminate. *)
+(* Give up incrementality: forget all pending marks and flag every
+   instance inconsistent, so each next demand recomputes from scratch —
+   the exhaustive semantics. [Durable] recovery takes this when it
+   cannot trust its replay. *)
 let degrade_to_exhaustive t =
   t.c_degradations <- t.c_degradations + 1;
-  emit t (fun () ->
-      Telemetry.Degraded
-        { steps = (match t.max_settle_steps with Some n -> n | None -> 0) });
-  Log.debug (fun m -> m "watchdog: degrading to exhaustive recomputation");
   G.iter_nodes
     (fun node ->
       let p = G.payload node in
@@ -1189,48 +1153,29 @@ let degrade_to_exhaustive t =
    left inconsistent but unqueued: it degrades to demand recomputation
    (the next read re-attempts it) instead of being retried by settles. *)
 let process_guarded t node p =
-  match process_inconsistent t node p with
-  | () -> ()
-  | exception ((Audit_failure _ | Cancelled _) as e) ->
+  try process_inconsistent t node p with
+  | (Audit_failure _ | Cancelled _) as e ->
     (* a budget trip aborts the whole settle, it is not an instance
        failure to quarantine — the node was re-marked inconsistent by
        the failure path, so nothing is lost *)
     raise e
-  | exception e ->
-    Log.debug (fun m ->
-        m "settle: %s#%d failed (%s); %s" p.name (G.id node)
-          (Printexc.to_string e)
-          (if List.memq node t.quarantined then
-             "quarantined (retried at the next settle)"
-           else if poisoned t node then "poisoned"
-           else "structural failure: degrades to demand recomputation"))
+  | _ -> ()
 
 (* One settle step (§4.5) on [node]: queued, not on the call stack, and
    still in its heap. The drain calls it before taking the node, so a
    fault or a budget trip here leaves the node queued. The clock tick
-   is the only per-step count; the [max_settle_steps] watchdog compares
-   the clock with the session's mark and, when it trips, degrades to
-   exhaustive evaluation and answers [false] (every heap is then
-   empty). *)
+   is the only per-step count. *)
 let step t node p =
   poke t "settle-pop";
   budget_check t;
-  match t.max_settle_steps with
-  | Some n when t.clock.ticks - t.session_mark >= n ->
-    degrade_to_exhaustive t;
-    false
-  | _ ->
-    if dbg_on () then Log.debug (fun m -> m "settle: %s#%d" p.name (G.id node));
-    if tele_on t then
-      emit t (fun () ->
-          Telemetry.Settle_pop { id = eid t node; name = p.name });
-    p.queued <- false;
-    (* the step consumes the mark: inside a transaction, log its
-       restoration so a rollback cannot strand a node that was queued
-       before the batch began *)
-    log_remark t node;
-    t.clock.ticks <- t.clock.ticks + 1;
-    true
+  if tele_on t then
+    emit t (fun () -> Telemetry.Settle_pop { id = eid t node; name = p.name });
+  p.queued <- false;
+  (* the step consumes the mark: inside a transaction, log its
+     restoration so a rollback cannot strand a node that was queued
+     before the batch began *)
+  log_remark t node;
+  t.clock.ticks <- t.clock.ticks + 1
 
 (* The drain: process [part]'s heap in priority order until it is empty
    ([true]) or the clock reaches [stop] at a node still to process
@@ -1261,13 +1206,13 @@ let rec drain t part stop =
       drain t part stop
     end
     else if t.clock.ticks >= stop then false
-    else if step t node p then begin
+    else begin
+      step t node p;
       Heap.drop_min part.queue;
       process_guarded t node p;
       if t.self_audit then audit_step t;
       drain t part stop
     end
-    else true
   end
 
 let requeue_skipped t =
@@ -1311,13 +1256,11 @@ and walk_pass t stop = function
     walk_pass t stop rest
 
 (* Every step runs inside a settle session: [settling] is set while it
-   runs (calls made inside force instead of re-entering it), and the
-   watchdog's mark is taken at its start. *)
-(* The session. [~all] walks the dirty list; otherwise only
-   [part] drains — the demand settle of [on_call]. *)
+   runs (calls made inside force instead of re-entering it). [~all]
+   walks the dirty list; otherwise only [part] drains — the demand
+   settle of [on_call]. *)
 let session t ~all part stop =
   t.settling <- true;
-  t.session_mark <- t.clock.ticks;
   match if all then walk t stop else drain_partition t part stop with
   | quiet ->
     t.settling <- false;

@@ -29,18 +29,15 @@
 type t
 (** An engine instance. Distinct engines are fully independent. *)
 
-val log_src : Logs.src
-(** The engine's tracing source ("alphonse.engine"): set it to [Debug]
-    to stream marks, (re-)executions and settle pops — the observability
-    counterpart of the paper's §10 debugging remark. For structured
-    (machine-readable) telemetry use {!set_telemetry} instead. *)
-
 val set_telemetry : t -> Telemetry.t option -> unit
 (** Attaches (or detaches) a structured telemetry recorder: the engine
     then emits a {!Telemetry.event} per decision — creations, marks,
     execution begin/end, cache hits, settle pops, edges, unions,
-    evictions. With [None] (the default) every instrumentation site is a
-    single predictable branch and allocates nothing. *)
+    evictions, budget trips — the observability counterpart of the
+    paper's §10 debugging remark. A {!Telemetry.sink} streams them as
+    they happen ([alphonsec run --log] prints each to stderr). With
+    [None] (the default) every instrumentation site is a single
+    predictable branch and allocates nothing. *)
 
 val telemetry : t -> Telemetry.t option
 (** The attached recorder, or [None]. *)
@@ -114,9 +111,7 @@ val create :
   ?partitioning:bool ->
   ?default_strategy:strategy ->
   ?max_retries:int ->
-  ?max_settle_steps:int ->
   ?max_stack_depth:int ->
-  ?self_audit:bool ->
   unit ->
   t
 (** [create ()] makes a fresh engine. [partitioning] (default [false])
@@ -138,15 +133,9 @@ val create :
 
     Fault tolerance: [max_retries] (default 3, must be ≥ 1) is how many
     consecutive times an instance's execution may fail before it is
-    poisoned ({!Poisoned}). [max_settle_steps] (unset by default) is a
-    watchdog on a single settle session (one {!stabilize} or
-    {!settle_bounded} call, or the settle a call runs on its
-    partition): propagation exceeding it degrades to
-    exhaustive recomputation ({!degrade_to_exhaustive}) instead of
-    spinning. [max_stack_depth] (unset by default) bounds the
-    incremental call stack; exceeding it raises {!Watchdog}.
-    [self_audit] (default [false]) runs {!audit} after every settle
-    step. *)
+    poisoned ({!Poisoned}). [max_stack_depth] (unset by default) bounds
+    the incremental call stack; exceeding it raises {!Watchdog}.
+    {!set_self_audit} turns on an {!audit} after every settle step. *)
 
 val default_strategy : t -> strategy
 (** The strategy applied to instances created without an explicit one. *)
@@ -248,12 +237,11 @@ val settle_bounded : t -> max_steps:int -> bool
     ("the evaluation routine should be called whenever cycles are
     available … and can be preempted when necessary").
 
-    Three limits count settle steps, and all three count the same ones
-    — the pops that {!type:stats}'s [settle_steps] reports, each
-    counted once however many limits are running: [max_settle_steps]
-    (of {!create}) per settle session, degrading to exhaustive
-    evaluation; a {!Budget} step cap per arming, raising {!Cancelled};
-    and [max_steps] here per call, returning [false]. *)
+    Two limits count settle steps, and both count the same ones — the
+    pops that {!type:stats}'s [settle_steps] reports, each counted once
+    however many limits are running: a {!Budget} step cap per arming,
+    raising {!Cancelled}; and [max_steps] here per call, returning
+    [false]. *)
 
 (** {1 Deadlines and cooperative cancellation}
 
@@ -268,14 +256,12 @@ val settle_bounded : t -> max_steps:int -> bool
 module Budget : sig
   type t
 
-  val create :
-    ?deadline:float -> ?deadline_in:float -> ?max_steps:int -> unit -> t
-  (** [deadline] is absolute (the [Unix.gettimeofday] timeline);
-      [deadline_in] is relative to now — [deadline] wins when both are
-      given. [max_steps] caps the settle steps charged to this budget
-      across every settle it is armed for (must be [>= 1]) — the same
-      steps [max_settle_steps] and {!settle_bounded} count. With no
-      arguments the budget only trips via {!cancel}. *)
+  val create : ?deadline:float -> ?max_steps:int -> unit -> t
+  (** [deadline] is absolute (the [Unix.gettimeofday] timeline).
+      [max_steps] caps the settle steps charged to this budget across
+      every settle it is armed for (must be [>= 1]) — the same steps
+      {!settle_bounded} counts. With no arguments the budget only trips
+      via {!cancel}. *)
 
   val cancel : t -> unit
   (** Request cancellation; thread/domain-safe. The owning engine
@@ -288,20 +274,19 @@ module Budget : sig
   val deadline : t -> float option
 end
 
-val set_budget : t -> Budget.t option -> unit
-(** Arm (or disarm, with [None]) the engine's budget. Checked at every
-    settle-step boundary of every settle flavour (full, bounded, the
-    partition settle of a call), before the pop — so a trip leaves all pending work
-    queued and resumable. A budget counts the steps of one engine at a
-    time: arming it on another engine stops the count on the first. *)
-
 val budget : t -> Budget.t option
 (** The currently armed budget, or [None]. *)
 
 val with_budget : t -> Budget.t -> (unit -> 'a) -> 'a
 (** [with_budget t b f] runs [f] with [b] armed, restoring the previous
     budget on return or raise. The daemon wraps each request batch:
-    [with_budget eng b (fun () -> transact eng batch)]. *)
+    [with_budget eng b (fun () -> transact eng batch)]. The budget is
+    checked at every settle-step boundary of every settle flavour
+    (full, bounded, the partition settle of a call), before the pop —
+    so a trip leaves all pending work queued and resumable; each trip
+    emits a {!Telemetry.Budget_tripped} event. A budget counts the steps
+    of one engine at a time: arming it on another engine stops the
+    count on the first. *)
 
 (** {1 Fault tolerance} *)
 
@@ -358,10 +343,10 @@ val degrade_to_exhaustive : t -> unit
 (** Abandons incrementality for the pending work: clears every
     inconsistent set and flags every instance inconsistent, so each next
     demand recomputes from scratch (the exhaustive semantics, guaranteed
-    to terminate). Called automatically when the [max_settle_steps]
-    watchdog trips. *)
+    to terminate). {!Durable} recovery calls it when it cannot trust
+    its replay. *)
 
-(** {1 Invariant auditor (engine half of {!Alphonse.Audit})} *)
+(** {1 Invariant auditor} *)
 
 val audit : t -> unit
 (** Checks the coherence of the engine's metadata: graph link symmetry,
@@ -376,8 +361,9 @@ val audit_errors : t -> string list
 (** Non-raising {!audit}: the violated invariants, [[]] when coherent. *)
 
 val set_self_audit : t -> bool -> unit
-(** Toggles auditing after every settle step (see [create]'s
-    [self_audit]). *)
+(** Toggles auditing after every settle step (off in a new engine):
+    each step then runs {!audit}, so the first incoherence raises
+    {!Audit_failure} from the settle that caused it. *)
 
 val self_audit : t -> bool
 (** Whether per-settle-step auditing is currently enabled. *)
@@ -531,7 +517,8 @@ type stats = {
   retries : int;  (** quarantined instances re-marked for retry *)
   poisonings : int;  (** instances that exhausted their retry budget *)
   rollbacks : int;  (** transactions rolled back *)
-  degradations : int;  (** watchdog degradations to exhaustive mode *)
+  degradations : int;
+      (** {!degrade_to_exhaustive} calls (degraded crash recoveries) *)
   audits : int;  (** auditor runs (on demand or per-step) *)
   cutoffs : int;
       (** re-executions that left the value unchanged, so propagation

@@ -2,8 +2,7 @@
    stream.
 
    [arm] chains a sink onto a recorder. On every anomalous event — a
-   quarantine, a poisoning, a watchdog degradation, a degraded crash
-   recovery — it dumps an incident report: the last window of telemetry
+   quarantine, a poisoning, a degraded crash recovery — it dumps an incident report: the last window of telemetry
    events, a metrics snapshot (when a registry is armed alongside), and
    the provenance chain ([why_recomputed]) of the node that failed, into
    one timestamped JSON file. The report is written from state already
@@ -29,13 +28,11 @@ type t = {
                              but stay safe if that ever changes *)
 }
 
-let triggers =
-  [ "quarantine"; "poison"; "watchdog-degradation"; "recovery-degradation" ]
+let triggers = [ "quarantine"; "poison"; "recovery-degradation" ]
 
 let trigger_of_event = function
   | Telemetry.Quarantined _ -> Some "quarantine"
   | Telemetry.Instance_poisoned _ -> Some "poison"
-  | Telemetry.Degraded _ -> Some "watchdog-degradation"
   | Telemetry.Recovery_finished { degraded = true; _ } ->
     Some "recovery-degradation"
   | _ -> None

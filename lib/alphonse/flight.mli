@@ -3,12 +3,11 @@
     The bounded telemetry ring already holds "the last N things the
     engine did"; this module turns it into a flight recorder. {!arm}
     chains a sink onto a {!Telemetry} recorder that watches for
-    anomalous events — a quarantine, a poisoning, a watchdog
-    degradation, a degraded crash recovery — and, when one fires,
-    writes an {e incident report}: a timestamped JSON file carrying the
-    trigger, the tail of the event window, a metrics snapshot (when a
-    registry is supplied) and the {!Telemetry.why_recomputed}
-    provenance chain of the failed node.
+    anomalous events — a quarantine, a poisoning, a degraded crash
+    recovery — and, when one fires, writes an {e incident report}: a
+    timestamped JSON file carrying the trigger, the tail of the event
+    window, a metrics snapshot (when a registry is supplied) and the
+    {!Telemetry.why_recomputed} provenance chain of the failed node.
 
     Steady-state cost while armed is one sink call per event; file I/O
     happens only when something has already gone wrong. Reports are

@@ -240,8 +240,9 @@ let pp_quantile ppf q =
   else if q < 1. then Fmt.pf ppf "%4.1fms" (q *. 1e3)
   else Fmt.pf ppf "%5.2fs" q
 
-(** {!Telemetry.pp_profile} extended with estimated p50/p90/p99
-    settle-latency columns (what [alphonsec profile --top] prints). *)
+(** The per-instance profile table: executions, re-executions, marks,
+    self and total time, and estimated p50/p90/p99 settle latency (what
+    [alphonsec profile --top] and [run --profile] print). *)
 let pp_profile_quantiles ?top ppf (profiles : Telemetry.instance_profile list)
     =
   let profiles =

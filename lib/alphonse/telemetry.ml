@@ -42,8 +42,8 @@ type event =
   | Txn_begin
   | Txn_commit of { marks : int }
   | Txn_rollback of { undone : int; remarked : int }
-  | Degraded of { steps : int }
-      (* settle-step watchdog tripped: degraded to exhaustive mode *)
+  | Budget_tripped of { reason : string }
+      (* the armed budget cancelled the settle *)
   | Audit_run of { ok : bool; errors : int }
   | Fault_injected of { site : string }
   (* durability *)
@@ -161,8 +161,7 @@ let pp_event ppf = function
   | Txn_commit { marks } -> Fmt.pf ppf "txn-commit (%d marks)" marks
   | Txn_rollback { undone; remarked } ->
     Fmt.pf ppf "txn-rollback (%d undone, %d remarked)" undone remarked
-  | Degraded { steps } ->
-    Fmt.pf ppf "degraded to exhaustive (watchdog after %d steps)" steps
+  | Budget_tripped { reason } -> Fmt.pf ppf "budget tripped (%s)" reason
   | Audit_run { ok; errors } ->
     if ok then Fmt.string ppf "audit ok"
     else Fmt.pf ppf "audit FAILED (%d error(s))" errors
@@ -277,8 +276,8 @@ let trace_records ?(meta = []) records =
           ("undone", Json.Num (float_of_int undone));
           ("remarked", Json.Num (float_of_int remarked));
         ]
-    | Degraded { steps } ->
-      instant "degraded" "fault" [ ("steps", Json.Num (float_of_int steps)) ]
+    | Budget_tripped { reason } ->
+      instant "budget-tripped" "fault" [ ("reason", Json.Str reason) ]
     | Audit_run { ok; errors } ->
       instant "audit" "audit"
         [ ("ok", Json.Bool ok); ("errors", Json.Num (float_of_int errors)) ]
@@ -366,10 +365,8 @@ let to_chrome_trace t =
 (* Settle latency — the delay between a node being marked inconsistent
    and its next (re-)execution — bucketed by decade. *)
 let latency_buckets = 7
-let bucket_labels =
-  [| "<1us"; "<10us"; "<100us"; "<1ms"; "<10ms"; "<100ms"; ">=100ms" |]
 
-(* upper bounds of the buckets above, [Metrics.quantile] convention:
+(* upper bounds of the buckets, [Metrics.quantile] convention:
    counts.(i) holds the latencies below bucket_bounds.(i) *)
 let bucket_bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; infinity |]
 
@@ -390,7 +387,7 @@ type instance_profile = {
   self_time : float;  (** [total_time] minus nested executions *)
   marks : int;
   cache_hits : int;
-  latency : int array;  (** settle-latency histogram, [bucket_labels] *)
+  latency : int array;  (** settle-latency histogram, [bucket_bounds] *)
 }
 
 let profile t =
@@ -473,35 +470,6 @@ let profile t =
          match compare b.self_time a.self_time with
          | 0 -> compare a.id b.id
          | c -> c)
-
-let pp_latency ppf hist =
-  let printed = ref false in
-  Array.iteri
-    (fun i n ->
-      if n > 0 then begin
-        if !printed then Fmt.sp ppf ();
-        Fmt.pf ppf "%s:%d" bucket_labels.(i) n;
-        printed := true
-      end)
-    hist;
-  if not !printed then Fmt.string ppf "-"
-
-let pp_profile ?top ppf profiles =
-  let profiles =
-    match top with
-    | Some n -> List.filteri (fun i _ -> i < n) profiles
-    | None -> profiles
-  in
-  Fmt.pf ppf "@[<v>%-28s %6s %6s %6s %10s %10s  %s@,"
-    "instance" "execs" "re-ex" "marks" "self" "total" "settle latency";
-  List.iter
-    (fun p ->
-      Fmt.pf ppf "%-28s %6d %6d %6d %8.2fms %8.2fms  %a@,"
-        (Fmt.str "%s#%d" p.name p.id)
-        p.executions p.re_executions p.marks (p.self_time *. 1e3)
-        (p.total_time *. 1e3) pp_latency p.latency)
-    profiles;
-  Fmt.pf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
 (* Provenance: why did this instance re-execute?                       *)

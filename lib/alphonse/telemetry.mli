@@ -51,9 +51,9 @@ type event =
   | Txn_rollback of { undone : int; remarked : int }
       (** [undone] cell restorations applied, [remarked] mid-batch
           executions re-invalidated *)
-  | Degraded of { steps : int }
-      (** the settle-step watchdog tripped after [steps] steps:
-          propagation degraded to exhaustive recomputation *)
+  | Budget_tripped of { reason : string }
+      (** the armed [Engine.Budget] cancelled the settle: [reason] names
+          the cancel flag, the step cap or the deadline *)
   | Audit_run of { ok : bool; errors : int }
   | Fault_injected of { site : string }
       (** the installed fault hook raised at this engine site *)
@@ -149,11 +149,10 @@ type instance_profile = {
   cache_hits : int;
   latency : int array;
       (** settle-latency histogram: delay from mark to next execution,
-          decade buckets per {!bucket_labels} *)
+          decade buckets per {!bucket_bounds} *)
 }
 
 val latency_buckets : int
-val bucket_labels : string array
 
 val bucket_bounds : float array
 (** Upper bounds of the settle-latency buckets (seconds, last
@@ -162,10 +161,8 @@ val bucket_bounds : float array
 
 val profile : t -> instance_profile list
 (** Folds the recorded window into per-instance profiles, hottest
-    (largest self time) first. *)
-
-val pp_profile :
-  ?top:int -> Format.formatter -> instance_profile list -> unit
+    (largest self time) first; [Inspect.pp_profile_quantiles] prints
+    them. *)
 
 (** {1 Provenance} *)
 

@@ -58,6 +58,9 @@ let set t v =
      logging, marking and poking would all be no-ops, so the write
      reduces to the store. This is the E6 tracked-mutator fast path. *)
   | Some n when Engine.quick_write_ok t.eng n -> t.contents <- v
+  (* Quick regime + no node: nothing is recording and no transaction is
+     open, so [slow_set] would do just the store. *)
+  | None when Engine.quick t.eng -> t.contents <- v
   | _ -> slow_set t v
 
 let update t f = set t (f (get t))

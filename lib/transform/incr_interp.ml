@@ -431,9 +431,8 @@ type outcome = {
 
 let init_state ?fuel ?default_strategy ?partitioning ?telemetry ?metrics
     ?fault_seed ?audit (env : Tc.env) (analysis : Analysis.result) =
-  let eng =
-    Engine.create ?default_strategy ?partitioning ?self_audit:audit ()
-  in
+  let eng = Engine.create ?default_strategy ?partitioning () in
+  Option.iter (Engine.set_self_audit eng) audit;
   Engine.set_telemetry eng telemetry;
   (* metrics before the fault injector: injectors resolve their counter
      from the engine's registry at install time *)

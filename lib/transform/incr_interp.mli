@@ -52,8 +52,9 @@ val run :
     ({!Alphonse.Faults.install_seeded}) for the whole run: engine
     decision points occasionally raise, exercising the recovery paths;
     incremental calls are retried once after an injected fault. [audit]
-    enables the per-step invariant auditor ({!Alphonse.Audit}); a
-    violation is reported through [error]. *)
+    enables the per-step invariant auditor
+    ({!Alphonse.Engine.set_self_audit}); a violation is reported through
+    [error]. *)
 
 (** {1 Internal entry points (the CLI's [graph] command, benches)} *)
 

@@ -10,11 +10,10 @@ let audit_mode = Sys.getenv_opt "ALPHONSE_AUDIT" = Some "1"
 module Engine = struct
   include Alphonse.Engine
 
-  let create ?partitioning ?default_strategy ?max_retries ?max_settle_steps
-      ?max_stack_depth ?self_audit () =
+  let create ?partitioning ?default_strategy ?max_retries ?max_stack_depth
+      () =
     let eng =
-      create ?partitioning ?default_strategy ?max_retries ?max_settle_steps
-        ?max_stack_depth ?self_audit ()
+      create ?partitioning ?default_strategy ?max_retries ?max_stack_depth ()
     in
     if audit_mode then set_self_audit eng true;
     eng
@@ -815,9 +814,8 @@ let test_scheduling_topological_avoids_waste () =
    pre-reorder priorities would pop out of priority order. *)
 let test_scheduling_reorder_keeps_heap_order () =
   let layers = 16 in
-  let eng =
-    Engine.create ~default_strategy:Engine.Eager ~self_audit:true ()
-  in
+  let eng = Engine.create ~default_strategy:Engine.Eager () in
+  Engine.set_self_audit eng true;
   let base = Var.create eng ~name:"base" 1 in
   let modes = Array.init layers (fun _ -> Var.create eng false) in
   let sides = Array.make layers None in

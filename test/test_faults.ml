@@ -7,14 +7,14 @@
    pass and replaying the (deterministic, idempotent) scenario must
    converge to the clean run's observations — the exhaustive-spec
    answer. Around the sweep: unit tests for the quarantine/poison
-   lifecycle, transactional batches with rollback, the watchdogs, the
-   spreadsheet's error-value surface, and the injectors themselves. *)
+   lifecycle, transactional batches with rollback, the stack-depth
+   watchdog, the exhaustive fallback, budgets, the spreadsheet's
+   error-value surface, and the injectors themselves. *)
 
 module Engine = Alphonse.Engine
 module Var = Alphonse.Var
 module Func = Alphonse.Func
 module Faults = Alphonse.Faults
-module Audit = Alphonse.Audit
 module S = Spreadsheet.Sheet
 module Avl = Trees.Avl
 module Ag = Attrgram.Ag
@@ -475,8 +475,11 @@ let test_transact_nesting_rejected () =
 (* Watchdogs                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_settle_watchdog_degrades () =
-  let eng = Engine.create ~max_settle_steps:3 () in
+(* The exhaustive fallback [Durable] recovery takes: degrading with
+   marks still pending drops them and leaves every instance to
+   recompute on demand. *)
+let test_degrade_with_marks_pending () =
+  let eng = Engine.create () in
   let a = Var.create eng ~name:"a" 1 in
   let fs =
     Array.init 10 (fun i ->
@@ -485,10 +488,10 @@ let test_settle_watchdog_degrades () =
   in
   Array.iter (fun f -> ignore (Func.call f ())) fs;
   Var.set a 2;
-  (* far more than 3 steps pending: the watchdog degrades instead of
-     letting one settle session run away *)
-  Engine.stabilize eng;
-  checkb "degradation recorded" true ((Engine.stats eng).Engine.degradations >= 1);
+  checkb "marks pending" false (Engine.settle_bounded eng ~max_steps:0);
+  Engine.degrade_to_exhaustive eng;
+  checki "degradation counted" 1 (Engine.stats eng).Engine.degradations;
+  checkb "no marks left pending" true (Engine.settle_bounded eng ~max_steps:0);
   check_audit "after degradation" eng;
   (* the exhaustive fallback still answers every demand correctly *)
   Array.iteri (fun i f -> checki (Fmt.str "f%d" i) (2 + i) (Func.call f ())) fs;
@@ -827,6 +830,8 @@ let test_budget_deadline_expired () =
   let a = Var.create eng ~name:"a" 1 in
   let f = Func.create eng ~name:"f" (fun _ () -> Var.get a + 1) in
   checki "primed" 2 (Func.call f ());
+  let tm = Alphonse.Telemetry.create () in
+  Engine.set_telemetry eng (Some tm);
   let b = Engine.Budget.create ~deadline:(Unix.gettimeofday () -. 1.0) () in
   (match
      Engine.with_budget eng b (fun () ->
@@ -836,6 +841,16 @@ let test_budget_deadline_expired () =
   | exception Engine.Cancelled msg ->
     checkb "reason names the deadline" true
       (String.length msg >= 8 && String.sub msg 0 8 = "deadline"));
+  let trips =
+    List.filter_map
+      (fun (r : Alphonse.Telemetry.record) ->
+        match r.ev with
+        | Alphonse.Telemetry.Budget_tripped { reason } -> Some reason
+        | _ -> None)
+      (Alphonse.Telemetry.events tm)
+  in
+  Alcotest.(check (list string))
+    "one Budget_tripped event" [ "deadline exceeded" ] trips;
   checkb "budget disarmed" true (Engine.budget eng = None);
   checki "write rolled back" 2 (Func.call f ());
   check_audit "after deadline trip" eng
@@ -927,8 +942,8 @@ let () =
         ] );
       ( "watchdog",
         [
-          Alcotest.test_case "settle steps degrade" `Quick
-            test_settle_watchdog_degrades;
+          Alcotest.test_case "degrade with marks pending" `Quick
+            test_degrade_with_marks_pending;
           Alcotest.test_case "stack depth" `Quick test_stack_depth_watchdog;
           Alcotest.test_case "stack depth is structural" `Quick
             test_stack_depth_watchdog_structural;

@@ -362,7 +362,8 @@ let prop_dag_theorem_5_1 =
     (fun d ->
       let module Var = Alphonse.Var in
       let module Func = Alphonse.Func in
-      let eng = Engine.create ~self_audit:true () in
+      let eng = Engine.create () in
+      Engine.set_self_audit eng true;
       let vars = Array.init d.nvars (fun _ -> Var.create eng 1) in
       let gates = Array.map (fun f -> Var.create eng f.gate0) d.fns in
       let runs = Array.make (Array.length d.fns) 0 in

@@ -10,6 +10,7 @@ module Func = Alphonse.Func
 module Metrics = Alphonse.Metrics
 module Telemetry = Alphonse.Telemetry
 module Flight = Alphonse.Flight
+module Durable = Alphonse.Durable
 module Serve = Alphonse.Serve
 module Json = Alphonse.Json
 
@@ -475,12 +476,16 @@ let rm_rf dir =
     Sys.rmdir dir
   end
 
-let test_flight_incident () =
+let fresh_dir what =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "alphonse-test-incidents-%d" (Unix.getpid ()))
+      (Printf.sprintf "alphonse-test-%s-%d" what (Unix.getpid ()))
   in
   rm_rf dir;
+  dir
+
+let test_flight_incident () =
+  let dir = fresh_dir "incidents" in
   let tm = Telemetry.create ~capacity:64 () in
   let reg = Metrics.create () in
   let eng = Engine.create ~max_retries:3 () in
@@ -530,6 +535,52 @@ let test_flight_incident () =
     | _ -> false);
   rm_rf dir
 
+(* A degraded crash recovery is one anomaly, so it writes one report: the
+   exhaustive fallback recovery takes emits no event of its own. *)
+let test_flight_degraded_recovery () =
+  let state = fresh_dir "recovery"
+  and incidents = fresh_dir "recovery-incidents" in
+  let domain eng =
+    let x = Var.create eng ~name:"x" 0 in
+    let set j = Var.set x (int_of_float (Option.get (Json.to_float j))) in
+    { Durable.p_save = (fun () -> Json.Num (float_of_int (Var.get x)));
+      p_load = set; p_apply = set }
+  in
+  (* a first life: one journaled write, then a checkpoint *)
+  let eng = Engine.create () in
+  let p = domain eng in
+  let s = Durable.attach ~dir:state eng p in
+  Durable.journal_op s (Json.Num 7.);
+  p.Durable.p_apply (Json.Num 7.);
+  let snap = Durable.checkpoint s in
+  Durable.detach s;
+  (* the only snapshot fails its checksum: recovery degrades *)
+  let bytes =
+    Bytes.of_string (In_channel.with_open_bin snap In_channel.input_all)
+  in
+  let i = Bytes.length bytes - 2 in
+  Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 0xff));
+  Out_channel.with_open_bin snap (fun oc -> Out_channel.output_bytes oc bytes);
+  let eng = Engine.create () in
+  let tm = Telemetry.create () in
+  Engine.set_telemetry eng (Some tm);
+  let fl = Flight.arm ~dir:incidents tm in
+  let o = Durable.recover ~dir:state eng (domain eng) in
+  checkb "recovery degraded" true o.Durable.o_degraded;
+  checki "one incident report" 1 (Flight.written fl);
+  let j =
+    Json.of_string
+      (In_channel.with_open_bin (List.hd (Flight.reports fl))
+         In_channel.input_all)
+  in
+  checks "trigger kind" "recovery-degradation"
+    (Option.value ~default:"?"
+       (Option.bind
+          (Option.bind (Json.member "trigger" j) (Json.member "kind"))
+          Json.to_str));
+  rm_rf incidents;
+  rm_rf state
+
 let () =
   Alcotest.run "metrics"
     [
@@ -567,5 +618,7 @@ let () =
         [
           Alcotest.test_case "quarantine writes an incident report" `Quick
             test_flight_incident;
+          Alcotest.test_case "degraded recovery writes one incident report"
+            `Quick test_flight_degraded_recovery;
         ] );
     ]
