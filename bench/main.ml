@@ -1,13 +1,17 @@
-(* Benchmark harness reproducing the paper's evaluation claims (E1–E16 in
+(* Benchmark harness reproducing the paper's evaluation claims (E1–E21 in
    DESIGN.md). The paper has no numeric tables; its evaluation is the
    asymptotic analysis of §9, the per-example claims of §3.4/§7, and the
-   optimizations of §6. Each experiment below prints a table of
-   paper-claim vs measured rows; the Bechamel suite at the end provides
-   wall-clock microbenchmarks for the timing-sensitive comparisons.
+   optimizations of §6. Each experiment prints a table of measured rows
+   and checks, in place, the claims its rows carry.
 
-     dune exec bench/main.exe                 # all experiments + micro
-     dune exec bench/main.exe -- report       # count/shape tables only
-     dune exec bench/main.exe -- micro        # Bechamel suite only
+   Cells are typed values (counts, seconds, ratios, booleans, labels),
+   formatted only when printed. Every timed cell outside E20 and E21 is
+   taken by [time]: one warm-up run, then [reps] timed runs, recorded as
+   their median and range. A run writes BENCH_results.json (schema
+   alphonse-bench/2) even when a claim fails, then lists each failed
+   claim on stderr and exits 1.
+
+     dune exec bench/main.exe                 # every experiment
      dune exec bench/main.exe -- E4 E7        # a subset of experiments *)
 
 module Engine = Alphonse.Engine
@@ -24,65 +28,164 @@ module L = Attrgram.Let_lang
 let executions eng = (Engine.stats eng).Engine.executions
 let settle_steps eng = (Engine.stats eng).Engine.settle_steps
 
-let now () = Unix.gettimeofday ()
-
-let time_of f =
-  let t0 = now () in
-  let r = f () in
-  (r, now () -. t0)
-
 (* ------------------------------------------------------------------ *)
-(* Table printing                                                      *)
+(* Timing                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Machine-readable results: every table printed below is also recorded
-   here, and the driver dumps them (with per-experiment wall clock) to
-   BENCH_results.json, so the perf trajectory is tracked across PRs
-   instead of living in scrollback. *)
-type recorded_table = {
-  rt_title : string;
-  rt_claim : string;
-  rt_headers : string list;
-  rt_rows : string list list;
-}
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+let reps = 5
 
-let recorded_tables : recorded_table list ref = ref []
+type timing = { median : float; lo : float; hi : float }
+
+(* [time_with setup f] runs [f (setup ())] once to warm up, then [reps]
+   times with only [f] on the clock; returns the last run's result and
+   the timing. *)
+let time_with setup f =
+  ignore (f (setup ()));
+  let last = ref None in
+  let ts =
+    Array.init reps (fun _ ->
+        let x = setup () in
+        let t0 = now () in
+        let r = f x in
+        let dt = now () -. t0 in
+        last := Some r;
+        dt)
+  in
+  Array.sort compare ts;
+  (Option.get !last, { median = ts.(reps / 2); lo = ts.(0); hi = ts.(reps - 1) })
+
+let time f = time_with ignore f
+
+let scale k t = { median = t.median *. k; lo = t.lo *. k; hi = t.hi *. k }
+
+(* the timing of one of [n] operations inside each timed run *)
+let per n t = scale (1. /. float_of_int n) t
+
+(* ------------------------------------------------------------------ *)
+(* Cells, tables and claims                                            *)
+(* ------------------------------------------------------------------ *)
+
+type cell =
+  | Count of int
+  | Secs of float  (** one reading (E20, E21) *)
+  | Timed of timing
+  | Ratio of float
+  | Bool of bool
+  | Label of string
+  | Nil  (** "-": nothing measured *)
+
+let ratio a b = Ratio (a.median /. b.median)
+
+let secs t =
+  if t >= 1. then Fmt.str "%.2fs" t
+  else if t >= 1e-3 then Fmt.str "%.2fms" (t *. 1e3)
+  else if t >= 1e-6 then Fmt.str "%.2fus" (t *. 1e6)
+  else Fmt.str "%.1fns" (t *. 1e9)
+
+(* a timed cell prints its median and half its range, relative *)
+let text = function
+  | Count n -> string_of_int n
+  | Secs t -> secs t
+  | Timed t when t.median > 0. ->
+    Fmt.str "%s ±%.0f%%" (secs t.median) (50. *. (t.hi -. t.lo) /. t.median)
+  | Timed t -> secs t.median
+  | Ratio r -> Fmt.str "%.2fx" r
+  | Bool b -> string_of_bool b
+  | Label s -> s
+  | Nil -> "-"
+
+let json_of_cell c =
+  let v unit x = Json.Obj [ ("unit", Json.Str unit); ("value", x) ] in
+  match c with
+  | Count n -> v "count" (Json.Num (float_of_int n))
+  | Secs t -> v "s" (Json.Num t)
+  | Timed t ->
+    Json.Obj
+      [
+        ("unit", Json.Str "s"); ("value", Json.Num t.median);
+        ("min", Json.Num t.lo); ("max", Json.Num t.hi);
+        ("reps", Json.Num (float_of_int reps));
+      ]
+  | Ratio r -> v "ratio" (Json.Num r)
+  | Bool b -> v "bool" (Json.Bool b)
+  | Label s -> v "label" (Json.Str s)
+  | Nil -> Json.Null
+
+(* Every table and claim of the running experiment, newest first; the
+   driver collects and resets them after each experiment. *)
+let tables : Json.t list ref = ref []
+let claims : (string * bool) list ref = ref []
+
+let claim holds fmt = Fmt.kstr (fun s -> claims := (s, holds) :: !claims) fmt
 
 let print_table ~title ~claim headers rows =
-  recorded_tables :=
-    { rt_title = title; rt_claim = claim; rt_headers = headers;
-      rt_rows = rows }
-    :: !recorded_tables;
+  tables :=
+    Json.Obj
+      [
+        ("title", Json.Str title); ("claim", Json.Str claim);
+        ("headers", Json.Arr (List.map (fun h -> Json.Str h) headers));
+        ( "rows",
+          Json.Arr (List.map (fun r -> Json.Arr (List.map json_of_cell r)) rows)
+        );
+      ]
+    :: !tables;
+  let rows = List.map (List.map text) rows in
   Fmt.pr "@.== %s ==@." title;
   Fmt.pr "   claim: %s@." claim;
-  let cols = List.length headers in
-  let width c =
-    List.fold_left
-      (fun w row -> max w (String.length (List.nth row c)))
-      (String.length (List.nth headers c))
-      rows
+  (* display width: UTF-8 continuation bytes take no column *)
+  let width s =
+    String.fold_left
+      (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1)
+      0 s
   in
-  let widths = List.init cols width in
+  let widths =
+    List.mapi
+      (fun c h ->
+        List.fold_left
+          (fun w row -> max w (width (List.nth row c)))
+          (width h) rows)
+      headers
+  in
   let line row =
     Fmt.pr "   %s@."
       (String.concat "  "
-         (List.mapi
-            (fun i cell ->
-              let w = List.nth widths i in
-              cell ^ String.make (w - String.length cell) ' ')
-            row))
+         (List.map2
+            (fun w cell -> cell ^ String.make (w - width cell) ' ')
+            widths row))
   in
   line headers;
   line (List.map (fun w -> String.make w '-') widths);
   List.iter line rows
 
-let fi = string_of_int
-let ff f = Fmt.str "%.2f" f
-let fms t = Fmt.str "%.2fms" (t *. 1000.)
+let parse_env src =
+  match Lang.Parser.parse src with
+  | Ok m -> (
+    match Lang.Typecheck.check m with
+    | Ok env -> env
+    | Error _ -> failwith "bench program does not typecheck")
+  | Error e -> failwith e
+
+(* Theorem 5.1 over rows of [Label sample :: ... Bool same ...] *)
+let claim_thm51 rows =
+  let broken =
+    List.filter_map
+      (function
+        | Label n :: cells when List.mem (Bool false) cells -> Some n
+        | _ -> None)
+      rows
+  in
+  claim (broken = []) "Theorem 5.1 holds on every sample (violated: [%s])"
+    (String.concat ", " broken)
 
 (* ------------------------------------------------------------------ *)
 (* E1 — §3.4: maintained height cost profile                           *)
 (* ------------------------------------------------------------------ *)
+
+let rec leftmost = function
+  | Itree.Nil -> assert false
+  | Itree.Node nd -> (
+    match Var.get nd.Itree.left with Itree.Nil -> nd | sub -> leftmost sub)
 
 let e1 () =
   let rows =
@@ -97,13 +200,6 @@ let e1 () =
         ignore (Itree.height forest tree);
         let repeat = executions eng in
         (* one pointer change at a deepest leaf *)
-        let rec leftmost = function
-          | Itree.Nil -> assert false
-          | Itree.Node nd -> (
-            match Var.get nd.Itree.left with
-            | Itree.Nil -> nd
-            | sub -> leftmost sub)
-        in
         Engine.reset_stats eng;
         let leaf = leftmost tree in
         Var.set leaf.Itree.left (Itree.node forest (-1));
@@ -122,14 +218,35 @@ let e1 () =
         Var.set nd.Itree.left (Itree.node forest (-2));
         ignore (Itree.height forest tree);
         let batched = executions eng in
-        [ fi n; fi first; fi repeat; fi single; fi batched ])
+        (* timed: toggle a graft under the deepest leaf, then re-query *)
+        let leaf = leftmost tree and graft = Itree.node forest (-3) in
+        let flip = ref false in
+        let (), t_inc =
+          time (fun () ->
+              for _ = 1 to 100 do
+                flip := not !flip;
+                Var.set leaf.Itree.left (if !flip then graft else Itree.Nil);
+                ignore (Itree.height forest tree)
+              done)
+        in
+        let _, t_exh = time (fun () -> Itree.height_exhaustive tree) in
+        [
+          Count n; Count first; Count repeat; Count single; Count batched;
+          Timed (per 100 t_inc); Timed t_exh;
+        ])
       [ 1023; 4095; 16383; 65535 ]
   in
+  claim
+    (List.for_all (function _ :: _ :: Count 0 :: _ -> true | _ -> false) rows)
+    "re-query = 0 at every n";
   print_table ~title:"E1  maintained height (§3.4)"
     ~claim:
       "first call O(n); repeats O(1); a pointer change O(height); batched \
        no-op changes propagate nothing"
-    [ "n"; "first-call"; "re-query"; "1-change"; "batch(8 noop + 1)" ]
+    [
+      "n"; "first-call"; "re-query"; "1-change"; "batch(8 noop + 1)";
+      "change+query"; "exhaustive";
+    ]
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -158,11 +275,12 @@ let e2 () =
         L.set_int leaf_nodes.(0) 10_000;
         ignore (L.value_of l root);
         let edit = executions eng in
-        let _, exh_t = time_of (fun () -> L.exhaustive_value root) in
-        Engine.reset_stats eng;
+        let _, exh_t = time (fun () -> L.exhaustive_value root) in
+        let k = ref 0 in
         let _, inc_t =
-          time_of (fun () ->
-              L.set_int leaf_nodes.(1) 20_000;
+          time (fun () ->
+              incr k;
+              L.set_int leaf_nodes.(1) (20_000 + !k);
               L.value_of l root)
         in
         (* the paper's section-10 comparator: same grammar, static deps *)
@@ -176,14 +294,16 @@ let e2 () =
         in
         let s_root = LS.root ls (sbuild 0 (leaves - 1)) in
         ignore (LS.value_of ls s_root);
-        LS.set_int ls s_leaves.(0) 10_000;
-        ignore (LS.value_of ls s_root);
         let _, static_t =
-          time_of (fun () ->
-              LS.set_int ls s_leaves.(1) 20_000;
+          time (fun () ->
+              incr k;
+              LS.set_int ls s_leaves.(1) (20_000 + !k);
               LS.value_of ls s_root)
         in
-        [ fi leaves; fi first; fi edit; fms inc_t; fms static_t; fms exh_t ])
+        [
+          Count leaves; Count first; Count edit; Timed inc_t; Timed static_t;
+          Timed exh_t;
+        ])
       [ 64; 256; 1024; 4096 ]
   in
   print_table ~title:"E2  attribute grammar re-attribution (§7.1, §10)"
@@ -218,13 +338,12 @@ let e3 () =
         Sheet.set_raw s (0, n / 2) "1000";
         ignore (Sheet.value s (0, n - 1));
         let mid_edit = executions eng in
-        let _, oracle_t =
-          time_of (fun () -> Sheet.exhaustive_value s (0, n - 1))
-        in
-        Engine.reset_stats eng;
+        let _, oracle_t = time (fun () -> Sheet.exhaustive_value s (0, n - 1)) in
+        let k = ref 0 in
         let _, inc_t =
-          time_of (fun () ->
-              Sheet.set_raw s (0, n / 2) "2000";
+          time (fun () ->
+              incr k;
+              Sheet.set_raw s (0, n / 2) (string_of_int (2000 + !k));
               Sheet.value s (0, n - 1))
         in
         (* fan: B1 = SUM(A1:An) *)
@@ -240,10 +359,9 @@ let e3 () =
         ignore (Sheet.value s2 (1, 0));
         let fan_edit = executions eng2 in
         [
-          [
-            Printf.sprintf "chain-%d" n; fi mid_edit; fms inc_t; fms oracle_t;
-          ];
-          [ Printf.sprintf "fan-%d" n; fi fan_edit; "-"; "-" ];
+          [ Label (Fmt.str "chain-%d" n); Count mid_edit; Timed inc_t;
+            Timed oracle_t ];
+          [ Label (Fmt.str "fan-%d" n); Count fan_edit; Nil; Nil ];
         ])
       [ 128; 512; 2048 ]
   in
@@ -260,15 +378,18 @@ let e3 () =
 
 let e4 () =
   let n = 1024 in
-  (* Alphonse AVL: plain BST insert + maintained balance *)
-  let eng = Engine.create () in
-  let t = Avl.create eng in
-  let (), alphonse_t =
-    time_of (fun () ->
+  (* Alphonse AVL: plain BST insert + maintained balance, fresh each run *)
+  let (eng, t), alphonse_t =
+    time_with
+      (fun () ->
+        let eng = Engine.create () in
+        (eng, Avl.create eng))
+      (fun (eng, t) ->
         for k = 1 to n do
           Avl.insert t k;
           Avl.rebalance t
-        done)
+        done;
+        (eng, t))
   in
   let total_execs = executions eng in
   Engine.reset_stats eng;
@@ -276,33 +397,64 @@ let e4 () =
   Avl.rebalance t;
   let one_more = executions eng in
   (* hand-coded baseline *)
-  let (), base_t =
-    time_of (fun () ->
-        let b = ref Base.Nil in
-        for k = 1 to n do
-          b := Base.insert !b k
-        done)
+  let build m =
+    let b = ref Base.Nil in
+    for k = 1 to m do
+      b := Base.insert !b k
+    done;
+    !b
   in
+  let _, base_t = time (fun () -> build n) in
   (* exhaustive: conventional execution re-balances from scratch each time;
-     approximate with the baseline rebuilt from all keys on every insert *)
+     approximate with the baseline rebuilt from all keys on every insert,
+     sampled 1/8 to keep the quadratic baseline tolerable *)
   let (), exhaustive_t =
-    time_of (fun () ->
+    time (fun () ->
         for m = 1 to n / 8 do
-          (* sampled 1/8 to keep the quadratic baseline tolerable *)
-          let b = ref Base.Nil in
-          for k = 1 to m * 8 do
-            b := Base.insert !b k
-          done
+          ignore (build (m * 8))
         done)
   in
-  let exhaustive_t = exhaustive_t *. 8. in
+  let exhaustive_t = scale 8. exhaustive_t in
   (* lookups on the final balanced tree *)
   let (), lookup_t =
-    time_of (fun () ->
+    time (fun () ->
         for k = 1 to n do
           ignore (Avl.mem t k)
         done)
   in
+  (* steady state: insert and delete an odd key in a tree of 1024 even
+     keys, so each pair leaves the tree as it found it *)
+  let pairs = 1000 in
+  let steady insert delete =
+    let k = ref 0 in
+    time (fun () ->
+        for _ = 1 to pairs do
+          incr k;
+          let key = (2 * (!k mod n)) + 1 in
+          insert key;
+          delete key
+        done)
+    |> snd |> per pairs
+  in
+  let st = Avl.create (Engine.create ()) in
+  for k = 1 to n do
+    Avl.insert st (2 * k)
+  done;
+  Avl.rebalance st;
+  let steady_alphonse =
+    steady
+      (fun k -> Avl.insert st k; Avl.rebalance st)
+      (fun k -> Avl.delete st k; Avl.rebalance st)
+  in
+  let b = ref Base.Nil in
+  for k = 1 to n do
+    b := Base.insert !b (2 * k)
+  done;
+  let steady_hand =
+    steady (fun k -> b := Base.insert !b k) (fun k -> b := Base.delete !b k)
+  in
+  let factor = alphonse_t.median /. base_t.median in
+  claim (factor <= 250.) "alphonse/hand-coded %.0fx <= 250x" factor;
   print_table ~title:"E4  self-balancing AVL (§7.3, §9)"
     ~claim:
       "Alphonse AVL keeps the tree balanced with O(log n) re-executions per \
@@ -310,15 +462,20 @@ let e4 () =
        bookkeeping cost; both beat exhaustive re-balancing"
     [ "metric"; "value" ]
     [
-      [ "inserts"; fi n ];
-      [ "alphonse total re-executions"; fi total_execs ];
-      [ "alphonse re-executions for 1 more insert"; fi one_more ];
-      [ "alphonse time (insert+rebalance each)"; fms alphonse_t ];
-      [ "hand-coded baseline time"; fms base_t ];
-      [ "exhaustive rebuild-per-insert time (est)"; fms exhaustive_t ];
-      [ "alphonse n lookups (mem, rebalancing)"; fms lookup_t ];
-      [ "final height"; fi (Avl.check_height (Avl.root t)) ];
-      [ "balanced"; string_of_bool (Avl.is_balanced (Avl.root t)) ];
+      [ Label "inserts"; Count n ];
+      [ Label "alphonse total re-executions"; Count total_execs ];
+      [ Label "alphonse re-executions for 1 more insert"; Count one_more ];
+      [ Label "alphonse time (insert+rebalance each)"; Timed alphonse_t ];
+      [ Label "hand-coded baseline time"; Timed base_t ];
+      [ Label "alphonse / hand-coded"; Ratio factor ];
+      [ Label "exhaustive rebuild-per-insert time (est)"; Timed exhaustive_t ];
+      [ Label "alphonse n lookups (mem, rebalancing)"; Timed lookup_t ];
+      [ Label "steady insert+delete (alphonse)"; Timed steady_alphonse ];
+      [ Label "steady insert+delete (hand-coded)"; Timed steady_hand ];
+      [ Label "steady alphonse / hand-coded";
+        ratio steady_alphonse steady_hand ];
+      [ Label "final height"; Count (Avl.check_height (Avl.root t)) ];
+      [ Label "balanced"; Bool (Avl.is_balanced (Avl.root t)) ];
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -326,7 +483,7 @@ let e4 () =
 (* ------------------------------------------------------------------ *)
 
 let e5 () =
-  let rows =
+  let ratios =
     List.map
       (fun n ->
         let eng = Engine.create () in
@@ -336,19 +493,27 @@ let e5 () =
         let g = Engine.graph_stats eng in
         let nodes = g.Depgraph.Graph.live_nodes in
         let edges = g.Depgraph.Graph.live_edges in
-        [
-          fi n; fi nodes; fi edges;
-          ff (float_of_int edges /. float_of_int nodes);
-          ff (float_of_int nodes /. float_of_int n);
-        ])
+        (n, nodes, edges, float_of_int edges /. float_of_int nodes,
+         float_of_int nodes /. float_of_int n))
       [ 1023; 4095; 16383; 65535 ]
   in
+  let steady name pick =
+    let xs = List.map pick ratios in
+    let lo = List.fold_left Float.min infinity xs
+    and hi = List.fold_left Float.max 0. xs in
+    claim (hi <= lo *. 1.01) "%s within 1%% across M (%.3f..%.3f)" name lo hi
+  in
+  steady "edges/node" (fun (_, _, _, r, _) -> r);
+  steady "nodes/M" (fun (_, _, _, _, r) -> r);
   print_table ~title:"E5  dependency graph space (§9.1)"
     ~claim:
       "O(M) nodes and — with constant-size referenced-argument sets — O(M) \
        edges: the edges/node and nodes/M ratios stay constant as M grows"
     [ "M (tree nodes)"; "graph nodes"; "graph edges"; "edges/node"; "nodes/M" ]
-    rows
+    (List.map
+       (fun (n, nodes, edges, en, nm) ->
+         [ Count n; Count nodes; Count edges; Ratio en; Ratio nm ])
+       ratios)
 
 (* ------------------------------------------------------------------ *)
 (* E6 — §9.2: instrumentation overhead is O(T)                         *)
@@ -383,59 +548,41 @@ let e6 () =
   let tracked = Var.create eng 0 in
   let probe = Func.create eng (fun _ () -> Var.get tracked) in
   ignore (Func.call probe ()) (* materialize the node *);
-  (* warm up every path, then take the best of three to dodge GC noise *)
-  let best_of_3 f =
-    ignore (f ());
-    let r = ref infinity and v = ref None in
-    for _ = 1 to 3 do
-      let x, t = time_of f in
-      if t < !r then begin
-        r := t;
-        v := Some x
-      end
-    done;
-    (Option.get !v, !r)
-  in
   let (), t_plain =
-    best_of_3 (fun () ->
-        for i = 1 to iters do plain := !plain + i mod 7 done)
+    time (fun () -> for i = 1 to iters do plain := !plain + i mod 7 done)
   in
   let (), t_untracked =
-    best_of_3 (fun () ->
+    time (fun () ->
         for i = 1 to iters do
           Var.set untracked (Var.get untracked + (i mod 7))
         done)
   in
   let (), t_tracked =
-    best_of_3 (fun () ->
+    time (fun () ->
         for i = 1 to iters do
           Var.set tracked (Var.get tracked + (i mod 7))
         done)
   in
   ignore (Func.call probe ());
   (* (b) the language: a pragma-free program under both interpreters *)
-  let env =
-    match Lang.Parser.parse overhead_program with
-    | Ok m -> (
-      match Lang.Typecheck.check m with
-      | Ok env -> env
-      | Error _ -> assert false)
-    | Error e -> failwith e
-  in
-  let conv, t_conv = best_of_3 (fun () -> Lang.Interp.run env) in
-  let inc, t_inc = best_of_3 (fun () -> Transform.Incr_interp.run env) in
+  let env = parse_env overhead_program in
+  let conv, t_conv = time (fun () -> Lang.Interp.run env) in
+  let inc, t_inc = time (fun () -> Transform.Incr_interp.run env) in
   assert (conv.Lang.Interp.output = inc.Transform.Incr_interp.output);
+  let factor = t_tracked.median /. t_plain.median in
+  claim (factor <= 20.) "tracked/plain %.1fx <= 20x" factor;
   print_table ~title:"E6  dynamic dependence analysis overhead (§9.2)"
     ~claim:
       "instrumentation is O(T): a constant factor over conventional \
        execution, and ~1x when the analysis proves sites untracked (§6.1)"
     [ "workload"; "time"; "vs plain" ]
     [
-      [ "plain ref loop (1M ops)"; fms t_plain; "1.00x" ];
-      [ "untracked Var loop"; fms t_untracked; ff (t_untracked /. t_plain) ^ "x" ];
-      [ "tracked Var loop (mutator)"; fms t_tracked; ff (t_tracked /. t_plain) ^ "x" ];
-      [ "Alphonse-L conventional run"; fms t_conv; "1.00x" ];
-      [ "Alphonse-L instrumented run"; fms t_inc; ff (t_inc /. t_conv) ^ "x" ];
+      [ Label "plain ref loop (1M ops)"; Timed t_plain; Ratio 1. ];
+      [ Label "untracked Var loop"; Timed t_untracked;
+        ratio t_untracked t_plain ];
+      [ Label "tracked Var loop (mutator)"; Timed t_tracked; Ratio factor ];
+      [ Label "Alphonse-L conventional run"; Timed t_conv; Ratio 1. ];
+      [ Label "Alphonse-L instrumented run"; Timed t_inc; ratio t_inc t_conv ];
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -446,26 +593,34 @@ let e7 () =
   let k = 64 and size = 255 in
   let run ~partitioning =
     let eng = Engine.create ~partitioning () in
+    (* one forest per tree, so that each tree is its own partition *)
     let forests = Array.init k (fun _ -> Itree.create eng) in
-    (* NOTE: one forest shares one height Func; for separate partitions
-       each tree gets its own forest context *)
     let trees =
       Array.map (fun forest -> Itree.perfect forest 0 (size - 1)) forests
     in
-    Array.iteri (fun i tree -> ignore (Itree.height forests.(i) tree)) trees;
-    Engine.reset_stats eng;
-    (* dirty every tree except #0 *)
-    for i = 1 to k - 1 do
-      let interior = Itree.nodes trees.(i) in
-      let nd = List.nth interior (List.length interior / 2) in
-      Var.set nd.Itree.left (Itree.node forests.(i) (-1))
-    done;
-    (* ask only tree #0 *)
-    let (), t = time_of (fun () -> ignore (Itree.height forests.(0) trees.(0))) in
-    (settle_steps eng, executions eng, t)
+    let mids =
+      Array.map
+        (fun tree ->
+          let interior = Itree.nodes tree in
+          List.nth interior (List.length interior / 2))
+        trees
+    in
+    (* each run brings every tree up to date, dirties all but #0, then
+       asks only tree #0 *)
+    time_with
+      (fun () ->
+        Array.iteri (fun i tree -> ignore (Itree.height forests.(i) tree)) trees;
+        Engine.reset_stats eng;
+        for i = 1 to k - 1 do
+          Var.set mids.(i).Itree.left (Itree.node forests.(i) (-1))
+        done)
+      (fun () ->
+        ignore (Itree.height forests.(0) trees.(0));
+        (settle_steps eng, executions eng))
   in
-  let s_on, e_on, t_on = run ~partitioning:true in
-  let s_off, e_off, t_off = run ~partitioning:false in
+  let (s_on, e_on), t_on = run ~partitioning:true in
+  let (s_off, e_off), t_off = run ~partitioning:false in
+  claim (s_on = 0) "partitioned settle-steps = 0";
   print_table ~title:"E7  dependency graph partitioning (§6.3)"
     ~claim:
       "with partitioning, a query touches only its own partition's \
@@ -473,8 +628,10 @@ let e7 () =
        union-find adds only ~alpha(M)"
     [ "config"; "settle-steps"; "re-executions"; "query-time" ]
     [
-      [ "partitioned (64 independent trees)"; fi s_on; fi e_on; fms t_on ];
-      [ "single global inconsistent set"; fi s_off; fi e_off; fms t_off ];
+      [ Label "partitioned (64 independent trees)"; Count s_on; Count e_on;
+        Timed t_on ];
+      [ Label "single global inconsistent set"; Count s_off; Count e_off;
+        Timed t_off ];
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -514,6 +671,8 @@ let e8 () =
   in
   let d_chk, s_chk = run ~unchecked:false in
   let d_unc, s_unc = run ~unchecked:true in
+  claim (d_unc = 1 && s_unc = 0)
+    "UNCHECKED records 1 dependency (%d) and 0 re-executions (%d)" d_unc s_unc;
   print_table ~title:"E8  UNCHECKED dependency pruning (§6.4)"
     ~claim:
       "the pragma cuts a lookup's recorded dependencies from O(path) to \
@@ -521,8 +680,8 @@ let e8 () =
        perturbations"
     [ "config"; "deps recorded"; "re-execs after 50 path writes" ]
     [
-      [ "checked (default)"; fi d_chk; fi s_chk ];
-      [ "(*UNCHECKED*) walk"; fi d_unc; fi s_unc ];
+      [ Label "checked (default)"; Count d_chk; Count s_chk ];
+      [ Label "(*UNCHECKED*) walk"; Count d_unc; Count s_unc ];
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -555,7 +714,7 @@ let e9 () =
     let eng_e, a_e, top_e = build Engine.Eager in
     f a_d top_d;
     f a_e top_e;
-    [ name; fi (executions eng_d); fi (executions eng_e) ]
+    [ Label name; Count (executions eng_d); Count (executions eng_e) ]
   in
   let absorbed_change a top =
     Var.set a 1025 (* 1025/2 = 1024/2: absorbed at level 1 *);
@@ -589,7 +748,6 @@ let e9 () =
 (* ------------------------------------------------------------------ *)
 
 let e10 () =
-  (* measured precisely by the Bechamel suite; here, the count view *)
   let eng = Engine.create () in
   let v = Var.create eng 0 in
   let probe = Func.create eng (fun _ () -> Var.get v) in
@@ -599,17 +757,40 @@ let e10 () =
   for _ = 1 to 1000 do
     ignore (Var.get v)
   done;
-  let g = Engine.graph_stats eng in
+  let edges = (Engine.graph_stats eng).Depgraph.Graph.total_edges - edges_before
+  and pushes = (Engine.stats eng).Engine.queue_pushes in
+  claim (edges = 0 && pushes = 0)
+    "1000 mutator reads create 0 edges (%d) and 0 queue pushes (%d)" edges
+    pushes;
   print_table ~title:"E10  limiting runtime checks (§6.1)"
     ~claim:
       "mutator reads of tracked storage do no graph work at all (no edges, \
-       no queue traffic); see the micro suite for ns/op"
+       no queue traffic)"
     [ "metric"; "value" ]
     [
-      [ "mutator reads performed"; "1000" ];
-      [ "edges created by them";
-        fi (g.Depgraph.Graph.total_edges - edges_before) ];
-      [ "queue pushes"; fi (Engine.stats eng).Engine.queue_pushes ];
+      [ Label "mutator reads performed"; Count 1000 ];
+      [ Label "edges created by them"; Count edges ];
+      [ Label "queue pushes"; Count pushes ];
+    ];
+  (* per-op cost of a read and of an equal-value write, by tracking
+     status: a plain ref, a Var no instance has read, a Var one has *)
+  let ops = 1_000_000 in
+  let plain = ref 1 and untracked = Var.create eng 1 in
+  let per_op f =
+    Timed (per ops (snd (time (fun () -> for _ = 1 to ops do f () done))))
+  in
+  let read get = per_op (fun () -> ignore (Sys.opaque_identity (get () + 1))) in
+  print_table ~title:"E10  per-op cost by tracking status (§6.1)"
+    ~claim:
+      "outside incremental execution a tracked Var reads like an untracked \
+       one; an equal-value write to it still records the write"
+    [ "op"; "plain ref"; "untracked Var"; "tracked Var" ]
+    [
+      [ Label "read"; read (fun () -> !plain);
+        read (fun () -> Var.get untracked); read (fun () -> Var.get v) ];
+      [ Label "equal-value write";
+        per_op (fun () -> plain := Sys.opaque_identity 1);
+        per_op (fun () -> Var.set untracked 1); per_op (fun () -> Var.set v 0) ];
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -626,39 +807,40 @@ let e11 () =
         let r = Random.State.float rand 1.0 in
         int_of_float (r *. r *. float_of_int universe))
   in
-  let rows =
-    List.map
-      (fun (name, policy) ->
-        let eng = Engine.create () in
-        let f = Func.create eng ~policy (fun _ k -> k * k) in
-        Array.iter (fun k -> ignore (Func.call f k)) keys;
-        let s = Engine.stats eng in
-        [
-          name;
-          fi s.Engine.executions;
-          fi s.Engine.cache_hits;
-          ff
-            (100.
-            *. float_of_int s.Engine.cache_hits
-            /. float_of_int calls)
-          ^ "%";
-          fi (Func.size f);
-          fi s.Engine.evictions;
-        ])
-      [
-        ("unbounded", Policy.Unbounded);
-        ("lru 64", Policy.Lru 64);
-        ("lru 256", Policy.Lru 256);
-        ("fifo 64", Policy.Fifo 64);
-        ("fifo 256", Policy.Fifo 256);
-      ]
+  let run policy =
+    let eng = Engine.create () in
+    let f = Func.create eng ~policy (fun _ k -> k * k) in
+    Array.iter (fun k -> ignore (Func.call f k)) keys;
+    (Engine.stats eng, Func.size f)
   in
+  let policies =
+    [
+      ("unbounded", Policy.Unbounded); ("lru 64", Policy.Lru 64);
+      ("lru 256", Policy.Lru 256); ("fifo 64", Policy.Fifo 64);
+      ("fifo 256", Policy.Fifo 256);
+    ]
+  in
+  let runs = List.map (fun (name, p) -> (name, run p)) policies in
+  let hits name = (fst (List.assoc name runs)).Engine.cache_hits in
+  List.iter
+    (fun cap ->
+      let lru = hits ("lru " ^ cap) and fifo = hits ("fifo " ^ cap) in
+      claim (lru >= fifo) "LRU hits %d >= FIFO hits %d at capacity %s" lru fifo
+        cap)
+    [ "64"; "256" ];
   print_table ~title:"E11  cache replacement pragma arguments (§3.3)"
     ~claim:
       "bounded tables trade recomputation for space; LRU dominates FIFO \
        under skewed access; hit rates rise with capacity"
     [ "policy"; "executions"; "hits"; "hit rate"; "table size"; "evictions" ]
-    rows
+    (List.map
+       (fun (name, ((s : Engine.stats), size)) ->
+         [
+           Label name; Count s.Engine.executions; Count s.Engine.cache_hits;
+           Ratio (float_of_int s.Engine.cache_hits /. float_of_int calls);
+           Count size; Count s.Engine.evictions;
+         ])
+       runs)
 
 (* ------------------------------------------------------------------ *)
 (* E12 — Theorem 5.1 + §8: the transformation end to end               *)
@@ -668,27 +850,19 @@ let e12 () =
   let rows =
     List.map
       (fun (name, src) ->
-        let env =
-          match Lang.Parser.parse src with
-          | Ok m -> (
-            match Lang.Typecheck.check m with
-            | Ok env -> env
-            | Error _ -> assert false)
-          | Error e -> failwith e
-        in
+        let env = parse_env src in
         let conv = Lang.Interp.run ~fuel:200_000_000 env in
         let inc = Transform.Incr_interp.run ~fuel:200_000_000 env in
         let same = conv.Lang.Interp.output = inc.Transform.Incr_interp.output in
         [
-          name;
-          fi conv.Lang.Interp.steps;
-          fi inc.Transform.Incr_interp.steps;
-          ff
+          Label name;
+          Count conv.Lang.Interp.steps;
+          Count inc.Transform.Incr_interp.steps;
+          Ratio
             (float_of_int conv.Lang.Interp.steps
-            /. float_of_int (max 1 inc.Transform.Incr_interp.steps))
-          ^ "x";
-          fi inc.Transform.Incr_interp.engine_stats.Engine.executions;
-          (if same then "HOLDS" else "VIOLATED");
+            /. float_of_int (max 1 inc.Transform.Incr_interp.steps));
+          Count inc.Transform.Incr_interp.engine_stats.Engine.executions;
+          Bool same;
         ])
       Lang.Samples.all
   in
@@ -697,7 +871,8 @@ let e12 () =
       "Alphonse execution produces the same output as conventional \
        execution while doing asymptotically less work"
     [ "program"; "conv steps"; "alphonse steps"; "speedup"; "execs"; "thm 5.1" ]
-    rows
+    rows;
+  claim_thm51 rows
 
 (* ------------------------------------------------------------------ *)
 (* E13 — §6.2: static subgraph construction                            *)
@@ -713,27 +888,36 @@ let e13 () =
           Func.create eng ~static_deps (fun _ () -> Var.get a + i))
     in
     Array.iter (fun f -> ignore (Func.call f ())) fs;
-    Engine.reset_stats eng;
-    let (), t =
-      time_of (fun () ->
-          for r = 1 to rounds do
-            Var.set a (r * 1000);
-            Engine.stabilize eng
-          done)
+    let drive () =
+      for r = 1 to rounds do
+        Var.set a (r * 1000);
+        Engine.stabilize eng
+      done
     in
+    Engine.reset_stats eng;
+    drive ();
     let g = Engine.graph_stats eng in
-    (executions eng, g.Depgraph.Graph.removed_edges,
-     g.Depgraph.Graph.total_edges, t)
+    let counts =
+      (executions eng, g.Depgraph.Graph.removed_edges,
+       g.Depgraph.Graph.total_edges)
+    in
+    (counts, snd (time drive))
   in
-  let e_dyn, rm_dyn, tot_dyn, t_dyn = run ~static_deps:false in
-  let e_st, rm_st, tot_st, t_st = run ~static_deps:true in
+  let (e_dyn, rm_dyn, tot_dyn), t_dyn = run ~static_deps:false in
+  let (e_st, rm_st, tot_st), t_st = run ~static_deps:true in
+  claim (rm_st = 0) "static R(p) removes 0 edges (%d)" rm_st;
   print_table ~title:"E13  static subgraph construction (§6.2)"
     ~claim:
-      "instances with static referenced-argument sets keep their first        execution's edges: re-executions do no RemovePredEdges / re-record        work, cutting the graph-manipulation overhead the paper attributes        to production-based systems"
+      "instances with static referenced-argument sets keep their first \
+       execution's edges: re-executions do no RemovePredEdges / re-record \
+       work, cutting the graph-manipulation overhead the paper attributes \
+       to production-based systems"
     [ "config"; "re-executions"; "edges removed"; "edges ever"; "time" ]
     [
-      [ "dynamic R(p) (default)"; fi e_dyn; fi rm_dyn; fi tot_dyn; fms t_dyn ];
-      [ "static R(p) (§6.2)"; fi e_st; fi rm_st; fi tot_st; fms t_st ];
+      [ Label "dynamic R(p) (default)"; Count e_dyn; Count rm_dyn;
+        Count tot_dyn; Timed t_dyn ];
+      [ Label "static R(p) (§6.2)"; Count e_st; Count rm_st; Count tot_st;
+        Timed t_st ];
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -786,28 +970,30 @@ let e14 () =
   let top = Option.get consumers.(layers - 1) in
   ignore (Func.call top ());
   let fixups_setup = (Engine.stats eng).Engine.order_fixups in
-  Engine.reset_stats eng;
-  let (), t =
-    time_of (fun () ->
-        for r = 1 to rounds do
-          Var.set base r;
-          Engine.stabilize eng
-        done)
+  let drive () =
+    for r = 1 to rounds do
+      Var.set base r;
+      Engine.stabilize eng
+    done
   in
+  Engine.reset_stats eng;
+  drive ();
   let execs = executions eng
   and fixups = fixups_setup + (Engine.stats eng).Engine.order_fixups in
+  let (), t = time drive in
   let instances = ref 0 in
   Engine.iter_nodes eng (fun n ->
       if Engine.node_kind n = `Instance then incr instances);
+  let bound = !instances * rounds in
+  claim (execs <= bound) "re-executions %d <= bound %d" execs bound;
   print_table ~title:"E14  topological drain order (§2, §4.5)"
     ~claim:
       "\"the amount of computation is minimized when done in a topological \
        order\": with Pearce-Kelly repair of out-of-order edges into eager \
-       instances, no instance runs more than once per change (gated by \
-       check_bench)"
+       instances, no instance runs more than once per change"
     [ "diamonds"; "re-executions"; "bound (instances x rounds)";
       "order fixups"; "time" ]
-    [ [ fi layers; fi execs; fi (!instances * rounds); fi fixups; fms t ] ]
+    [ [ Count layers; Count execs; Count bound; Count fixups; Timed t ] ]
 
 (* ------------------------------------------------------------------ *)
 (* E15 — §10: parallel-execution potential                             *)
@@ -835,10 +1021,7 @@ let e15 () =
       Avl.rebalance t
     done
   in
-  let sheet _eng =
-    () (* the sheet owns its engine; profiled separately below *)
-  in
-  ignore sheet;
+  (* the sheet owns its engine *)
   let sheet_profile =
     let s = Sheet.create () in
     for r = 0 to 255 do
@@ -856,16 +1039,18 @@ let e15 () =
   in
   let row name (p : Alphonse.Inspect.parallel_profile) =
     [
-      name;
-      fi p.Alphonse.Inspect.total_instances;
-      fi p.Alphonse.Inspect.critical_path;
-      fi p.Alphonse.Inspect.max_width;
-      ff p.Alphonse.Inspect.speedup_bound ^ "x";
+      Label name;
+      Count p.Alphonse.Inspect.total_instances;
+      Count p.Alphonse.Inspect.critical_path;
+      Count p.Alphonse.Inspect.max_width;
+      Ratio p.Alphonse.Inspect.speedup_bound;
     ]
   in
   print_table ~title:"E15  parallel-execution potential (§10)"
     ~claim:
-      "the dependency graph's level structure bounds the speedup of a        parallel evaluator: wide shallow graphs (trees, sheets)        parallelize well; deep chains do not"
+      "the dependency graph's level structure bounds the speedup of a \
+       parallel evaluator: wide shallow graphs (trees, sheets) parallelize \
+       well; deep chains do not"
     [ "workload"; "instances"; "critical path"; "max width"; "bound" ]
     [
       row "height over a 1023-node perfect tree" (profile_of height_tree);
@@ -883,7 +1068,8 @@ let e15 () =
    converge to the fault-free answer at a bounded cost multiple. *)
 let e16 () =
   let funcs = 200 and rounds = 50 in
-  let build () =
+  (* each timed run gets a fresh chain; [arm] installs its hook *)
+  let build arm () =
     (* max_retries high enough that the seeded injector never poisons:
        poisoning would need a manual clear_poison per node, which is the
        UI's job (see Sheet.clear_fault), not the benchmark's *)
@@ -897,59 +1083,50 @@ let e16 () =
       prev := Func.create eng (fun _ () -> Func.call p () + i)
     done;
     ignore (Func.call !prev ());
-    (eng, a, !prev)
-  in
-  let drive (eng, a, top) =
     Engine.reset_stats eng;
-    let (), t =
-      time_of (fun () ->
-          for r = 1 to rounds do
-            Var.set a r;
-            (try Engine.stabilize eng
-             with Alphonse.Faults.Injected _ -> ());
-            (try ignore (Func.call top ())
-             with Alphonse.Faults.Injected _ -> ())
-          done)
-    in
+    (eng, a, !prev, arm eng)
+  in
+  let drive (eng, a, top, fired) =
+    for r = 1 to rounds do
+      Var.set a r;
+      (try Engine.stabilize eng with Alphonse.Faults.Injected _ -> ());
+      try ignore (Func.call top ()) with Alphonse.Faults.Injected _ -> ()
+    done;
     (* drain: clear the injector, requeue anything still quarantined,
        and read the final answer *)
     Alphonse.Faults.clear eng;
     Engine.stabilize eng;
-    let final = Func.call top () in
-    (t, Engine.stats eng, final)
+    (Engine.stats eng, Func.call top (), fired)
   in
-  let clean = build () in
-  let t_clean, s_clean, v_clean = drive clean in
-  let inert = build () in
-  let eng_i, _, _ = inert in
-  Engine.set_fault_hook eng_i (Some (fun _ -> ()));
-  let t_inert, s_inert, v_inert = drive inert in
-  let faulted = build () in
-  let eng_f, _, _ = faulted in
-  let fired = Alphonse.Faults.install_seeded eng_f ~seed:42 ~rate:0.0005 () in
-  let t_fault, s_fault, v_fault = drive faulted in
-  let row name (t, (s : Engine.stats), v) faults =
+  let run arm = time_with (build arm) drive in
+  let (s_clean, v_clean, _), t_clean = run (fun _ -> None) in
+  let row name (((s : Engine.stats), v, fired), t) =
+    claim (v = v_clean) "%s converges to the fault-free answer" name;
     [
-      name;
-      fi s.Engine.executions;
-      faults;
-      fi s.Engine.failures;
-      fi s.Engine.retries;
-      fms t;
-      (if v = v_clean then "HOLDS" else "VIOLATED");
+      Label name; Count s.Engine.executions;
+      (match fired with Some n -> Count !n | None -> Nil);
+      Count s.Engine.failures; Count s.Engine.retries; Timed t;
+      Bool (v = v_clean);
     ]
+  in
+  let clean = row "no hook (baseline)" ((s_clean, v_clean, None), t_clean) in
+  let inert =
+    row "inert hook installed"
+      (run (fun eng -> Engine.set_fault_hook eng (Some ignore); None))
+  in
+  let seeded =
+    row "seeded crashes (rate 0.05%)"
+      (run (fun eng ->
+           Some (Alphonse.Faults.install_seeded eng ~seed:42 ~rate:0.0005 ())))
   in
   print_table ~title:"E16  recovery overhead (failure model)"
     ~claim:
-      "fault tolerance is pay-as-you-go: an inert hook adds ~nothing to        the settle path, and runs that absorb injected crashes still        converge to the fault-free answer after quarantine and retry"
+      "fault tolerance is pay-as-you-go: an inert hook adds ~nothing to the \
+       settle path, and runs that absorb injected crashes still converge to \
+       the fault-free answer after quarantine and retry"
     [ "config"; "executions"; "faults"; "failures"; "retries"; "time";
       "converges" ]
-    [
-      row "no hook (baseline)" (t_clean, s_clean, v_clean) "-";
-      row "inert hook installed" (t_inert, s_inert, v_inert) "-";
-      row "seeded crashes (rate 0.05%)" (t_fault, s_fault, v_fault)
-        (fi !fired);
-    ]
+    [ clean; inert; seeded ]
 
 (* ------------------------------------------------------------------ *)
 (* E17 — §6.1 sharpened: effect analysis vs pure reachability          *)
@@ -958,14 +1135,6 @@ let e16 () =
 let e17 () =
   (* analyze mutates the AST site notes, so each variant gets a fresh
      parse of the sample *)
-  let fresh src =
-    match Lang.Parser.parse src with
-    | Ok m -> (
-      match Lang.Typecheck.check m with
-      | Ok env -> env
-      | Error _ -> assert false)
-    | Error e -> failwith e
-  in
   let sites (s : Transform.Analysis.site_stats) =
     s.Transform.Analysis.tracked_reads + s.Transform.Analysis.tracked_writes
     + s.Transform.Analysis.tracked_calls
@@ -978,22 +1147,17 @@ let e17 () =
   let rows =
     List.map
       (fun (name, src) ->
-        let base = Transform.Analysis.analyze ~sharpen:false (fresh src) in
-        let env = fresh src in
+        let base = Transform.Analysis.analyze ~sharpen:false (parse_env src) in
+        let env = parse_env src in
         let sharp = Transform.Analysis.analyze env in
-        let conv = Lang.Interp.run ~fuel:200_000_000 (fresh src) in
+        let conv = Lang.Interp.run ~fuel:200_000_000 (parse_env src) in
         let inc = Transform.Incr_interp.run ~fuel:200_000_000 env in
         let same = conv.Lang.Interp.output = inc.Transform.Incr_interp.output in
+        let s_base = sites base.Transform.Analysis.stats
+        and s_sharp = sites sharp.Transform.Analysis.stats in
         [
-          name;
-          fi (storage base);
-          fi (storage sharp);
-          fi (sites base.Transform.Analysis.stats);
-          fi (sites sharp.Transform.Analysis.stats);
-          fi
-            (sites base.Transform.Analysis.stats
-            - sites sharp.Transform.Analysis.stats);
-          (if same then "HOLDS" else "VIOLATED");
+          Label name; Count (storage base); Count (storage sharp);
+          Count s_base; Count s_sharp; Count (s_base - s_sharp); Bool same;
         ])
       Lang.Samples.all
   in
@@ -1006,7 +1170,8 @@ let e17 () =
        programs while Theorem 5.1 still holds on all of them"
     [ "program"; "storage"; "sharpened"; "sites"; "sharpened"; "dropped";
       "thm 5.1" ]
-    rows
+    rows;
+  claim_thm51 rows
 
 (* ------------------------------------------------------------------ *)
 (* E18 — durability: WAL and snapshot overhead                         *)
@@ -1054,23 +1219,19 @@ let e18 () =
   in
   let drive s =
     snd
-      (time_of (fun () ->
+      (time (fun () ->
            for r = 1 to edits do
              Sheet.set s "A1" (string_of_int r);
              ignore (Sheet.value_at s "A20")
            done))
   in
-  (* throwaway pass so the first timed config doesn't pay the global
-     warm-up (allocator growth, page faults) *)
-  ignore (drive (build ()));
   let t_mem = drive (build ()) in
   let durable_run policy =
     let s = build () in
     let dir = fresh_dir () in
     let d = Durable.attach ~policy ~dir (Sheet.engine s) (Sheet.persist s) in
     Sheet.set_journal s (Some (Durable.journal_op d));
-    let t = drive s in
-    (t, s, d, dir)
+    (drive s, s, d, dir)
   in
   let t_never, _, d_never, dir_never = durable_run Wal.Never in
   Durable.detach d_never;
@@ -1078,18 +1239,21 @@ let e18 () =
   Durable.detach d_always;
   let t_commit, s_commit, d_commit, dir_commit = durable_run Wal.Commit in
   (* snapshot write + cold recovery on the commit-policy state *)
-  let snap, t_snap = time_of (fun () -> Durable.checkpoint d_commit) in
+  let snap, t_snap = time (fun () -> Durable.checkpoint d_commit) in
   let snap_bytes = (Unix.stat snap).Unix.st_size in
   Durable.detach d_commit;
-  let s2 = Sheet.create () in
-  let _o, t_rec =
-    time_of (fun () ->
-        Durable.recover ~dir:dir_commit (Sheet.engine s2) (Sheet.persist s2))
+  let s2, t_rec =
+    time_with Sheet.create (fun s2 ->
+        ignore
+          (Durable.recover ~dir:dir_commit (Sheet.engine s2) (Sheet.persist s2));
+        s2)
   in
   let agree = Sheet.render s2 = Sheet.render s_commit in
   List.iter rm_rf [ dir_never; dir_always; dir_commit ];
-  let per t = Fmt.str "%.1fus" (t /. float_of_int edits *. 1e6) in
-  let ratio t = Fmt.str "%.2fx" (t /. t_mem) in
+  claim agree "recovery restores the pre-crash state";
+  let row name t =
+    [ Label name; Timed t; Timed (per edits t); ratio t t_mem; Nil ]
+  in
   print_table ~title:"E18  durability overhead (WAL + snapshots)"
     ~claim:
       "write-ahead journaling is a bounded, policy-priced tax on the edit \
@@ -1098,15 +1262,13 @@ let e18 () =
        the exact pre-crash state"
     [ "config"; "time"; "per-edit"; "vs in-memory"; "state" ]
     [
-      [ "in-memory settle"; fms t_mem; per t_mem; "1.00x"; "-" ];
-      [ "wal policy=never"; fms t_never; per t_never; ratio t_never; "-" ];
-      [ "wal policy=commit"; fms t_commit; per t_commit; ratio t_commit; "-" ];
-      [ "wal policy=always"; fms t_always; per t_always; ratio t_always; "-" ];
-      [ Fmt.str "snapshot write (%dB)" snap_bytes; fms t_snap; "-"; "-"; "-" ];
-      [
-        "recover (restore+replay)"; fms t_rec; "-"; "-";
-        (if agree then "HOLDS" else "VIOLATED");
-      ];
+      row "in-memory settle" t_mem;
+      row "wal policy=never" t_never;
+      row "wal policy=commit" t_commit;
+      row "wal policy=always" t_always;
+      [ Label (Fmt.str "snapshot write (%dB)" snap_bytes); Timed t_snap; Nil;
+        Nil; Nil ];
+      [ Label "recover (restore+replay)"; Timed t_rec; Nil; Nil; Bool agree ];
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1191,11 +1353,10 @@ let settle_shapes =
      disabled  registry attached, then detached ([set_metrics None])
                before the timed rounds — must price like base, or the
                "disabled instrumentation is one dead branch" claim
-               (E6/E17 discipline) is broken; check_bench gates these
-               rows at <= 1.05x
+               (E6/E17 discipline) is broken; claimed <= 1.05x
      enabled   registry attached for the timed rounds: two clock reads
                and one histogram observation per stabilize session —
-               reported, not gated (it is the price of observability) *)
+               reported, not claimed (it is the price of observability) *)
 let e20 () =
   let module Metrics = Alphonse.Metrics in
   let measure build config rounds =
@@ -1210,17 +1371,15 @@ let e20 () =
     edit 0;
     Engine.stabilize eng;
     ignore (read ());
-    let (), t =
-      time_of (fun () ->
-          for r = 1 to rounds do
-            edit r;
-            Engine.stabilize eng;
-            ignore (read ())
-          done)
-    in
-    t /. float_of_int rounds
+    let t0 = now () in
+    for r = 1 to rounds do
+      edit r;
+      Engine.stabilize eng;
+      ignore (read ())
+    done;
+    (now () -. t0) /. float_of_int rounds
   in
-  (* The gated base/disabled comparison is between two identical code
+  (* The claimed base/disabled comparison is between two identical code
      paths, so any measured difference is noise; the statistic must not
      amplify it. Three defenses: each timed block is calibrated to
      ~0.3s (a 40us round would otherwise drown in timer jitter); the
@@ -1253,21 +1412,19 @@ let e20 () =
     List.concat_map
       (fun (name, build) ->
         let base, dis, en = best3 build in
-        let row config (t, r) =
-          [ name; "serial"; config; Printf.sprintf "%.0fus" (t *. 1e6); ff r ^ "x" ]
-        in
+        claim (snd dis <= 1.05) "%s: disabled metrics %.2fx <= 1.05x base" name
+          (snd dis);
+        let row config (t, r) = [ Label name; Label config; Secs t; Ratio r ] in
         [ row "base" base; row "disabled" dis; row "enabled" en ])
       settle_shapes
   in
   print_table ~title:"E20  metrics registry overhead (per settle round)"
     ~claim:
       "detached metrics cost nothing measurable (disabled rows <= 1.05x \
-       base, gated by check_bench); an attached registry costs two clock \
-       reads and one histogram observation per stabilize session, not \
-       per-event atomics"
-    [ "workload"; "mode"; "config"; "time"; "overhead" ]
+       base); an attached registry costs two clock reads and one histogram \
+       observation per stabilize session, not per-event atomics"
+    [ "workload"; "config"; "time"; "overhead" ]
     rows
-
 
 (* E21: the daemon under multi-tenant load. Phase "1x" drives a closed
    loop within the admission capacity: every request is accepted, and
@@ -1280,7 +1437,6 @@ let e20 () =
    is the admission + budget + settle path itself. *)
 let e21 () =
   let module Daemon = Alphonse.Daemon in
-  let module Json = Alphonse.Json in
   let tenants = 1000 in
   let mk_cfg ~tenant_queue ~global_queue ~max_settles =
     {
@@ -1339,12 +1495,12 @@ let e21 () =
       for r = 0 to per_thread - 1 do
         let i = (k + (r * threads)) mod tenants in
         let v = string_of_int (1 + ((k + r) mod 97)) in
-        let t0 = Unix.gettimeofday () in
+        let t0 = now () in
         let resp =
           Daemon.submit d
             (request ~tenant:(tenant_id i) [ set_op "A1" v; get_op tail ])
         in
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = now () -. t0 in
         match status resp with
         | 200 ->
           Atomic.incr oks;
@@ -1355,11 +1511,10 @@ let e21 () =
         | _ -> lat.(r) <- -1.0
       done
     in
-    let (), wall =
-      time_of (fun () ->
-          let ths = List.init threads (fun k -> Thread.create (body k) ()) in
-          List.iter Thread.join ths)
-    in
+    let t0 = now () in
+    let ths = List.init threads (fun k -> Thread.create (body k) ()) in
+    List.iter Thread.join ths;
+    let wall = now () -. t0 in
     let accepted =
       Array.to_list lats
       |> List.concat_map Array.to_list
@@ -1380,19 +1535,17 @@ let e21 () =
     seed d;
     let ok, shed, wall, p50, p99 = run_phase d ~threads ~per_thread in
     Daemon.drain d;
-    let total = threads * per_thread in
+    (match load with
+    | "1x" -> claim (shed = 0) "1x: %d tenants served, %d shed" tenants shed
+    | _ ->
+      claim (shed > 0 && ok > 0) "2x: sheds (%d) and still accepts (%d)" shed
+        ok);
     [
-      load;
-      string_of_int tenants;
-      string_of_int threads;
-      string_of_int ok;
-      string_of_int shed;
-      Printf.sprintf "%.1f%%" (100.0 *. float_of_int shed /. float_of_int total);
-      Printf.sprintf "%.0f" (float_of_int ok /. wall);
-      Printf.sprintf "%.2fms" (p50 *. 1e3);
-      Printf.sprintf "%.2fms" (p99 *. 1e3);
+      Label load; Count tenants; Count threads; Count ok; Count shed;
+      Count (int_of_float (float_of_int ok /. wall)); Secs p50; Secs p99;
     ]
   in
+  claim (tenants >= 1000) "%d tenants >= 1000" tenants;
   let rows =
     [
       (* within capacity: 8 drivers against an 8-settle gate and roomy
@@ -1411,171 +1564,9 @@ let e21 () =
     ~claim:
       "the daemon sustains a thousand independent tenants with \
        millisecond batch latency, and under 2x offered load it sheds \
-       the surplus with fast 503s (gated by check_bench: the 2x row \
-       must shed > 0 and still accept > 0) instead of stalling"
-    [
-      "load"; "tenants"; "threads"; "ok"; "shed"; "shed%"; "edits/s"; "p50";
-      "p99";
-    ]
+       the surplus with fast 503s instead of stalling"
+    [ "load"; "tenants"; "threads"; "ok"; "shed"; "edits/s"; "p50"; "p99" ]
     rows
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro suite                                                *)
-(* ------------------------------------------------------------------ *)
-
-let micro_tests () =
-  let open Bechamel in
-  (* E1: re-query after a toggled pointer change, vs exhaustive pass *)
-  let eng = Engine.create () in
-  let forest = Itree.create eng in
-  let tree = Itree.perfect forest 0 4094 in
-  ignore (Itree.height forest tree);
-  let rec leftmost = function
-    | Itree.Nil -> assert false
-    | Itree.Node nd -> (
-      match Var.get nd.Itree.left with
-      | Itree.Nil -> nd
-      | sub -> leftmost sub)
-  in
-  let leaf = leftmost tree in
-  let graft = Itree.node forest (-1) in
-  let flip = ref false in
-  let t_height_inc =
-    Test.make ~name:"E1 height: change+query (incremental)"
-      (Staged.stage (fun () ->
-           flip := not !flip;
-           Var.set leaf.Itree.left (if !flip then graft else Itree.Nil);
-           Itree.height forest tree))
-  in
-  let t_height_exh =
-    Test.make ~name:"E1 height: exhaustive pass"
-      (Staged.stage (fun () -> Itree.height_exhaustive tree))
-  in
-  (* E3: sheet edit+query vs oracle *)
-  let s = Sheet.create () in
-  Sheet.set_raw s (0, 0) "1";
-  for r = 1 to 511 do
-    Sheet.set_raw s (0, r) (Printf.sprintf "=A%d+1" r)
-  done;
-  ignore (Sheet.value s (0, 511));
-  let tick = ref 0 in
-  let t_sheet_inc =
-    Test.make ~name:"E3 sheet: edit mid-chain + query (incremental)"
-      (Staged.stage (fun () ->
-           incr tick;
-           Sheet.set_raw s (0, 256) (string_of_int (!tick mod 2));
-           Sheet.value s (0, 511)))
-  in
-  let t_sheet_exh =
-    Test.make ~name:"E3 sheet: exhaustive query"
-      (Staged.stage (fun () -> Sheet.exhaustive_value s (0, 511)))
-  in
-  (* E4: steady-state insert/delete pair *)
-  let eng4 = Engine.create () in
-  let avl = Avl.create eng4 in
-  for k = 1 to 1024 do
-    Avl.insert avl (2 * k)
-  done;
-  Avl.rebalance avl;
-  let k4 = ref 0 in
-  let t_avl_alphonse =
-    Test.make ~name:"E4 avl: insert+delete (alphonse)"
-      (Staged.stage (fun () ->
-           incr k4;
-           let k = (2 * (!k4 mod 1024)) + 1 in
-           Avl.insert avl k;
-           Avl.rebalance avl;
-           Avl.delete avl k;
-           Avl.rebalance avl))
-  in
-  let base = ref Base.Nil in
-  for k = 1 to 1024 do
-    base := Base.insert !base (2 * k)
-  done;
-  let k5 = ref 0 in
-  let t_avl_base =
-    Test.make ~name:"E4 avl: insert+delete (hand-coded)"
-      (Staged.stage (fun () ->
-           incr k5;
-           let k = (2 * (!k5 mod 1024)) + 1 in
-           base := Base.insert !base k;
-           base := Base.delete !base k))
-  in
-  (* E10: read/write cost by tracking status *)
-  let eng10 = Engine.create () in
-  let r_plain = ref 1 in
-  let v_untracked = Var.create eng10 1 in
-  let v_tracked = Var.create eng10 1 in
-  let probe = Func.create eng10 (fun _ () -> Var.get v_tracked) in
-  ignore (Func.call probe ());
-  let t_ref =
-    Test.make ~name:"E10 read: plain ref"
-      (Staged.stage (fun () -> !r_plain + 1))
-  in
-  let t_untracked =
-    Test.make ~name:"E10 read: untracked Var"
-      (Staged.stage (fun () -> Var.get v_untracked + 1))
-  in
-  let t_tracked =
-    Test.make ~name:"E10 read: tracked Var (mutator)"
-      (Staged.stage (fun () -> Var.get v_tracked + 1))
-  in
-  let t_write_same =
-    Test.make ~name:"E10 write: tracked Var, equal value"
-      (Staged.stage (fun () -> Var.set v_tracked 1))
-  in
-  (* E6: interpreters on the pragma-free program *)
-  let env6 =
-    match Lang.Parser.parse overhead_program with
-    | Ok m -> (
-      match Lang.Typecheck.check m with Ok e -> e | Error _ -> assert false)
-    | Error e -> failwith e
-  in
-  let t_interp =
-    Test.make ~name:"E6 lang: conventional interpreter"
-      (Staged.stage (fun () -> Lang.Interp.run env6))
-  in
-  let t_incr_interp =
-    Test.make ~name:"E6 lang: instrumented interpreter"
-      (Staged.stage (fun () -> Transform.Incr_interp.run env6))
-  in
-  [
-    t_height_inc; t_height_exh; t_sheet_inc; t_sheet_exh; t_avl_alphonse;
-    t_avl_base; t_ref; t_untracked; t_tracked; t_write_same; t_interp;
-    t_incr_interp;
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  let open Toolkit in
-  Fmt.pr "@.== Bechamel micro-benchmarks (ns/run, OLS on monotonic clock) \
-          ==@.";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  let tests = micro_tests () in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg instances elt in
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          let nanos =
-            match Analyze.OLS.estimates est with
-            | Some [ t ] -> t
-            | _ -> nan
-          in
-          let r2 =
-            match Analyze.OLS.r_square est with Some r -> r | None -> nan
-          in
-          Fmt.pr "   %-46s %12.1f ns/run   (r²=%.3f)@." (Test.Elt.name elt)
-            nanos r2)
-        (Test.elements test))
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1589,96 +1580,78 @@ let experiments =
     ("E17", e17); ("E18", e18); ("E20", e20); ("E21", e21);
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable output                                             *)
-(* ------------------------------------------------------------------ *)
-
-type experiment_result = {
-  er_name : string;
-  er_wall_clock : float;
-  er_tables : recorded_table list;
-}
-
-(* Runs one experiment, capturing its wall clock and the tables it
-   printed. *)
-let run_experiment (name, f) =
-  let before = !recorded_tables in
-  let (), wall = time_of f in
-  let rec fresh acc l =
-    if l == before then acc else
-      match l with
-      | [] -> acc
-      | t :: rest -> fresh (t :: acc) rest
-  in
-  {
-    er_name = name;
-    er_wall_clock = wall;
-    er_tables = fresh [] !recorded_tables;
-  }
+(* the experiments whose claims a full run must check *)
+let required = [ "E4"; "E6"; "E14"; "E16"; "E17"; "E18"; "E20"; "E21" ]
 
 let results_file = "BENCH_results.json"
 
-let json_of_table t =
-  Json.Obj
-    [
-      ("title", Json.Str t.rt_title);
-      ("claim", Json.Str t.rt_claim);
-      ("headers", Json.Arr (List.map (fun h -> Json.Str h) t.rt_headers));
-      ( "rows",
-        Json.Arr
-          (List.map
-             (fun row -> Json.Arr (List.map (fun c -> Json.Str c) row))
-             t.rt_rows) );
-    ]
-
-let write_results results =
+(* Runs one experiment; returns its JSON record and its claims, oldest
+   first. *)
+let run_experiment (name, f) =
+  tables := [];
+  claims := [];
+  let t0 = now () in
+  f ();
+  let wall = now () -. t0 in
+  let cs = List.rev !claims in
+  List.iter
+    (fun (c, holds) -> Fmt.pr "   %s %s@." (if holds then "ok:" else "FAILED:") c)
+    cs;
   let json =
     Json.Obj
       [
-        ("schema", Json.Str "alphonse-bench/1");
-        ("generator", Json.Str "bench/main.exe");
-        ( "experiments",
+        ("name", Json.Str name); ("wall_clock_s", Json.Num wall);
+        ("tables", Json.Arr (List.rev !tables));
+        ( "claims",
           Json.Arr
             (List.map
-               (fun r ->
-                 Json.Obj
-                   [
-                     ("name", Json.Str r.er_name);
-                     ("wall_clock_s", Json.Num r.er_wall_clock);
-                     ("tables", Json.Arr (List.map json_of_table r.er_tables));
-                   ])
-               results) );
+               (fun (c, holds) ->
+                 Json.Obj [ ("claim", Json.Str c); ("holds", Json.Bool holds) ])
+               cs) );
       ]
   in
-  Out_channel.with_open_text results_file (fun oc ->
-      Out_channel.output_string oc (Json.to_string json);
-      Out_channel.output_char oc '\n');
-  Fmt.epr "[bench: %d experiment(s) -> %s]@." (List.length results)
-    results_file
+  (json, List.map (fun (c, holds) -> (name ^ ": " ^ c, holds)) cs)
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
+  let names = List.tl (Array.to_list Sys.argv) in
+  let todo =
+    if names = [] then experiments
+    else
+      List.map
+        (fun n ->
+          match List.assoc_opt n experiments with
+          | Some f -> (n, f)
+          | None ->
+            Fmt.epr "unknown experiment %s@." n;
+            exit 2)
+        names
+  in
   Fmt.pr "Alphonse evaluation harness — paper claims vs measured@.";
   Fmt.pr "(see DESIGN.md for the experiment index, EXPERIMENTS.md for \
           analysis)@.";
-  match args with
-  | [] ->
-    write_results (List.map run_experiment experiments);
-    run_micro ()
-  | [ "report" ] -> write_results (List.map run_experiment experiments)
-  | [ "micro" ] -> run_micro ()
-  | names ->
-    let results =
-      List.filter_map
-        (fun name ->
-          match List.assoc_opt name experiments with
-          | Some f -> Some (run_experiment (name, f))
-          | None when name = "micro" ->
-            run_micro ();
-            None
-          | None ->
-            Fmt.epr "unknown experiment %s@." name;
-            None)
-        names
-    in
-    if results <> [] then write_results results
+  let results = List.map run_experiment todo in
+  let claims =
+    List.concat_map snd results
+    @ List.filter_map
+        (fun r ->
+          if names = [] && not (List.mem_assoc r todo) then
+            Some ("full run includes " ^ r, false)
+          else None)
+        required
+  in
+  Out_channel.with_open_text results_file (fun oc ->
+      Out_channel.output_string oc
+        (Json.to_string
+           (Json.Obj
+              [
+                ("schema", Json.Str "alphonse-bench/2");
+                ("generator", Json.Str "bench/main.exe");
+                ("experiments", Json.Arr (List.map fst results));
+              ]));
+      Out_channel.output_char oc '\n');
+  let failed = List.filter (fun (_, holds) -> not holds) claims in
+  List.iter (fun (c, _) -> Fmt.epr "claim FAILED: %s@." c) failed;
+  Fmt.epr "bench: %d experiment(s), %d claim(s), %d failed -> %s@."
+    (List.length results) (List.length claims) (List.length failed)
+    results_file;
+  if failed <> [] then exit 1

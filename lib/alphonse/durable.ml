@@ -73,7 +73,6 @@ type t = {
   eng : Engine.t;
   p : persistable;
   wal : Wal.t;
-  keep_snapshots : int;
   mutable in_txn : bool;
   mutable detached : bool;
   mutable kill_hook : (string -> unit) option;
@@ -116,12 +115,9 @@ let entry_kind j =
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let attach ?(policy = Wal.Commit) ?segment_limit ?(keep_snapshots = 2) ~dir
-    eng p =
+let attach ?(policy = Wal.Commit) ?segment_limit ~dir eng p =
   if Engine.journal eng <> None then
     invalid_arg "Durable.attach: engine already has a journal";
-  if keep_snapshots < 1 then
-    invalid_arg "Durable.attach: keep_snapshots must be >= 1";
   let wal = Wal.open_ ~policy ?segment_limit dir in
   let s =
     {
@@ -129,7 +125,6 @@ let attach ?(policy = Wal.Commit) ?segment_limit ?(keep_snapshots = 2) ~dir
       eng;
       p;
       wal;
-      keep_snapshots;
       in_txn = false;
       detached = false;
       kill_hook = None;
@@ -266,6 +261,8 @@ let write_snapshot s ~wal_from =
 (* Keep the newest [keep_snapshots] snapshots, and every journal
    segment from the oldest kept snapshot's cut onward — so recovery can
    always fall back one snapshot generation with full replay coverage. *)
+let keep_snapshots = 2
+
 let prune s =
   poke s "snap-prune";
   let snaps = snapshots s.dir in
@@ -273,7 +270,7 @@ let prune s =
     let rec last_n n l =
       if List.length l <= n then l else last_n n (List.tl l)
     in
-    last_n s.keep_snapshots snaps
+    last_n keep_snapshots snaps
   in
   let keep_idx = List.map fst keep in
   List.iter
@@ -422,7 +419,7 @@ let intents_agree ~journaled ~captured =
   in
   subseq (journaled, captured)
 
-let recover ?(verify = true) ~dir eng p =
+let recover ~dir eng p =
   if Engine.journal eng <> None then
     invalid_arg "Durable.recover: detach the engine's journal first";
   let t0 =
@@ -480,13 +477,12 @@ let recover ?(verify = true) ~dir eng p =
   (* 3. apply committed units, re-capturing write intents *)
   let captured = ref [] in
   let expected = ref [] in
-  if verify then
-    Engine.set_journal eng
-      (Some
-         {
-           Engine.on_write = (fun ~name ~id:_ -> captured := name :: !captured);
-           on_txn = (fun _ -> ());
-         });
+  Engine.set_journal eng
+    (Some
+       {
+         Engine.on_write = (fun ~name ~id:_ -> captured := name :: !captured);
+         on_txn = (fun _ -> ());
+       });
   let replayed = ref 0 in
   let apply_failed = ref false in
   Fun.protect
@@ -513,10 +509,9 @@ let recover ?(verify = true) ~dir eng p =
         units);
   let verified =
     (not !apply_failed)
-    && ((not verify)
-       || orphans = 0
-          && intents_agree ~journaled:(List.rev !expected)
-               ~captured:(List.rev !captured))
+    && orphans = 0
+    && intents_agree ~journaled:(List.rev !expected)
+         ~captured:(List.rev !captured)
   in
   (* 4. audit the recovered engine *)
   let audit_errs = Engine.audit_errors eng in

@@ -51,17 +51,15 @@ type t
 val attach :
   ?policy:Wal.policy ->
   ?segment_limit:int ->
-  ?keep_snapshots:int ->
   dir:string ->
   Engine.t ->
   persistable ->
   t
 (** Arms journaling: opens a fresh journal segment in [dir] (creating
     it if needed) and installs the engine journal hooks. Run
-    {!recover} first when [dir] may hold prior state. [keep_snapshots]
-    (default 2) bounds how many snapshot generations {!checkpoint}
-    retains. @raise Invalid_argument if the engine already has a
-    journal. *)
+    {!recover} first when [dir] may hold prior state. {!checkpoint}
+    retains the newest two snapshot generations.
+    @raise Invalid_argument if the engine already has a journal. *)
 
 val journal_op : t -> Json.t -> unit
 (** [journal_op s d] appends domain mutation [d] to the journal —
@@ -108,7 +106,7 @@ type outcome = {
   o_warnings : string list;
 }
 
-val recover : ?verify:bool -> dir:string -> Engine.t -> persistable -> outcome
+val recover : dir:string -> Engine.t -> persistable -> outcome
 (** [recover ~dir eng p] runs the recovery state machine against a
     fresh engine + domain: pick the newest snapshot that passes its CRC
     and loads ([p_load]), restore engine bookkeeping
@@ -119,7 +117,7 @@ val recover : ?verify:bool -> dir:string -> Engine.t -> persistable -> outcome
     integrity failure it degrades to exhaustive recomputation rather
     than serving corrupt state — the recovered answers are then still
     correct, merely cold. An empty or absent [dir] recovers to the
-    empty state. [verify] defaults to [true]. *)
+    empty state. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** One deterministic summary line (used by [alphonsec recover]). *)

@@ -133,20 +133,15 @@ let uniform state =
 
 (* [install_seeded eng ~seed ~rate ()] arms a deterministic
    pseudo-random injector: each poke independently raises with
-   probability [rate]. [max_faults] (default unlimited) bounds how many
-   faults fire in total — recovery tests use 1 to keep each run a
-   single-fault experiment while still sampling the site randomly. *)
-let install_seeded eng ~seed ?(rate = 0.01) ?max_faults () =
+   probability [rate]. *)
+let install_seeded eng ~seed ?(rate = 0.01) () =
   if not (rate >= 0. && rate <= 1.) then
     invalid_arg "Faults.install_seeded: rate must be in [0, 1]";
   let state = ref (Int64.of_int seed) in
   let fired = ref 0 in
   let cell = injection_counter eng in
   let hook site =
-    let budget_left =
-      match max_faults with None -> true | Some m -> !fired < m
-    in
-    if budget_left && uniform state < rate then begin
+    if uniform state < rate then begin
       incr fired;
       (match cell with None -> () | Some c -> Metrics.inc c);
       raise (Injected site)

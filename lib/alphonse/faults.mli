@@ -50,12 +50,11 @@ val inject_nth : Engine.t -> ?only:string -> int -> bool ref
     uses it to detect walking past the end of a run. *)
 
 val install_seeded :
-  Engine.t -> seed:int -> ?rate:float -> ?max_faults:int -> unit -> int ref
+  Engine.t -> seed:int -> ?rate:float -> unit -> int ref
 (** [install_seeded eng ~seed ()] installs a deterministic pseudo-random
     injector: each poke independently raises {!Injected} with
     probability [rate] (default 0.01), drawn from a splitmix64 stream
-    seeded with [seed]. [max_faults] bounds the total number of faults
-    fired. Returns the count of faults fired so far. *)
+    seeded with [seed]. Returns the count of faults fired so far. *)
 
 val pick : seed:int -> (string * int) list -> int -> (string * int) list
 (** [pick ~seed counts n] draws [n] deterministic injection points

@@ -10,7 +10,7 @@
    cost of being armed is one sink call per event; file I/O happens only
    when something already went wrong.
 
-   Reports are capped ([max_reports], default 16): a crash loop must
+   Reports are capped ([max_reports], 16): a crash loop must
    not fill the disk with identical incidents. The cap trips once per
    armed recorder; long-running processes re-arm after acting on the
    incidents. *)
@@ -20,7 +20,6 @@ type t = {
   metrics : Metrics.t option;
   dir : string;
   last : int;
-  max_reports : int;
   mutable written : int;
   mutable seq : int; (* per-process filename discriminator *)
   mutable reports : string list; (* newest first *)
@@ -135,17 +134,16 @@ let report f trigger ev =
   f.reports <- path :: f.reports;
   path
 
-let arm ?metrics ?(dir = "incidents") ?(last = 256) ?(max_reports = 16)
-    ?on_report tm =
+let max_reports = 16
+
+let arm ?metrics ?(dir = "incidents") ?(last = 256) ?on_report tm =
   if last < 1 then invalid_arg "Flight.arm: last must be >= 1";
-  if max_reports < 1 then invalid_arg "Flight.arm: max_reports must be >= 1";
   let f =
     {
       tm;
       metrics;
       dir;
       last;
-      max_reports;
       written = 0;
       seq = 0;
       reports = [];
@@ -158,7 +156,7 @@ let arm ?metrics ?(dir = "incidents") ?(last = 256) ?(max_reports = 16)
     match trigger_of_event r.Telemetry.ev with
     | None -> ()
     | Some trigger ->
-      if f.written < f.max_reports && not f.writing then begin
+      if f.written < max_reports && not f.writing then begin
         f.writing <- true;
         Fun.protect
           ~finally:(fun () -> f.writing <- false)

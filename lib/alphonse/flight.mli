@@ -19,7 +19,6 @@ val arm :
   ?metrics:Metrics.t ->
   ?dir:string ->
   ?last:int ->
-  ?max_reports:int ->
   ?on_report:(string -> unit) ->
   Telemetry.t ->
   t
@@ -28,7 +27,7 @@ val arm :
     ["incidents"], created on first incident) as
     [incident-<UTC-stamp>-<seq>.json], schema ["alphonse-incident/1"].
     [last] (default 256) bounds how many trailing events each report
-    embeds; [max_reports] (default 16) caps reports per armed recorder.
+    embeds; each armed recorder writes at most 16 reports.
     [on_report] is called with each written file's path (the CLI prints
     a notice). Reporting failures (e.g. an unwritable [dir]) are
     swallowed — the flight recorder never takes the engine down. *)

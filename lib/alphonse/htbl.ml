@@ -17,11 +17,8 @@ type ('k, 'v) t = {
   mutable used : int;  (* live bindings + tombstones *)
 }
 
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
-
-let create ?(initial_capacity = 16) ~hash ~equal () =
-  let cap = pow2_at_least (max 2 initial_capacity) 2 in
-  { hash; equal; slots = Array.make cap Empty; size = 0; used = 0 }
+let create ~hash ~equal () =
+  { hash; equal; slots = Array.make 16 Empty; size = 0; used = 0 }
 
 let length t = t.size
 

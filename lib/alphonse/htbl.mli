@@ -12,11 +12,8 @@
 type ('k, 'v) t
 
 val create :
-  ?initial_capacity:int ->
-  hash:('k -> int) ->
-  equal:('k -> 'k -> bool) ->
-  unit ->
-  ('k, 'v) t
+  hash:('k -> int) -> equal:('k -> 'k -> bool) -> unit -> ('k, 'v) t
+(** An empty table of 16 slots. *)
 
 val length : ('k, 'v) t -> int
 val find : ('k, 'v) t -> 'k -> 'v option

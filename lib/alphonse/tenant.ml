@@ -30,19 +30,6 @@ type config = {
   c_metrics : Metrics.t option;
 }
 
-let default_config ?(durable = true) ~root () =
-  {
-    c_root = root;
-    c_durable = durable;
-    c_wal_policy = Wal.Commit;
-    c_max_restarts = 5;
-    c_backoff_base = 0.05;
-    c_backoff_cap = 5.0;
-    c_cooldown = 30.0;
-    c_seed = 0;
-    c_metrics = None;
-  }
-
 (* Tenant ids become directory names: refuse anything that could
    escape the state root or collide across encodings. *)
 let valid_id id =
@@ -220,7 +207,7 @@ let ensure t ~now =
     else
       Error (Unavailable { reason = "circuit open"; retry_after = until -. now })
 
-let create ?kill_hook cfg w ~id =
+let create cfg w ~id =
   if not (valid_id id) then
     invalid_arg ("Tenant.create: invalid tenant id: " ^ String.escaped id);
   let t =
@@ -236,7 +223,7 @@ let create ?kill_hook cfg w ~id =
       trips = 0;
       last_error = None;
       last_recovery = None;
-      kill_hook;
+      kill_hook = None;
       m_crashes =
         Option.map
           (fun reg ->
@@ -308,10 +295,12 @@ let checkpoint t =
 
 let stop t =
   locked t @@ fun () ->
-  (match t.state with
-  | Up { ld = Some d; _ } -> ( try ignore (Durable.checkpoint d : string) with _ -> ())
-  | _ -> ());
-  teardown t
+  Fun.protect
+    ~finally:(fun () -> teardown t)
+    (fun () ->
+      match t.state with
+      | Up { ld = Some d; _ } -> ignore (Durable.checkpoint d : string)
+      | _ -> ())
 
 let engine t =
   match t.state with Up { ls; _ } -> Some ls.s_engine | _ -> None

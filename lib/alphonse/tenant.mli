@@ -58,10 +58,6 @@ type config = {
           [tenant_trips_total] *)
 }
 
-val default_config : ?durable:bool -> root:string -> unit -> config
-(** Commit-fsync WAL, 5 restarts, 50 ms base / 5 s cap backoff, 30 s
-    cooldown. *)
-
 val valid_id : string -> bool
 (** Tenant ids become directory names: 1–64 chars from
     [[A-Za-z0-9._-]], not starting with a dot. Anything else is
@@ -82,12 +78,10 @@ type error =
   | Unavailable of { reason : string; retry_after : float }
       (** crashed / restarting / circuit open — retry later *)
 
-val create : ?kill_hook:(string -> unit) -> config -> workload -> id:string -> t
+val create : config -> workload -> id:string -> t
 (** Creates the tenant and starts (= recovers) its first session from
     [<root>/tenants/<id>]. A failing first start does not raise: the
     tenant begins in [Backoff] and submits report [Unavailable].
-    [kill_hook] is forwarded to the durable session's
-    {!Durable.set_kill_hook} (crash testing through the daemon).
     @raise Invalid_argument when {!valid_id} rejects [id]. *)
 
 val submit :
@@ -114,8 +108,9 @@ val checkpoint : t -> unit
 (** Snapshot + journal rotation for this tenant (no-op while down). *)
 
 val stop : t -> unit
-(** Checkpoint (best effort), detach durability, drop the session.
-    Terminal: further submits answer [Unavailable "stopped"]. *)
+(** Checkpoint, detach durability, drop the session. Terminal: further
+    submits answer [Unavailable "stopped"]. The session is dropped even
+    when the checkpoint fails; that failure is then re-raised. *)
 
 val set_kill_hook : t -> (string -> unit) option -> unit
 (** Install a durability kill hook on the live session and on every

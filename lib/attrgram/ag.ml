@@ -48,13 +48,9 @@ let parent_equal a b =
 let children_equal a b =
   List.length a = List.length b && List.for_all2 node_equal a b
 
-type 'v grammar = {
-  eng : Engine.t;
-  value_equal : 'v -> 'v -> bool;
-  mutable next_id : int;
-}
+type 'v grammar = { eng : Engine.t; mutable next_id : int }
 
-let create ?(value_equal = ( = )) eng = { eng; value_equal; next_id = 0 }
+let create eng = { eng; next_id = 0 }
 
 let engine g = g.eng
 
@@ -78,7 +74,7 @@ let node g ~prod ?(terminals = []) children =
             ( k,
               Var.create g.eng
                 ~name:(Fmt.str "%s%d.%s" prod id k)
-                ~equal:g.value_equal v ))
+                v ))
           terminals;
     }
   in
@@ -170,7 +166,7 @@ type 'v attr = ('v node, 'v) Func.t
     direction the body looks. *)
 let attribute ?strategy g ~name body : 'v attr =
   Func.create g.eng ~name ?strategy ~hash_arg:node_hash ~equal_arg:node_equal
-    ~equal_result:g.value_equal (fun _self n -> body n)
+    (fun _self n -> body n)
 
 let eval (a : 'v attr) n = Func.call a n
 

@@ -20,10 +20,9 @@ type 'v grammar
 val node_equal : 'v node -> 'v node -> bool
 val node_hash : 'v node -> int
 
-val create :
-  ?value_equal:('v -> 'v -> bool) -> Alphonse.Engine.t -> 'v grammar
+val create : Alphonse.Engine.t -> 'v grammar
 (** [create engine] makes a grammar whose attribute quiescence test is
-    [value_equal] (default [( = )]). *)
+    structural equality. *)
 
 val engine : 'v grammar -> Alphonse.Engine.t
 

@@ -60,11 +60,6 @@ type result = {
   stats : site_stats;
 }
 
-(* Call-graph resolution lives in [Analyze.Callgraph]; re-exported here
-   as the stable public surface of the transformation's analysis. *)
-let dispatch_targets = Analyze.Callgraph.dispatch_targets
-let method_may_be_incremental = Analyze.Callgraph.method_may_be_incremental
-
 (* Iterate over the direct callees (procedure names) and accessed
    globals/fields of one procedure body. *)
 let iter_proc_accesses env (pd : proc_decl) ~on_call ~on_global ~on_field
@@ -83,7 +78,7 @@ let iter_proc_accesses env (pd : proc_decl) ~on_call ~on_global ~on_field
       | Some (Tobj cls) ->
         List.iter
           (fun (mi : Tc.method_info) -> on_call mi.mi_impl)
-          (dispatch_targets env cls m)
+          (Analyze.Callgraph.dispatch_targets env cls m)
       | _ -> ())
     | Int _ | Bool _ | Text _ | Nil | New _ | Binop _ | Unop _ | Unchecked _
       ->
@@ -239,7 +234,8 @@ let analyze ?(sharpen = true) (env : Tc.env) : result =
     | Call (Cmethod (o, mname), _) ->
       (e.note.tracked <-
         (match o.note.ty with
-        | Some (Tobj cls) -> method_may_be_incremental env cls mname
+        | Some (Tobj cls) ->
+          Analyze.Callgraph.method_may_be_incremental env cls mname
         | _ -> true));
       if e.note.tracked then incr tc else incr uc
     | _ -> ()

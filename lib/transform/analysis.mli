@@ -53,10 +53,3 @@ val pp_stats : Format.formatter -> site_stats -> unit
 val connectivity : Lang.Typecheck.env -> result -> (string * int) list
 (** Static partition components over ["type:T"], ["global:g"] and
     ["proc:p"] members; equal ids mean one component. Sorted by name. *)
-
-val dispatch_targets :
-  Lang.Typecheck.env -> string -> string -> Lang.Typecheck.method_info list
-(** Every implementation a call with the given static receiver class and
-    method name can dispatch to. *)
-
-val method_may_be_incremental : Lang.Typecheck.env -> string -> string -> bool

@@ -522,6 +522,20 @@ let test_drain_checkpoints_and_preload () =
   Daemon.drain d2;
   rm_rf root
 
+(* A failed drain checkpoint must reach the caller (the daemon logs it
+   per tenant), and the tenant must still end stopped. *)
+let test_stop_reports_failed_checkpoint () =
+  let root = fresh_root "stop-fails" in
+  let d = Daemon.create (Daemon.default_config ~root ()) (Sheet.workload ()) in
+  checki "seed" 200
+    (status (Daemon.submit d (request ~tenant:"t1" [ set_op "A1" "1" ])));
+  let tn = Option.get (Daemon.find_tenant d "t1") in
+  rm_rf root;
+  checkb "stop raises" true
+    (match Tenant.stop tn with () -> false | exception _ -> true);
+  checkb "tenant stopped" true
+    (Tenant.status tn ~now:(Unix.gettimeofday ()) = Tenant.Stopped)
+
 (* ------------------------------------------------------------------ *)
 (* The socket layer                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -722,6 +736,8 @@ let () =
         [
           Alcotest.test_case "drain checkpoints, restart preloads" `Quick
             test_drain_checkpoints_and_preload;
+          Alcotest.test_case "stop raises a failed checkpoint" `Quick
+            test_stop_reports_failed_checkpoint;
         ] );
       ( "serve",
         [

@@ -191,7 +191,7 @@ let test_dispatch_override_chain () =
         END M.|}
   in
   let impls cls m =
-    Analysis.dispatch_targets env cls m
+    Analyze.Callgraph.dispatch_targets env cls m
     |> List.map (fun (mi : Tc.method_info) -> mi.Tc.mi_impl)
     |> List.sort compare |> String.concat " "
   in
@@ -210,11 +210,11 @@ let test_dispatch_override_chain () =
     (mi_a.Tc.mi_pos.Lang.Ast.line = 6);
   (* a call through the static A receiver may reach incremental code *)
   checkb "A.v may be incremental" true
-    (Analysis.method_may_be_incremental env "A" "v");
+    (Analyze.Callgraph.method_may_be_incremental env "A" "v");
   checkb "C.v may be incremental" true
-    (Analysis.method_may_be_incremental env "C" "v");
+    (Analyze.Callgraph.method_may_be_incremental env "C" "v");
   checkb "plain never incremental" false
-    (Analysis.method_may_be_incremental env "A" "plain")
+    (Analyze.Callgraph.method_may_be_incremental env "A" "plain")
 
 let test_connectivity_components () =
   let src =

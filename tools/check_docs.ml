@@ -12,8 +12,11 @@
      CLI;
    - with --bench FILE, every quoted figure annotated with a
      `<!-- bench:EXP:row=LABEL:col=HEADER -->` marker is cross-checked
-     against that cell of the bench results JSON: the number
-     immediately preceding the marker must lie within a [0.5x, 2.0x]
+     against that cell of the bench results JSON (schema
+     alphonse-bench/2: a row is addressed by its first cell, and each
+     numeric cell records its value and unit): the number
+     immediately preceding the marker must have the cell's dimension
+     and lie within a [0.5x, 2.0x]
      ratio band of the measured value (wall clocks are noisy; an
      order-of-magnitude drift is a stale doc, a few percent is a
      shared CI machine). A marker whose experiment, row, or column no
@@ -373,50 +376,57 @@ let check_bench_markers () =
     let open Alphonse.Json in
     match of_string_opt (read_file file) with
     | None -> err "%s: not valid JSON" file
+    | Some j when Option.bind (member "schema" j) to_str <> Some "alphonse-bench/2"
+      ->
+      err "%s: not an alphonse-bench/2 results file" file
     | Some j ->
-      let exps =
-        Option.value ~default:[]
-          (Option.bind (member "experiments" j) to_list)
+      let list k v = Option.value ~default:[] (Option.bind (member k v) to_list) in
+      (* a row is addressed by its first cell: a label or a count *)
+      let key cell =
+        match member "value" cell with
+        | Some (Str s) -> Some s
+        | Some (Num f) -> Some (Printf.sprintf "%.0f" f)
+        | _ -> None
       in
       let cell_of exp row col =
         match
-          List.find_opt (fun e -> Option.bind (member "name" e) to_str = Some exp) exps
+          List.find_opt
+            (fun e -> Option.bind (member "name" e) to_str = Some exp)
+            (list "experiments" j)
         with
         | None -> Error (Printf.sprintf "no experiment %S in %s" exp file)
-        | Some e ->
-          let tables =
-            Option.value ~default:[] (Option.bind (member "tables" e) to_list)
-          in
+        | Some e -> (
           let found =
             List.find_map
               (fun t ->
-                let headers =
-                  List.filter_map to_str
-                    (Option.value ~default:[]
-                       (Option.bind (member "headers" t) to_list))
-                in
-                let col_idx =
-                  List.find_index (fun h -> h = col) headers
-                in
-                match col_idx with
-                | None -> None
-                | Some ci ->
-                  List.find_map
-                    (fun r ->
-                      match Option.map (List.filter_map to_str) (to_list r) with
-                      | Some (first :: _ as cells) when first = row ->
-                        List.nth_opt cells ci
-                      | _ -> None)
-                    (Option.value ~default:[]
-                       (Option.bind (member "rows" t) to_list)))
-              tables
+                let headers = List.filter_map to_str (list "headers" t) in
+                Option.bind (List.find_index (( = ) col) headers) (fun ci ->
+                    List.find_map
+                      (fun r ->
+                        match to_list r with
+                        | Some (first :: _ as cells) when key first = Some row ->
+                          List.nth_opt cells ci
+                        | _ -> None)
+                      (list "rows" t)))
+              (list "tables" e)
           in
-          (match found with
+          match found with
           | Some cell -> Ok cell
           | None ->
             Error
               (Printf.sprintf "experiment %s has no row %S with column %S" exp
                  row col))
+      in
+      (* a numeric cell's value and dimension, from its recorded unit *)
+      let measured cell =
+        match
+          ( Option.bind (member "unit" cell) to_str,
+            Option.bind (member "value" cell) to_float )
+        with
+        | Some "s", Some v -> Some (v, Seconds, "s")
+        | Some "ratio", Some v -> Some (v, Factor, "x")
+        | Some "count", Some v -> Some (v, Count, "")
+        | _ -> None
       in
       List.iter
         (fun (docfile, prefix, exp, row, col) ->
@@ -424,14 +434,14 @@ let check_bench_markers () =
           | Error msg -> err "%s: bench marker: %s" docfile msg
           | Ok cell -> (
             incr checked_figures;
-            match (parse_figure cell, figure_before prefix max_int) with
+            match (measured cell, figure_before prefix max_int) with
             | None, _ ->
-              err "%s: bench cell %s/%S/%S is not a number: %S" docfile exp
-                row col cell
+              err "%s: bench cell %s/%S/%S is not a number: %s" docfile exp
+                row col (to_string cell)
             | _, None ->
               err "%s: no figure precedes the bench marker for %s/%S/%S"
                 docfile exp row col
-            | Some (bv, bd), Some (dv, dd) ->
+            | Some (bv, bd, unit), Some (dv, dd) ->
               if bd <> dd then
                 err
                   "%s: bench figure for %s/%S/%S is %s but the doc quotes %s"
@@ -441,8 +451,8 @@ let check_bench_markers () =
                 if ratio < 0.5 || ratio > 2.0 then
                   err
                     "%s: stale bench figure for %s/%S/%S: doc quotes a value \
-                     %.4gx the measured %s"
-                    docfile exp row col ratio cell))
+                     %.4gx the measured %g%s"
+                    docfile exp row col ratio bv unit))
         markers)
 
 (* ------------------------------------------------------------------ *)
