@@ -88,10 +88,6 @@ and kind =
 and instance = {
   strategy : strategy;
   recompute : unit -> bool;
-  static_deps : bool;
-      (* §6.2: the referenced-argument set is the same on every execution,
-         so edges recorded by the first run are reused verbatim — no
-         RemovePredEdges, no re-recording *)
   mutable consistent : bool;
   mutable ever_ran : bool;
   (* quarantine bookkeeping: consecutive failed executions, and — once
@@ -117,7 +113,17 @@ and partition = {
 
 type node = nd
 
-type frame = { fnode : nd; stamp : int }
+(* One running execution. [reads] is its re-read cursor: while every
+   read has re-read a recorded pred in order, the preds [0, reads) were
+   re-read and the rest not yet; from its first read that needed a new
+   edge — the cut, at pred index k — it is [-1 - k], and [cut_srcs]
+   holds the sources the cut detached, for a failed run to restore. *)
+type frame = {
+  fnode : nd;
+  stamp : int;
+  mutable reads : int;
+  mutable cut_srcs : nd list;
+}
 
 (* One undo-log entry of an open transaction. The engine's own log
    points — the settle pop's mark restoration and the demand flip —
@@ -592,11 +598,24 @@ let mark_caused t ~caused cause node =
 
 let mark_inconsistent t node = mark_caused t ~caused:false node node
 
+let rec frame_of dst = function
+  | f :: rest -> if f.fnode == dst then f else frame_of dst rest
+  | [] -> assert false (* on_stack: it has a frame *)
+
 (* Mark the successors of [node] from the [i]th on, [node] the cause:
-   a top-level loop, so forwarding allocates no closure. *)
+   a top-level loop, so forwarding allocates no closure. A consumer on
+   the call stack is marked only through an edge its running execution
+   has re-read (or recorded): an edge past its cursor stands for a read
+   that has not happened yet, and that read will see the new value. *)
 let rec forward t node i =
   if i < G.succ_count node then begin
-    mark_caused t ~caused:true node (G.succ_at node i);
+    let dst = G.succ_at node i in
+    if
+      (not (G.payload dst).on_stack)
+      ||
+      let reads = (frame_of dst t.stack).reads in
+      reads < 0 || G.succ_pred_index node i < reads
+    then mark_caused t ~caused:true node dst;
     forward t node (i + 1)
   end
 
@@ -638,15 +657,15 @@ let new_storage t ~name =
   emit t (fun () -> Telemetry.Storage_created { id = eid t node; name });
   node
 
-let new_instance t ~name ~strategy ?(static_deps = false) ~recompute () =
+let new_instance t ~name ~strategy ~recompute () =
   let node =
     new_node t
     {
       name;
       kind =
         Instance
-          { strategy; recompute; static_deps; consistent = false;
-            ever_ran = false; failures = 0; poison = None };
+          { strategy; recompute; consistent = false; ever_ran = false;
+            failures = 0; poison = None };
       queued = false;
       on_stack = false;
       discarded = false;
@@ -692,34 +711,75 @@ let note_writer src consumer =
       if not (List.memq consumer ws) then p.writers <- consumer :: ws)
   | Instance _ -> ()
 
+(* [consumer] no longer reads or writes [src]: take it off [src]'s
+   writers, so nothing keeps an evicted writer alive. *)
+let unlist_writer src consumer =
+  let p = G.payload src in
+  if List.memq consumer p.writers then
+    p.writers <- List.filter (fun w -> w != consumer) p.writers
+
+(* Drop [node]'s preds from the [k]th on, unlisting it as their writer;
+   a cut ([save]) keeps the detached sources in [f] for a failed run to
+   restore. A failed run does not re-list the writers: its retry does. *)
+let drop_preds t node f k ~save =
+  let n = G.pred_count node in
+  if k < n then begin
+    for i = n - 1 downto k do
+      let src = G.pred_at node i in
+      unlist_writer src node;
+      if save then f.cut_srcs <- src :: f.cut_srcs
+    done;
+    if tele_on t then
+      emit t (fun () ->
+          let name = (G.payload node).name in
+          Telemetry.Preds_cut { id = eid t node; name; kept = k });
+    G.truncate_preds t.graph node k
+  end
+
+(* A read that needs a new edge. The first one of an execution cuts the
+   preds past the cursor (they were not re-read in order); from then on
+   every read appends. *)
+let add_dependency t src f =
+  let consumer = f.fnode in
+  if f.reads >= 0 then begin
+    let k = f.reads in
+    f.reads <- -1 - k;
+    drop_preds t consumer f k ~save:true
+  end;
+  if G.order_lt consumer src then begin
+    t.c_ooo <- t.c_ooo + 1;
+    (* repair the drain order (Pearce–Kelly) only where a pop executes:
+       a demand pop just flips a flag and forwards, so an out-of-order
+       edge into a demand instance is left alone *)
+    match (G.payload consumer).kind with
+    | Instance { strategy = Eager; _ } -> (
+      match G.restore_topological_order t.graph ~src ~dst:consumer with
+      | `Reordered _ -> t.c_fixups <- t.c_fixups + 1
+      | `Already_ordered | `Cycle -> ())
+    | Instance { strategy = Demand; _ } | Storage -> ()
+  end;
+  G.add_edge ~stamp:f.stamp ~src ~dst:consumer;
+  if tele_on t then
+    emit t (fun () ->
+        Telemetry.Edge_added { src = eid t src; dst = eid t consumer });
+  link_partitions t src consumer
+
 (* Record a dependency edge src → consumer for the executing instance, if
-   any and if recording is not suppressed by [unchecked]. *)
+   any and if recording is not suppressed by [unchecked]. A read that
+   repeats the last execution's read at the cursor writes no edge. *)
 let record_dependency ?(is_write = false) t src =
   match t.stack with
   | [] -> ()
-  | { fnode = consumer; stamp } :: _ ->
+  | f :: _ ->
     if t.mask then begin
       (* before any mutation: a fault here aborts the consumer's
          execution, whose failure handler restores its edge set *)
       poke t "edge";
-      if G.order_lt consumer src then begin
-        t.c_ooo <- t.c_ooo + 1;
-        (* repair the drain order (Pearce–Kelly) only where a pop
-           executes: a demand pop just flips a flag and forwards, so an
-           out-of-order edge into a demand instance is left alone *)
-        match (G.payload consumer).kind with
-        | Instance { strategy = Eager; _ } -> (
-          match G.restore_topological_order t.graph ~src ~dst:consumer with
-          | `Reordered _ -> t.c_fixups <- t.c_fixups + 1
-          | `Already_ordered | `Cycle -> ())
-        | Instance { strategy = Demand; _ } | Storage -> ()
-      end;
-      G.add_edge ~stamp ~src ~dst:consumer;
-      if is_write then note_writer src consumer;
-      if tele_on t then
-        emit t (fun () ->
-            Telemetry.Edge_added { src = eid t src; dst = eid t consumer });
-      link_partitions t src consumer
+      (match G.reread ~stamp:f.stamp ~src ~dst:f.fnode f.reads with
+      | `Repeat -> ()
+      | `Reread -> f.reads <- f.reads + 1
+      | `New -> add_dependency t src f);
+      if is_write then note_writer src f.fnode
     end
 
 let record_read t node = record_dependency t node
@@ -842,18 +902,23 @@ let next_stamp t =
   t.exec_serial <- t.exec_serial + 1;
   t.exec_serial
 
-(* Drop whatever edge set a failed run recorded and reinstate [preds],
-   the one of the last successful execution (sources evicted meanwhile
-   are skipped), under a fresh stamp for dedup. *)
-let restore_preds t node preds =
-  masked t (fun () ->
-      G.clear_preds t.graph node;
-      let st = next_stamp t in
-      List.iter
-        (fun src ->
-          if not (G.payload src).discarded then
-            G.add_edge ~stamp:st ~src ~dst:node)
-        preds)
+(* A failed run's edges: drop what it appended after its cut and
+   reinstate the preds the cut detached (sources evicted meanwhile are
+   skipped), under a fresh stamp for dedup. Without a cut the edge set
+   is the last successful execution's, untouched. *)
+let restore_preds t node f =
+  if f.reads < 0 then begin
+    let cut = -1 - f.reads in
+    for i = cut to G.pred_count node - 1 do
+      unlist_writer (G.pred_at node i) node
+    done;
+    G.truncate_preds t.graph node cut;
+    let st = next_stamp t in
+    List.iter
+      (fun src ->
+        if not (G.payload src).discarded then G.add_edge ~stamp:st ~src ~dst:node)
+      f.cut_srcs
+  end
 
 (* Pop the frame pushed by [run_instance] — on success and on unwind. *)
 let pop_frame t p saved_mask =
@@ -864,36 +929,28 @@ let pop_frame t p saved_mask =
   refresh_quick t
 
 (* Re-execute an incremental procedure instance under the call-stack
-   discipline of Algorithm 5: drop the dependencies recorded by the
-   previous execution, push a fresh frame, run, pop. Returns the quiescence
-   test: did the cached value change?
+   discipline of Algorithm 5: push a fresh frame with the cursor at the
+   first recorded pred, run, settle the edge set, pop. Returns the
+   quiescence test: did the cached value change?
 
    Exception safety: any raise out of the body (user exception, [Cycle],
-   an injected fault) pops the frame, discards the partially-recorded
-   edges of the failed run, restores the edge set of the last successful
-   one, re-marks the instance inconsistent and records the failure —
-   the engine stays fully usable and a later call retries. *)
+   an injected fault) pops the frame, restores the edge set of the last
+   successful run (see [restore_preds]), re-marks the instance
+   inconsistent and records the failure — the engine stays fully usable
+   and a later call retries. *)
 let run_instance t node p inst =
   if p.on_stack then raise (Cycle p.name);
   (match inst.poison with
   | Some _ -> raise (Poisoned p.name)
   | None -> ());
-  (* §6.2 static subgraphs: a re-execution of a static-R(p) instance keeps
-     the dependency edges of its first execution and records none — its
-     frame runs with edge recording masked (nested frames restore it). *)
-  let reuse_static = inst.static_deps && inst.ever_ran in
-  (* The predecessor set is snapshotted by the same traversal that
-     removes it (the paper's RemovePredEdges is destructive), so a
-     failed execution can put it back — see [restore_preds]; [None] means
-     the clear never ran and the intact edge set must be left alone. *)
-  let saved_preds = ref None in
   (* Pre-body faults — the depth watchdog, an injected "clear-preds"
      fault — must take the same failure path as a raise from the body: a
      settle loop has already popped this node and cleared [queued], so a
      raise that bypassed the handler would leave a previously-consistent
      eager instance unqueued with [consistent] still set, silently losing
-     its pending invalidation. No [Exec_begin] has been emitted yet, so
-     the handler emits no [Exec_end] — traces stay balanced. *)
+     its pending invalidation. Nothing is recorded yet, so the edge set
+     is intact, and no [Exec_begin] has been emitted, so the handler
+     emits no [Exec_end] — traces stay balanced. *)
   (try
      (match t.max_stack_depth with
      | Some lim when t.stack_depth >= lim ->
@@ -902,27 +959,21 @@ let run_instance t node p inst =
             (Fmt.str "call-stack depth limit %d reached at %s#%d" lim p.name
                (G.id node)))
      | _ -> ());
-     if not reuse_static then begin
-       poke t "clear-preds";
-       if inst.ever_ran && tele_on t then
-         emit t (fun () ->
-             Telemetry.Preds_cleared { id = eid t node; name = p.name });
-       saved_preds := Some (G.clear_preds_collect t.graph node)
-     end
+     (* the site where RemovePredEdges ran, and keeps its name *)
+     poke t "clear-preds"
    with e ->
-     Option.iter (restore_preds t node) !saved_preds;
      inst.consistent <- false;
      record_failure t node p inst e;
      raise e);
-  let stamp = next_stamp t in
-  t.stack <- { fnode = node; stamp } :: t.stack;
+  let f = { fnode = node; stamp = next_stamp t; reads = 0; cut_srcs = [] } in
+  t.stack <- f :: t.stack;
   t.quick <- false;
   t.stack_depth <- t.stack_depth + 1;
   p.on_stack <- true;
   p.queued <- false;
   inst.consistent <- true;
   let saved_mask = t.mask in
-  t.mask <- not reuse_static;
+  t.mask <- true;
   (match t.txn with Some tx -> tx.ran <- node :: tx.ran | None -> ());
   if tele_on t then
     emit t (fun () ->
@@ -934,9 +985,7 @@ let run_instance t node p inst =
       inst.recompute ()
     with e ->
       pop_frame t p saved_mask;
-      (* unwind: drop the edges recorded by the failed run and restore
-         those of the last successful one *)
-      Option.iter (restore_preds t node) !saved_preds;
+      restore_preds t node f;
       (* leave the instance inconsistent so a later call retries *)
       inst.consistent <- false;
       record_failure t node p inst e;
@@ -945,6 +994,8 @@ let run_instance t node p inst =
             { id = eid t node; name = p.name; changed = false; ok = false });
       raise e
   in
+  (* without a cut, drop the preds the execution never re-read *)
+  if f.reads >= 0 then drop_preds t node f f.reads ~save:false;
   pop_frame t p saved_mask;
   inst.failures <- 0;
   if tele_on t then

@@ -170,24 +170,16 @@ val new_instance :
   t ->
   name:string ->
   strategy:strategy ->
-  ?static_deps:bool ->
   recompute:(unit -> bool) ->
   unit ->
   node
 (** Creates an incremental procedure instance node. [recompute] re-executes
     the user procedure under the engine's call-stack discipline (the engine
-    clears predecessor edges and pushes the stack around it), stores the
-    result in the caller's typed cache, and returns whether the cached
-    value changed — the quiescence test. A fresh instance is inconsistent;
-    the first {!on_call} executes it.
-
-    [static_deps] (default [false]) enables the static subgraph
-    representation of §6.2: the programmer asserts that the instance's
-    referenced-argument set R(p) is identical on every execution, so the
-    dependency edges recorded by the first run are kept verbatim —
-    re-executions skip both [RemovePredEdges] and edge recording. Unsound
-    if the assertion is false (a dependency read only on some executions
-    would go untracked). *)
+    pushes the stack around it and keeps the predecessor edges that the
+    execution re-reads in order, dropping the rest), stores the result in
+    the caller's typed cache, and returns whether the cached value changed
+    — the quiescence test. A fresh instance is inconsistent; the first
+    {!on_call} executes it. *)
 
 val on_call : t -> node -> unit
 (** The engine part of a [call] to an incremental instance: settles the

@@ -3,7 +3,6 @@ type ('a, 'b) t = {
   fname : string;
   strategy : Engine.strategy;
   policy : Policy.t;
-  static_deps : bool;
   pp_key : ('a -> string) option;
       (* names instances "fname(key)" in telemetry and DOT dumps *)
   value_equal : 'b -> 'b -> bool;
@@ -33,8 +32,8 @@ and 'b cache = Empty | Cached of { mutable v : 'b }
 let fcounter = ref 0
 
 let create eng ?name ?strategy ?(policy = Policy.Unbounded)
-    ?(static_deps = false) ?(hash_arg = Hashtbl.hash) ?(equal_arg = ( = ))
-    ?(equal_result = ( = )) ?pp_key body =
+    ?(hash_arg = Htbl.poly_hash) ?(equal_arg = Htbl.poly_equal)
+    ?(equal_result = Htbl.poly_equal) ?pp_key body =
   incr fcounter;
   let fname =
     match name with Some n -> n | None -> Fmt.str "func#%d" !fcounter
@@ -47,7 +46,6 @@ let create eng ?name ?strategy ?(policy = Policy.Unbounded)
     fname;
     strategy;
     policy;
-    static_deps;
     pp_key;
     value_equal = equal_result;
     body;
@@ -104,8 +102,8 @@ let maybe_evict t ~keep =
 
 let find_or_create t a =
   match Htbl.find t.table a with
-  | Some e -> e
-  | None ->
+  | e -> e
+  | exception Not_found ->
     let recompute_ref = ref (fun () -> true) in
     let iname =
       match t.pp_key with
@@ -114,7 +112,6 @@ let find_or_create t a =
     in
     let enode =
       Engine.new_instance t.eng ~name:iname ~strategy:t.strategy
-        ~static_deps:t.static_deps
         ~recompute:(fun () -> !recompute_ref ())
         ()
     in
@@ -155,12 +152,12 @@ let call t a =
 let size t = Htbl.length t.table
 
 let peek t a =
-  match Htbl.find t.table a with
+  match Htbl.find_opt t.table a with
   | Some { cache = Cached c; _ } -> Some c.v
   | Some { cache = Empty; _ } | None -> None
 
 let node t a =
-  match Htbl.find t.table a with Some e -> Some e.enode | None -> None
+  match Htbl.find_opt t.table a with Some e -> Some e.enode | None -> None
 
 let name t = t.fname
 let engine t = t.eng

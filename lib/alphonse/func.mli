@@ -38,7 +38,6 @@ val create :
   ?name:string ->
   ?strategy:Engine.strategy ->
   ?policy:Policy.t ->
-  ?static_deps:bool ->
   ?hash_arg:('a -> int) ->
   ?equal_arg:('a -> 'a -> bool) ->
   ?equal_result:('b -> 'b -> bool) ->
@@ -49,17 +48,15 @@ val create :
 
     - [strategy] defaults to the engine's default strategy.
     - [policy] is the cache replacement policy (default {!Policy.Unbounded}).
-    - [static_deps] asserts that every execution of an instance touches
-      exactly the same tracked storage and callees, enabling the §6.2
-      static-subgraph representation: dependency edges are recorded once
-      and reused across re-executions. {b Unsound} if the assertion is
-      false; leave [false] (the default) unless you can prove it.
-    - [hash_arg]/[equal_arg] index the argument table (defaults:
-      [Hashtbl.hash] and [( = )]; pass identity-based functions for object
-      arguments).
+    - [hash_arg]/[equal_arg] index the argument table (defaults: a hash
+      consistent with [( = )] and [( = )] itself, both answered without a
+      C call for immediate values such as [int]; pass identity-based
+      functions for object arguments, and a monomorphic pair for other
+      structured keys on a hot path).
     - [equal_result] is the quiescence test on cached results (default
-      [( = )]): propagation stops at instances whose recomputed result is
-      [equal_result] to the previous one.
+      [( = )], with the same immediate-value path): propagation stops at
+      instances whose recomputed result is [equal_result] to the previous
+      one.
     - [pp_key] names each instance ["fname(key)"] instead of ["fname"] in
       telemetry, profiles and DOT dumps, so the instances of one argument
       table are distinguishable. Observability only — never affects

@@ -22,17 +22,41 @@ let create ~hash ~equal () =
 
 let length t = t.size
 
+(* The probe of [find]: top level, so a lookup allocates no closure and
+   answers without an option. *)
+let rec probe equal slots mask k i =
+  match Array.unsafe_get slots i with
+  | Empty -> raise_notrace Not_found
+  | Tomb -> probe equal slots mask k ((i + 1) land mask)
+  | Bind (k', v) ->
+    if equal k k' then v else probe equal slots mask k ((i + 1) land mask)
+
 let find t k =
   (* snapshot: a concurrent [grow] swaps [t.slots] wholesale *)
   let slots = t.slots in
   let mask = Array.length slots - 1 in
-  let rec probe i =
-    match Array.unsafe_get slots i with
-    | Empty -> None
-    | Tomb -> probe ((i + 1) land mask)
-    | Bind (k', v) -> if t.equal k k' then Some v else probe ((i + 1) land mask)
-  in
-  probe (t.hash k land mask)
+  probe t.equal slots mask k (t.hash k land mask)
+
+let find_opt t k = match find t k with v -> Some v | exception Not_found -> None
+
+(* An integer mixer for hashing immediate keys: [land mask] reads the
+   low bits, and a multiply carries every input bit into them only
+   upward, so the high half is folded back down. *)
+let hash_int k =
+  let h = k * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 32)) land max_int
+
+(* [Hashtbl.hash] and [( = )] with a path for immediate values (ints,
+   chars, bools, constant constructors) that makes no C call. Two
+   immediates are [( = )] exactly when they are the same word; any
+   other pair goes to [( = )] itself, so every answer — NaN's included —
+   is [( = )]'s. *)
+let poly_hash k =
+  let r = Obj.repr k in
+  if Obj.is_int r then hash_int (Obj.obj r : int) else Hashtbl.hash k
+
+let poly_equal a b =
+  if Obj.is_int (Obj.repr a) && Obj.is_int (Obj.repr b) then a == b else a = b
 
 (* Insert into [slots] directly; reuses the first tombstone on the probe
    path. *)

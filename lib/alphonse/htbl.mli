@@ -16,7 +16,26 @@ val create :
 (** An empty table of 16 slots. *)
 
 val length : ('k, 'v) t -> int
-val find : ('k, 'v) t -> 'k -> 'v option
+val find : ('k, 'v) t -> 'k -> 'v
+(** The value bound to a key. Allocates nothing.
+    @raise Not_found if the key is unbound. *)
+
+val find_opt : ('k, 'v) t -> 'k -> 'v option
+
+val hash_int : int -> int
+(** A non-negative integer hash whose low bits depend on every bit of
+    the input — for [hash] functions over integer keys. *)
+
+val poly_equal : 'a -> 'a -> bool
+(** [( = )], answered without a C call when both values are immediate
+    ([int], [char], [bool], constant constructors). Every answer is
+    [( = )]'s, NaN included. The default key and result equality of
+    {!Func.create} and the default of {!Var.create}. *)
+
+val poly_hash : 'a -> int
+(** A hash consistent with {!poly_equal}: {!hash_int} on immediate
+    values, [Hashtbl.hash] otherwise. The default key hash of
+    {!Func.create}. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Adds a binding. The key must be absent (argument tables never rebind);

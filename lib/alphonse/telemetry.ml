@@ -30,8 +30,9 @@ type event =
   | Cache_hit of { id : int; name : string }
   | Settle_pop of { id : int; name : string }
   | Edge_added of { src : int; dst : int }
-  | Preds_cleared of { id : int; name : string }
-      (* RemovePredEdges before a (dynamic-R(p)) re-execution *)
+      (* a new edge: a re-read of the pred at the cursor emits none *)
+  | Preds_cut of { id : int; name : string; kept : int }
+      (* a re-execution dropped its preds past the [kept] it re-read *)
   | Union of { a : int; b : int }
   | Evicted of { id : int; name : string }
   (* fault tolerance *)
@@ -148,7 +149,8 @@ let pp_event ppf = function
   | Cache_hit { id; name } -> Fmt.pf ppf "cache-hit %s#%d" name id
   | Settle_pop { id; name } -> Fmt.pf ppf "settle-pop %s#%d" name id
   | Edge_added { src; dst } -> Fmt.pf ppf "edge #%d -> #%d" src dst
-  | Preds_cleared { id; name } -> Fmt.pf ppf "preds-cleared %s#%d" name id
+  | Preds_cut { id; name; kept } ->
+    Fmt.pf ppf "preds-cut %s#%d (kept %d)" name id kept
   | Union { a; b } -> Fmt.pf ppf "union #%d #%d" a b
   | Evicted { id; name } -> Fmt.pf ppf "evicted %s#%d" name id
   | Quarantined { id; name; attempt; error } ->
@@ -246,8 +248,9 @@ let trace_records ?(meta = []) records =
           ("src", Json.Num (float_of_int src));
           ("dst", Json.Num (float_of_int dst));
         ]
-    | Preds_cleared { id; name } ->
-      instant ("clear-preds " ^ name) "graph" (node_args id)
+    | Preds_cut { id; name; kept } ->
+      instant ("cut-preds " ^ name) "graph"
+        (node_args id @ [ ("kept", Json.Num (float_of_int kept)) ])
     | Union { a; b } ->
       instant "union" "partition"
         [

@@ -34,8 +34,12 @@ type event =
   | Settle_pop of { id : int; name : string }
       (** the evaluator popped the node from an inconsistent set *)
   | Edge_added of { src : int; dst : int }
-  | Preds_cleared of { id : int; name : string }
-      (** RemovePredEdges before a dynamic-R(p) re-execution *)
+      (** a new dependency edge; a re-execution's read of the pred at its
+          cursor keeps that edge and emits nothing *)
+  | Preds_cut of { id : int; name : string; kept : int }
+      (** a re-execution dropped the preds past the first [kept]: its
+          reads diverged from the last execution's there, or it stopped
+          reading before the end of the list *)
   | Union of { a : int; b : int }  (** §6.3 partition union *)
   | Evicted of { id : int; name : string }
   | Quarantined of { id : int; name : string; attempt : int; error : string }

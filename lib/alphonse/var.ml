@@ -8,7 +8,7 @@ type 'a t = {
 
 let counter = ref 0
 
-let create eng ?name ?(equal = ( = )) v =
+let create eng ?name ?(equal = Htbl.poly_equal) v =
   incr counter;
   let vname =
     match name with Some n -> n | None -> "var#" ^ string_of_int !counter
@@ -54,10 +54,18 @@ let slow_set t v =
 
 let set t v =
   match t.vnode with
-  (* Quick regime + node already marked inconsistent: journaling, undo
-     logging, marking and poking would all be no-ops, so the write
-     reduces to the store. This is the E6 tracked-mutator fast path. *)
-  | Some n when Engine.quick_write_ok t.eng n -> t.contents <- v
+  | Some n when Engine.quick t.eng ->
+    (* Quick regime: nothing executes, and no transaction or journal is
+       open, so the write records, logs and journals nothing. It marks
+       the node only when it changes the value of a node not yet marked;
+       otherwise it is the store (the E6 tracked-mutator fast path, and
+       E10's equal-value write). *)
+    if Engine.quick_write_ok t.eng n || t.equal t.contents v then
+      t.contents <- v
+    else begin
+      t.contents <- v;
+      Engine.record_write t.eng n ~changed:true
+    end
   (* Quick regime + no node: nothing is recording and no transaction is
      open, so [slow_set] would do just the store. *)
   | None when Engine.quick t.eng -> t.contents <- v

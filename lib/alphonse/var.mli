@@ -15,8 +15,8 @@ type 'a t
 val create :
   Engine.t -> ?name:string -> ?equal:('a -> 'a -> bool) -> 'a -> 'a t
 (** [create engine v] is a tracked cell holding [v]. [equal] (default
-    [( = )]) is the change test of Algorithm 4: a write of an [equal] value
-    propagates nothing. [name] labels the cell in {!Inspect} output. *)
+    [( = )], as {!Htbl.poly_equal}) is the change test of Algorithm 4: a
+    write of an [equal] value propagates nothing. [name] labels the cell in {!Inspect} output. *)
 
 val get : 'a t -> 'a
 (** Current contents; records a dependency for the executing incremental

@@ -8,9 +8,17 @@
    holds (u's slot, i). Removal is swap-remove — the last entry moves
    into the vacated position and its twin backpointer is repointed —
    preserving §9.2's O(1)-per-edge removal contract without the edge
-   records and option links of a doubly-linked representation: the
-   steady-state edge churn of re-execution (RemovePredEdges, then
-   re-recording) allocates nothing.
+   records and option links of a doubly-linked representation.
+
+   Re-reading: a consumer's predecessor array lists its sources in the
+   order its last execution first read them. A re-execution walks a
+   cursor over that array: a read of the source at the cursor only
+   stamps the source, so a re-execution whose reads repeat writes no
+   edge. The engine keeps the cursor (one per running execution),
+   truncates the array at it on the first read that differs and appends
+   from there on, and at exit truncates the preds the execution never
+   reached. This replaces the paper's RemovePredEdges-then-re-record
+   (§4.3) with the same resulting edge set.
 
    Slots are recycled through a free list. Each recycling increments
    the slot's generation word (mod [gen_limit]); a handle remembers
@@ -255,43 +263,42 @@ let add_edge ~stamp ~src ~dst =
     t.total_edges <- t.total_edges + 1
   end
 
-(* RemovePredEdges. Each predecessor holds exactly one edge to [n]
-   (edges are deduplicated per consumer execution and fully cleared
-   between executions), so detaching the source sides one by one
-   cannot move an entry this loop has yet to read. *)
-let clear_preds t n =
-  check_alive "Graph.clear_preds" n;
-  let k = n.pred_n in
-  if k > 0 then begin
-    for i = 0 to k - 1 do
+(* Detach preds [k, pred_n) of [n]. A source may hold two edges to [n]
+   (the stamp dedups only until a nested execution re-stamps it): a
+   swap-remove on its successor arrays then repoints the other edge's
+   twin in [n]'s pred arrays, which this loop reads afresh. *)
+let truncate_preds t n k =
+  check_alive "Graph.truncate_preds" n;
+  let m = n.pred_n - k in
+  if m > 0 then begin
+    for i = k to n.pred_n - 1 do
       remove_succ_entry t (handle t n.pred_node.(i)) n.pred_twin.(i)
     done;
-    n.pred_n <- 0;
-    t.live_edges <- t.live_edges - k;
-    t.removed_edges <- t.removed_edges + k
+    n.pred_n <- k;
+    t.live_edges <- t.live_edges - m;
+    t.removed_edges <- t.removed_edges + m
   end
 
-(* Fused snapshot-and-clear for the engine's re-execution prologue: one
-   traversal detaches every incoming edge and returns the sources (in
-   reverse adjacency order) so a failed execution can reinstate them.
-   Equivalent to collecting [iter_pred] then [clear_preds], minus a full
-   second pass over the pred arrays. *)
-let clear_preds_collect t n =
-  check_alive "Graph.clear_preds_collect" n;
-  let k = n.pred_n in
-  if k = 0 then []
-  else begin
-    let acc = ref [] in
-    for i = 0 to k - 1 do
-      let src = handle t n.pred_node.(i) in
-      acc := src :: !acc;
-      remove_succ_entry t src n.pred_twin.(i)
-    done;
-    n.pred_n <- 0;
-    t.live_edges <- t.live_edges - k;
-    t.removed_edges <- t.removed_edges + k;
-    !acc
+(* RemovePredEdges. *)
+let clear_preds t n = truncate_preds t n 0
+
+(* The read of [src] by the execution [stamp] of [dst], whose cursor
+   is [at]: a repeat within the execution, the source at the cursor
+   (stamped), or a read that needs a new edge. *)
+let reread ~stamp ~src ~dst at =
+  check_alive "Graph.reread" src;
+  if src.last_stamp = stamp then `Repeat
+  else if at >= 0 && at < dst.pred_n && Array.unsafe_get dst.pred_node at = src.slot
+  then begin
+    src.last_stamp <- stamp;
+    `Reread
   end
+  else `New
+
+let pred_at n i =
+  check_alive "Graph.pred_at" n;
+  if i < 0 || i >= n.pred_n then invalid_arg "Graph.pred_at: index out of range";
+  handle n.owner n.pred_node.(i)
 
 let clear_succs t n =
   let k = n.succ_n in
@@ -339,6 +346,12 @@ let succ_at n i =
   check_alive "Graph.succ_at" n;
   if i < 0 || i >= n.succ_n then invalid_arg "Graph.succ_at: index out of range";
   handle n.owner n.succ_node.(i)
+
+let succ_pred_index n i =
+  check_alive "Graph.succ_pred_index" n;
+  if i < 0 || i >= n.succ_n then
+    invalid_arg "Graph.succ_pred_index: index out of range";
+  n.succ_twin.(i)
 
 let succ_count n = n.succ_n
 let pred_count n = n.pred_n

@@ -12,11 +12,10 @@
     arrays of twinned entries rather than linked edge records. Position [i]
     of [u]'s successor arrays names [v]'s slot together with the index [j]
     of the twin entry in [v]'s predecessor arrays, and vice versa; removal
-    is swap-remove with a twin-backpointer fixup, so [clear_preds] — the
-    paper's [RemovePredEdges], run before every re-execution — still costs
-    O(1) per edge (§9.2: "the O(1) cost of removing each edge can be
-    charged to the edge creation") and the steady-state edge churn of
-    re-execution allocates nothing.
+    is swap-remove with a twin-backpointer fixup, so removing an edge
+    costs O(1) (§9.2: "the O(1) cost of removing each edge can be charged
+    to the edge creation"). A re-execution whose reads repeat removes and
+    adds none: see {!reread}.
 
     Slots are recycled under a {e generation word} (see {!generation});
     handle liveness is an exact per-node flag, so generation wraparound
@@ -131,11 +130,34 @@ val clear_preds : 'a t -> 'a node -> unit
     swap-remove on each source's successor arrays. O(1) per edge, no
     allocation. *)
 
-val clear_preds_collect : 'a t -> 'a node -> 'a node list
-(** Like {!clear_preds}, but returns the detached sources. One traversal
-    serves both the engine's pre-execution edge snapshot (kept so a
-    failed execution can reinstate the previous dependency set) and the
-    removal itself. *)
+(** {1 Re-reading}
+
+    A consumer's predecessors are listed in the order its last
+    execution first read them. A re-execution walks a {e cursor} (a
+    pred index, kept by the caller) over that list: a read of the
+    source at the cursor needs no edge write. The engine truncates the
+    list at the cursor at the first read that differs (and appends from
+    there on), and at exit drops the preds the execution never reached —
+    the same edge set as clearing and re-recording, without the writes
+    when the reads repeat. *)
+
+val reread :
+  stamp:int -> src:'a node -> dst:'a node -> int -> [ `Repeat | `Reread | `New ]
+(** [reread ~stamp ~src ~dst at] classifies the read of [src] by the
+    execution [stamp] of [dst], whose cursor is [at] (negative: no
+    re-reading): [`Repeat] when this execution already read [src];
+    [`Reread] when [src] is the predecessor at [at], which stamps [src]
+    (the caller advances its cursor); [`New] when the read needs an
+    edge, to be added with {!add_edge} under the same stamp. No
+    allocation. *)
+
+val truncate_preds : 'a t -> 'a node -> int -> unit
+(** [truncate_preds g n k] removes predecessors [k ..] of [n], O(1) per
+    edge. *)
+
+val pred_at : 'a node -> int -> 'a node
+(** [pred_at n i] is the [i]th predecessor of [n], in read order.
+    @raise Invalid_argument if [i] is out of range. *)
 
 val iter_succ : ('a node -> unit) -> 'a node -> unit
 (** Applies a function to every successor (dependent) of the node. The
@@ -153,6 +175,12 @@ val succ_at : 'a node -> int -> 'a node
     for [0 <= i < succ_count n]: the closure-free form of {!iter_succ}
     for the engine's forwarding loop. The same restriction applies
     between calls: no edge of [n] may be added or removed.
+    @raise Invalid_argument if [i] is out of range. *)
+
+val succ_pred_index : 'a node -> int -> int
+(** [succ_pred_index n i] is the position of [n] in the predecessor list
+    of its [i]th successor: compared with that consumer's cursor, it
+    tells whether the consumer's running execution has re-read [n] yet.
     @raise Invalid_argument if [i] is out of range. *)
 
 val pred_count : 'a node -> int

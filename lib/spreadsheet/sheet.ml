@@ -125,35 +125,33 @@ let eval_with read_cell expr =
       | Empty -> eval el
       | Num x -> if x <> 0. then eval th else eval el)
     | F.Agg (agg, { c0; r0; c1; r1 }) -> (
+      (* one pass into float accumulators: the count, sum, least and
+         greatest of the numbers, and the first error in read order *)
       let err = ref None in
-      let acc = ref [] in
+      let n = ref 0 and sum = ref 0. in
+      let lo = ref infinity and hi = ref neg_infinity in
       for c = c0 to c1 do
         for r = r0 to r1 do
           match read_cell (c, r) with
           | Empty -> ()
-          | Num x -> acc := x :: !acc
-          | Error _ as e -> if !err = None then err := Some e
+          | Num x ->
+            incr n;
+            sum := !sum +. x;
+            lo := Float.min !lo x;
+            hi := Float.max !hi x
+          | Error _ as e -> (
+            match !err with None -> err := Some e | Some _ -> ())
         done
       done;
       match !err with
       | Some e -> e
       | None -> (
-        let xs = !acc in
-        let n = List.length xs in
         match agg with
-        | F.Count -> Num (float_of_int n)
-        | F.Sum -> Num (List.fold_left ( +. ) 0. xs)
-        | F.Avg ->
-          if n = 0 then Error Bad_arg
-          else Num (List.fold_left ( +. ) 0. xs /. float_of_int n)
-        | F.Min -> (
-          match xs with
-          | [] -> Error Bad_arg
-          | x :: rest -> Num (List.fold_left Float.min x rest))
-        | F.Max -> (
-          match xs with
-          | [] -> Error Bad_arg
-          | x :: rest -> Num (List.fold_left Float.max x rest))))
+        | F.Count -> Num (float_of_int !n)
+        | F.Sum -> Num !sum
+        | F.Avg -> if !n = 0 then Error Bad_arg else Num (!sum /. float_of_int !n)
+        | F.Min -> if !n = 0 then Error Bad_arg else Num !lo
+        | F.Max -> if !n = 0 then Error Bad_arg else Num !hi))
   in
   eval expr
 
@@ -175,6 +173,12 @@ let cell_at t (c, r) =
     Hashtbl.add t.cells (c, r) cell;
     cell
 
+(* The argument table's key functions: a cell read is a call keyed by
+   its coordinate, and these answer it without a polymorphic hash or
+   compare. *)
+let coord_hash (c, r) = Alphonse.Htbl.hash_int ((c lsl 24) lxor r)
+let coord_equal ((c, r) : int * int) (c', r') = c = c' && r = r'
+
 let create ?strategy ?partitioning () =
   let eng = Engine.create ?default_strategy:strategy ?partitioning () in
   let t = { eng; cells = Hashtbl.create 64; value_fn = None; journal = None } in
@@ -188,7 +192,8 @@ let create ?strategy ?partitioning () =
   in
   t.value_fn <-
     Some
-      (Func.create eng ~name:"cell-value"
+      (Func.create eng ~name:"cell-value" ~hash_arg:coord_hash
+         ~equal_arg:coord_equal
          ~pp_key:(fun coord -> F.name_of_cell coord)
          (fun _self coord ->
            match Var.get (cell_at t coord).content with

@@ -220,6 +220,43 @@ let test_eager_cache_write_zero_alloc () =
     true
     (cached -. bare_words <= 0.5)
 
+(* A cache-hit call made by an executing instance whose reads all
+   repeat its last execution's: the argument lookup (an int key) and
+   the re-read of the callee's edge allocate nothing. The words are
+   counted inside the body around 64 calls, against the same probes
+   around no call. *)
+let test_reexec_hit_zero_alloc () =
+  let eng = Alphonse.Engine.create () in
+  let a = Var.create eng ~name:"a" 0 in
+  let leaf = Func.create eng ~name:"leaf" (fun _ k -> k * 2) in
+  let calls = ref 0. and control = ref 0. in
+  let top =
+    Func.create eng ~name:"top" (fun _ () ->
+        let s = ref (Var.get a) in
+        let w0 = Gc.minor_words () in
+        for k = 0 to 63 do
+          s := !s + Func.call leaf k
+        done;
+        let w1 = Gc.minor_words () in
+        let w2 = Gc.minor_words () in
+        calls := w1 -. w0;
+        control := w2 -. w1;
+        !s)
+  in
+  ignore (Func.call top ());
+  let g0 = Engine.graph_stats eng and hits0 = (Engine.stats eng).Engine.cache_hits in
+  for i = 1 to 3 do
+    Var.set a i;
+    checki "value" (i + 4032) (Func.call top ())
+  done;
+  let g1 = Engine.graph_stats eng in
+  checki "every call a cache hit" (3 * 64)
+    ((Engine.stats eng).Engine.cache_hits - hits0);
+  checki "no edge added" g0.Depgraph.Graph.total_edges g1.Depgraph.Graph.total_edges;
+  checki "no edge removed" g0.Depgraph.Graph.removed_edges
+    g1.Depgraph.Graph.removed_edges;
+  Alcotest.(check (float 0.0)) "64 calls allocate nothing" !control !calls
+
 let test_eager_stabilize_precomputes () =
   let eng = Engine.create ~default_strategy:Engine.Eager () in
   let runs = ref 0 in
@@ -502,6 +539,34 @@ let test_evicted_values_collected () =
   checki "evictions" 198 evicted;
   checki "every evicted value was collected" evicted !finalised
 
+(* An instance that wrote a cell on one execution and not on the next
+   is no longer that cell's writer: evicted, nothing keeps it, its
+   closure or its cached value alive. *)
+let test_stale_writers_collected () =
+  let eng = Engine.create () in
+  let cell = Var.create eng 0 and phase = Var.create eng true in
+  let finalised = ref 0 in
+  let f =
+    Func.create eng ~policy:(Policy.Lru 2) (fun _ n ->
+        if Var.get phase then Var.set cell n;
+        let v = Array.make 1000 n in
+        Gc.finalise (fun _ -> incr finalised) v;
+        v)
+  in
+  let keys = 200 in
+  for n = 1 to keys do
+    Var.set phase true;
+    ignore (Func.call f n : int array);
+    Var.set phase false;
+    ignore (Func.call f n : int array)
+  done;
+  Gc.full_major ();
+  Gc.full_major ();
+  checki "evictions" (keys - 2) (Engine.stats eng).Engine.evictions;
+  (* two values per key, less the two live instances' current ones *)
+  checki "every replaced or evicted value was collected" ((2 * keys) - 2)
+    !finalised
+
 (* ------------------------------------------------------------------ *)
 (* Partitioning (§6.3)                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -547,13 +612,14 @@ let test_partitioned_correctness () =
 (* Static subgraphs (§6.2)                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_static_deps_correct () =
+(* §6.2's static subgraph needs no declaration: a re-execution keeps
+   every edge it re-reads in order, so an instance whose R(p) is the
+   same on every execution records its edges once. *)
+let test_same_reads_keep_edges () =
   let eng = Engine.create () in
   let a = Var.create eng 1 and b = Var.create eng 2 in
-  (* R(p) = {a, b} on every execution: a valid static-subgraph instance *)
-  let f =
-    Func.create eng ~static_deps:true (fun _ () -> Var.get a + Var.get b)
-  in
+  (* R(p) = {a, b} on every execution *)
+  let f = Func.create eng (fun _ () -> Var.get a + Var.get b) in
   checki "initial" 3 (Func.call f ());
   let edges_after_first = (Engine.graph_stats eng).Depgraph.Graph.total_edges in
   for i = 1 to 20 do
@@ -565,43 +631,55 @@ let test_static_deps_correct () =
     checki "both deps live" (100 + i + (2 * i)) (Func.call f ())
   done;
   let g = Engine.graph_stats eng in
-  checki "edges recorded once, reused verbatim" edges_after_first
+  checki "edges recorded once, re-read after" edges_after_first
     g.Depgraph.Graph.total_edges;
   checki "no edge removal churn" 0 g.Depgraph.Graph.removed_edges
 
 let test_dynamic_deps_churn_baseline () =
-  (* the same workload without the static assertion re-records edges on
-     every execution — the churn §6.2 eliminates *)
+  (* reads that change between executions: the second read alternates
+     between b and c, so each re-execution keeps a's edge, cuts the
+     other and records the new one — one edge removed and one added per
+     re-execution, not the whole set *)
   let eng = Engine.create () in
-  let a = Var.create eng 1 and b = Var.create eng 2 in
-  let f = Func.create eng (fun _ () -> Var.get a + Var.get b) in
-  ignore (Func.call f ());
-  for i = 1 to 20 do
-    Var.set a (100 + i);
-    ignore (Func.call f ())
+  let a = Var.create eng 1 and b = Var.create eng 20 and c = Var.create eng 30 in
+  let f =
+    Func.create eng (fun _ () ->
+        let x = Var.get a in
+        x + if x mod 2 = 0 then Var.get b else Var.get c)
+  in
+  checki "initial" 31 (Func.call f ());
+  for i = 2 to 21 do
+    Var.set a i;
+    checki "value" (i + if i mod 2 = 0 then 20 else 30) (Func.call f ())
   done;
   let g = Engine.graph_stats eng in
-  checkb "dynamic tracking removes and re-adds edges" true
-    (g.Depgraph.Graph.removed_edges >= 40)
+  checki "one edge removed per re-execution" 20 g.Depgraph.Graph.removed_edges;
+  checki "one edge added per re-execution" 22 g.Depgraph.Graph.total_edges;
+  (* the edge set is the last execution's: a change to the cell it
+     stopped reading does not re-execute it *)
+  let runs = (Engine.stats eng).Engine.executions in
+  Var.set b 999;
+  checki "dropped read untracked" 51 (Func.call f ());
+  checki "no re-execution" runs (Engine.stats eng).Engine.executions
 
-let test_static_deps_hazard () =
-  (* the documented unsoundness: an instance whose R(p) is NOT static
-     loses the dependency it did not read on its first execution *)
+let test_switched_read_tracked () =
+  (* an instance whose R(p) is not static: the read it switches to is
+     recorded, and a change to it is seen *)
   let eng = Engine.create () in
   let switch = Var.create eng true in
   let x = Var.create eng 10 and y = Var.create eng 20 in
   let f =
-    Func.create eng ~static_deps:true (fun _ () ->
+    Func.create eng (fun _ () ->
         if Var.get switch then Var.get x else Var.get y)
   in
   checki "first run reads switch and x" 10 (Func.call f ());
   Var.set switch false;
   checki "re-execution picks up y" 20 (Func.call f ());
-  (* y was never recorded as a dependency (the static edges are those of
-     the FIRST run: switch and x), so this change is invisible — exactly
-     the unsoundness the API documentation warns about *)
   Var.set y 999;
-  checki "stale: y's change is untracked" 20 (Func.call f ())
+  checki "y's change is tracked" 999 (Func.call f ());
+  Var.set x 0;
+  checki "x is no longer read" 999 (Func.call f ());
+  Engine.audit eng
 
 (* ------------------------------------------------------------------ *)
 (* Preemptable evaluation (§4.5)                                       *)
@@ -1198,7 +1276,8 @@ let test_telemetry_event_order () =
       "mark f";
       "pop f";
       "begin f" (* demand re-execution on the second call *);
-      "edge";
+      (* it re-reads a, the pred at its cursor: the edge is kept, and
+         only a new edge emits an event *)
       "end f true";
       "hit f" (* third call answered from cache *);
     ]
@@ -1473,6 +1552,8 @@ let () =
             test_demand_settle_zero_alloc;
           Alcotest.test_case "eager cache write allocates nothing" `Quick
             test_eager_cache_write_zero_alloc;
+          Alcotest.test_case "re-executed cache hit allocates nothing" `Quick
+            test_reexec_hit_zero_alloc;
           Alcotest.test_case "eager stabilize precomputes" `Quick
             test_eager_stabilize_precomputes;
           Alcotest.test_case "demand stabilize defers" `Quick
@@ -1509,6 +1590,8 @@ let () =
           Alcotest.test_case "fifo eviction" `Quick test_fifo_eviction;
           Alcotest.test_case "evicted values are collected" `Quick
             test_evicted_values_collected;
+          Alcotest.test_case "stale writers are collected" `Quick
+            test_stale_writers_collected;
         ] );
       ( "interactions",
         [
@@ -1529,10 +1612,11 @@ let () =
       ( "static-subgraphs",
         [
           Alcotest.test_case "correct when R(p) static" `Quick
-            test_static_deps_correct;
+            test_same_reads_keep_edges;
           Alcotest.test_case "dynamic churn baseline" `Quick
             test_dynamic_deps_churn_baseline;
-          Alcotest.test_case "documented hazard" `Quick test_static_deps_hazard;
+          Alcotest.test_case "switched read is tracked" `Quick
+            test_switched_read_tracked;
         ] );
       ( "preemption",
         [

@@ -287,24 +287,41 @@ let test_arena_generation_rollover () =
   checki "all allocations counted" (G.gen_limit + 1) s.total_nodes;
   G.validate g
 
-(* clear_preds_collect is clear_preds fused with a snapshot of the
-   sources (the engine's re-execution prologue); the snapshot must list
-   every detached source exactly once. *)
-let test_arena_clear_preds_collect () =
+(* The re-read cursor: a read of the pred at the cursor writes no edge,
+   a repeat is caught by the stamp, the first read that differs is the
+   caller's to record, and truncating at the cursor drops exactly the
+   preds not re-read. *)
+let test_arena_reread_cursor () =
   let g = G.create () in
   let a = G.add_node g ~order_after:None "a" in
   let b = G.add_node g ~order_after:None "b" in
   let c = G.add_node g ~order_after:None "c" in
-  G.add_edge ~stamp:1 ~src:a ~dst:c;
-  G.add_edge ~stamp:2 ~src:b ~dst:c;
-  let sources = G.clear_preds_collect g c |> List.map G.payload in
+  let d = G.add_node g ~order_after:None "d" in
+  List.iter (fun src -> G.add_edge ~stamp:1 ~src ~dst:d) [ a; b; c ];
+  let total = (G.stats g).total_edges in
+  let read src at =
+    match G.reread ~stamp:2 ~src ~dst:d at with
+    | `Repeat -> "repeat"
+    | `Reread -> "reread"
+    | `New -> "new"
+  in
+  let check_read what want src at = check Alcotest.string what want (read src at) in
+  check_read "a at the cursor" "reread" a 0;
+  check_read "a again" "repeat" a 1;
+  check_read "c is not at the cursor" "new" c 1;
+  check_read "no re-reading" "new" b (-1);
+  checki "b's pred index" 1 (G.succ_pred_index b 0);
+  check Alcotest.string "pred at the cursor" "b" (G.payload (G.pred_at d 1));
+  checki "no edge written" total (G.stats g).total_edges;
+  G.truncate_preds g d 1;
+  checki "prefix kept" 1 (G.pred_count d);
+  checki "b detached" 0 (G.succ_count b);
+  checki "c detached" 0 (G.succ_count c);
+  G.add_edge ~stamp:2 ~src:c ~dst:d;
   check
-    Alcotest.(slist string compare)
-    "collected sources" [ "a"; "b" ] sources;
-  checki "preds cleared" 0 (G.pred_count c);
-  checki "a detached" 0 (G.succ_count a);
-  check Alcotest.(list string) "empty collect" []
-    (G.clear_preds_collect g c |> List.map G.payload);
+    Alcotest.(list string)
+    "read order" [ "a"; "c" ]
+    [ G.payload (G.pred_at d 0); G.payload (G.pred_at d 1) ];
   G.validate g
 
 (* [order_epoch] versions [order_key]: across any operation that leaves
@@ -594,8 +611,8 @@ let () =
              test_arena_swap_remove_identity
         :: Alcotest.test_case "generation-word rollover" `Quick
              test_arena_generation_rollover
-        :: Alcotest.test_case "clear_preds_collect snapshot" `Quick
-             test_arena_clear_preds_collect
+        :: Alcotest.test_case "re-read cursor" `Quick
+             test_arena_reread_cursor
         :: qsuite [ prop_graph_matches_oracle ]
         @ [ Alcotest.test_case "order epoch versions keys" `Quick
               test_graph_order_epoch ] );

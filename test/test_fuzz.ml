@@ -285,25 +285,34 @@ let prop_schedule_theorem_5_1 =
 (* Generated dependency DAGs of Func instances                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Instance [i] reads inputs among the vars and the instances below
-   it, but only while its gate var is open: [(const + sum of the
-   inputs) mod 1000], or [const] with the gate shut. Instances are first
-   called in a shuffled order, gate as generated, so a consumer can be
-   created before its inputs and open its gate onto them later — an
-   edge recorded against the creation order, as in E14. *)
-type dag_input = In_var of int | In_fn of int
+(* Instance [i] reads inputs among the vars, the instances below it and
+   the output cells of the writers below it, as its shape var says: 0
+   reads nothing past it ([const]), 1 reads the inputs in order, 2 in
+   reverse with every read repeated, 3 every other input, so a round
+   that moves a shape reorders, repeats or drops reads. The value is
+   [(const + sum of the reads) mod 1000]. A writer (always eager, so a
+   settle brings its cell current) writes its output cell and reads it
+   back: a write-then-read chain through tracked storage. Instances are
+   first called in a shuffled order, so a consumer can be created before
+   its inputs and reach them later — an edge recorded against the
+   creation order, as in E14. A round may also arm a one-shot fault:
+   the instance raises at its [k]th read the next time it gets there,
+   and a second settle retries it. *)
+type dag_input = In_var of int | In_fn of int | In_out of int
 
 type dag_fn = {
   eager : bool;
-  gate0 : bool;
+  shape0 : int;
   const : int;
   inputs : dag_input list;
+  writes : bool;
 }
 
-type dag_write = W_var of int * int | W_gate of int * bool
+type dag_write = W_var of int * int | W_shape of int * int | W_fault of int * int
 
 type dag = {
   nvars : int;
+  partitioned : bool;
   fns : dag_fn array;
   creation : int list; (* the order of the first calls *)
   rounds : dag_write list list; (* each round: writes, then stabilize *)
@@ -314,47 +323,75 @@ let dag_gen =
   let* nvars = int_range 1 4 in
   let* nfns = int_range 1 10 in
   let* all_eager = bool in
+  let* partitioned = bool in
+  let* writers = array_size (return nfns) (frequencyl [ (1, true); (2, false) ]) in
   let input i =
-    if i = 0 then map (fun v -> In_var v) (int_bound (nvars - 1))
-    else
-      frequency
-        [ (1, map (fun v -> In_var v) (int_bound (nvars - 1)));
-          (2, map (fun j -> In_fn j) (int_bound (i - 1))) ]
+    let var = map (fun v -> In_var v) (int_bound (nvars - 1)) in
+    let below = List.init i Fun.id in
+    let outs = List.filter (fun j -> writers.(j)) below in
+    frequency
+      ((2, var)
+      :: (if i = 0 then [] else [ (3, map (fun j -> In_fn j) (oneofl below)) ])
+      @ if outs = [] then [] else [ (2, map (fun j -> In_out j) (oneofl outs)) ])
   in
   let fn i =
-    let* eager = if all_eager then return true else bool in
-    let* gate0 = frequencyl [ (1, true); (2, false) ] in
+    let writes = writers.(i) in
+    let* eager = if all_eager || writes then return true else bool in
+    let* shape0 = int_bound 3 in
     let* const = int_bound 9 in
-    let+ inputs = list_size (int_range 0 3) (input i) in
-    { eager; gate0; const; inputs }
+    let+ inputs = list_size (int_range 0 4) (input i) in
+    { eager; shape0; const; inputs; writes }
   in
   let* fns = flatten_a (Array.init nfns fn) in
   let* creation = shuffle_l (List.init nfns Fun.id) in
   let write =
     frequency
       [ (3, map2 (fun v x -> W_var (v, x)) (int_bound (nvars - 1)) (int_bound 20));
-        (2, map2 (fun i b -> W_gate (i, b)) (int_bound (nfns - 1)) bool) ]
+        (3, map2 (fun i s -> W_shape (i, s)) (int_bound (nfns - 1)) (int_bound 3));
+        (1, map2 (fun i k -> W_fault (i, k)) (int_bound (nfns - 1)) (int_range 1 8)) ]
   in
   let+ rounds = list_size (int_range 1 12) (list_size (int_range 1 3) write) in
-  { nvars; fns; creation; rounds }
+  { nvars; partitioned; fns; creation; rounds }
 
 let print_dag d =
-  let input = function In_var v -> Fmt.str "v%d" v | In_fn j -> Fmt.str "f%d" j in
+  let input = function
+    | In_var v -> Fmt.str "v%d" v
+    | In_fn j -> Fmt.str "f%d" j
+    | In_out j -> Fmt.str "out%d" j
+  in
   let fn i f =
-    Fmt.str "f%d=%s%s %d+[%s]" i (if f.eager then "E" else "D")
-      (if f.gate0 then "" else " shut") f.const
+    Fmt.str "f%d=%s%s shape%d %d+[%s]" i (if f.eager then "E" else "D")
+      (if f.writes then " W" else "") f.shape0 f.const
       (String.concat "," (List.map input f.inputs))
   in
   let write = function
     | W_var (v, x) -> Fmt.str "v%d:=%d" v x
-    | W_gate (i, b) -> Fmt.str "g%d:=%b" i b
+    | W_shape (i, s) -> Fmt.str "shape%d:=%d" i s
+    | W_fault (i, k) -> Fmt.str "fault f%d@%d" i k
   in
-  Fmt.str "%d vars; %s; created %s; rounds %s" d.nvars
+  Fmt.str "%d vars%s; %s; created %s; rounds %s" d.nvars
+    (if d.partitioned then ", partitioned" else "")
     (String.concat "; " (Array.to_list (Array.mapi fn d.fns)))
     (String.concat "," (List.map string_of_int d.creation))
     (String.concat " | "
        (List.map (fun r -> String.concat "," (List.map write r)) d.rounds))
 
+(* The read sequence of shape [s] over [inputs]. *)
+let read_plan s inputs =
+  match s with
+  | 0 -> []
+  | 1 -> inputs
+  | 2 -> List.concat_map (fun x -> [ x; x ]) (List.rev inputs)
+  | _ -> List.filteri (fun k _ -> k mod 2 = 0) inputs
+
+(* After each round's settle every instance, called from the top
+   instance down so that callers force their inputs, must equal the
+   specification recomputed from the inputs, and the audit must be
+   clean. A round without a fault must then leave nothing to do: a
+   settle and a second pass of calls execute nothing, so no propagation
+   marked a caller through a read its execution had not made yet. On an
+   all-eager DAG without writers, a round that only writes vars runs
+   each instance at most once. *)
 let prop_dag_theorem_5_1 =
   QCheck.Test.make ~name:"random DAGs: Theorem 5.1"
     ~count:500
@@ -362,13 +399,17 @@ let prop_dag_theorem_5_1 =
     (fun d ->
       let module Var = Alphonse.Var in
       let module Func = Alphonse.Func in
-      let eng = Engine.create () in
+      let eng = Engine.create ~partitioning:d.partitioned () in
       Engine.set_self_audit eng true;
+      let n = Array.length d.fns in
       let vars = Array.init d.nvars (fun _ -> Var.create eng 1) in
-      let gates = Array.map (fun f -> Var.create eng f.gate0) d.fns in
-      let runs = Array.make (Array.length d.fns) 0 in
-      let fns = Array.make (Array.length d.fns) None in
+      let shapes = Array.map (fun f -> Var.create eng f.shape0) d.fns in
+      let outs = Array.init n (fun _ -> Var.create eng 0) in
+      let armed = ref None in
+      let runs = Array.make n 0 in
+      let fns = Array.make n None in
       let call j = Func.call (Option.get fns.(j)) () in
+      let out_of v = ((v * 7) + 1) mod 1000 in
       Array.iteri
         (fun i f ->
           let strategy = if f.eager then Engine.Eager else Engine.Demand in
@@ -376,56 +417,99 @@ let prop_dag_theorem_5_1 =
             Some
               (Func.create eng ~strategy (fun _ () ->
                    runs.(i) <- runs.(i) + 1;
-                   if Var.get gates.(i) then
+                   let reads = ref 0 in
+                   let read x =
+                     incr reads;
+                     (match !armed with
+                     | Some (fi, k) when fi = i && k = !reads ->
+                       armed := None;
+                       failwith "injected at a read"
+                     | _ -> ());
+                     x
+                   in
+                   let v =
                      List.fold_left
                        (fun acc -> function
-                         | In_var v -> acc + Var.get vars.(v)
-                         | In_fn j -> acc + call j)
-                       f.const f.inputs
+                         | In_var v -> acc + read (Var.get vars.(v))
+                         | In_fn j -> acc + read (call j)
+                         | In_out j -> acc + read (Var.get outs.(j)))
+                       f.const
+                       (read_plan (Var.get shapes.(i)) f.inputs)
                      mod 1000
-                   else f.const)))
+                   in
+                   if f.writes then begin
+                     Var.set outs.(i) (out_of v);
+                     (v + read (Var.get outs.(i))) mod 1000
+                   end
+                   else v)))
         d.fns;
-      (* the specification: recompute every instance from the inputs *)
-      let rec exhaustive i =
+      (* the specification: the value before the write-back, from the
+         inputs alone *)
+      let rec pre i =
         let f = d.fns.(i) in
-        if Var.get gates.(i) then
-          List.fold_left
-            (fun acc -> function
-              | In_var v -> acc + Var.get vars.(v)
-              | In_fn j -> acc + exhaustive j)
-            f.const f.inputs
-          mod 1000
-        else f.const
+        List.fold_left
+          (fun acc -> function
+            | In_var v -> acc + Var.get vars.(v)
+            | In_fn j -> acc + spec j
+            | In_out j -> acc + out_of (pre j))
+          f.const
+          (read_plan (Var.get shapes.(i)) f.inputs)
+        mod 1000
+      and spec i =
+        let v = pre i in
+        if d.fns.(i).writes then (v + out_of v) mod 1000 else v
       in
-      let agree () =
-        List.for_all (fun i -> call i = exhaustive i)
-          (List.init (Array.length d.fns) Fun.id)
+      let top_down = List.init n (fun i -> n - 1 - i) in
+      let check what =
+        List.iter
+          (fun i ->
+            let got = call i and want = spec i in
+            if got <> want then
+              QCheck.Test.fail_reportf "%s: f%d = %d, specification %d" what i
+                got want)
+          top_down
+      in
+      let executions () = (Engine.stats eng).Engine.executions in
+      let once_bound =
+        Array.for_all (fun f -> f.eager && not f.writes) d.fns
       in
       List.iter (fun i -> ignore (call i : int)) d.creation;
-      let all_eager = Array.for_all (fun f -> f.eager) d.fns in
-      let ok =
-        List.for_all
-          (fun writes ->
-            List.iter
-              (function
-                | W_var (v, x) -> Var.set vars.(v) x
-                | W_gate (i, b) -> Var.set gates.(i) b)
-              writes;
-            (* the shape is static unless a gate moved this round *)
-            let static =
-              List.for_all (function W_var _ -> true | W_gate _ -> false) writes
-            in
-            Array.fill runs 0 (Array.length runs) 0;
+      Engine.stabilize eng;
+      check "after creation";
+      List.iteri
+        (fun r writes ->
+          List.iter
+            (function
+              | W_var (v, x) -> Var.set vars.(v) x
+              | W_shape (i, s) -> Var.set shapes.(i) s
+              | W_fault (i, k) -> armed := Some (i, k))
+            writes;
+          Array.fill runs 0 n 0;
+          Engine.stabilize eng;
+          let static = List.for_all (function W_var _ -> true | _ -> false) writes in
+          if once_bound && static && Array.exists (fun k -> k > 1) runs then
+            QCheck.Test.fail_reportf "round %d: an instance ran %d times" r
+              (Array.fold_left max 0 runs);
+          (* a fault that did not fire this round is withdrawn; one that
+             did left its instance quarantined, and the dependents it
+             has not re-marked yet hold values from its last success:
+             the retry settle brings them current *)
+          armed := None;
+          let faulty = List.exists (function W_fault _ -> true | _ -> false) writes in
+          if faulty then Engine.stabilize eng;
+          check (Fmt.str "round %d" r);
+          if not faulty then begin
             Engine.stabilize eng;
-            let once = Array.for_all (fun n -> n <= 1) runs in
-            if all_eager && static && not once then
-              QCheck.Test.fail_reportf "an instance ran %d times in one round"
-                (Array.fold_left max 0 runs);
-            agree ())
-          d.rounds
-      in
+            let before = executions () in
+            List.iter (fun i -> ignore (call i : int)) top_down;
+            Engine.stabilize eng;
+            if executions () <> before then
+              QCheck.Test.fail_reportf "round %d: %d executions after quiescence"
+                r (executions () - before)
+          end)
+        d.rounds;
       match Engine.audit_errors eng with
-      | [] -> ok
+      | [] -> true
       | errs -> QCheck.Test.fail_reportf "audit: %s" (String.concat "; " errs))
 
 (* ------------------------------------------------------------------ *)
@@ -455,7 +539,7 @@ let prop_htbl_oracle =
         ops;
       Alphonse.Htbl.length t = Hashtbl.length oracle
       && Hashtbl.fold
-           (fun k v acc -> acc && Alphonse.Htbl.find t k = Some v)
+           (fun k v acc -> acc && Alphonse.Htbl.find_opt t k = Some v)
            oracle true
       && Alphonse.Htbl.fold
            (fun k v acc -> acc && Hashtbl.find_opt oracle k = Some v)

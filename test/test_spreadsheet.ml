@@ -4,7 +4,19 @@
 
 module Engine = Alphonse.Engine
 module F = Spreadsheet.Formula
-module S = Spreadsheet.Sheet
+
+(* CI audit mode: ALPHONSE_AUDIT=1 runs the invariant auditor after
+   every settle step of every sheet these tests create. *)
+let audit_mode = Sys.getenv_opt "ALPHONSE_AUDIT" = Some "1"
+
+module S = struct
+  include Spreadsheet.Sheet
+
+  let create ?strategy ?partitioning () =
+    let s = create ?strategy ?partitioning () in
+    if audit_mode then Engine.set_self_audit (engine s) true;
+    s
+end
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)

@@ -2,7 +2,22 @@
    self-balancing AVL trees (Algorithm 11 / §7.3), including differential
    tests against the hand-coded baseline of §9. *)
 
-module Engine = Alphonse.Engine
+(* CI audit mode: ALPHONSE_AUDIT=1 runs the invariant auditor after
+   every settle step of every engine these tests create. *)
+let audit_mode = Sys.getenv_opt "ALPHONSE_AUDIT" = Some "1"
+
+module Engine = struct
+  include Alphonse.Engine
+
+  let create ?partitioning ?default_strategy ?max_retries ?max_stack_depth
+      () =
+    let eng =
+      create ?partitioning ?default_strategy ?max_retries ?max_stack_depth ()
+    in
+    if audit_mode then set_self_audit eng true;
+    eng
+end
+
 module Var = Alphonse.Var
 module Itree = Trees.Itree
 module Avl = Trees.Avl
