@@ -1007,7 +1007,41 @@ let e14 () =
        instances, no instance runs more than once per change"
     [ "diamonds"; "re-executions"; "bound (instances x rounds)";
       "order fixups"; "time" ]
-    [ [ Count layers; Count execs; Count bound; Count fixups; Timed t ] ]
+    [ [ Count layers; Count execs; Count bound; Count fixups; Timed t ] ];
+  (* The settle queue's unit cost (ROADMAP item 3, substrate
+     [Flat_heap]): one insert and one drop_min on a heap held at [size]
+     queued ids, whose keys are drawn at random the way marks land
+     across a front. *)
+  let pairs = 1_000_000 in
+  let keys =
+    let rng = Random.State.make [| 14 |] in
+    Array.init 4096 (fun _ -> Random.State.bits rng)
+  in
+  let key id = keys.(id) in
+  let module Heap = Depgraph.Flat_heap in
+  let queue_pair size =
+    let fill () =
+      let h = Heap.create ~key in
+      for id = 0 to size - 1 do
+        Heap.insert h id
+      done;
+      h
+    in
+    let run h =
+      for i = 1 to pairs do
+        Heap.insert h (i land 4095);
+        Heap.drop_min h
+      done
+    in
+    [ Label (Fmt.str "insert + drop_min, %d queued" size);
+      Timed (per pairs (snd (time_with fill run))) ]
+  in
+  print_table ~title:"E14  settle-queue unit cost"
+    ~claim:
+      "a queue push and pop move unboxed ints: O(log n) compares, no \
+       allocation and no write barrier"
+    [ "op"; "time per pair" ]
+    [ queue_pair 64; queue_pair 1024 ]
 
 (* ------------------------------------------------------------------ *)
 (* E15 — §10: parallel-execution potential                             *)

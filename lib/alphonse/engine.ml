@@ -102,11 +102,12 @@ and nd = payload G.node
    The dirty-list rule: a partition is on [t.dirty_parts] exactly when
    [on_dirty_list] is set, at most once, and the drain that empties its
    heap takes it off. An unlisted partition's heap is therefore empty.
-   The heap stores each node's key as of its insert; [keyed] is the
-   graph's order epoch when every stored key was last current, and the
-   drain re-keys the heap before trusting it under a newer epoch. *)
+   The heap stores each node as its [G.arena_id], with the node's key
+   as of its insert; [keyed] is the graph's order epoch when every
+   stored key was last current, and the drain re-keys the heap before
+   trusting it under a newer epoch. *)
 and partition = {
-  queue : nd Heap.t;
+  queue : Heap.t;
   mutable keyed : int;
   mutable on_dirty_list : bool;
 }
@@ -117,10 +118,13 @@ type node = nd
    read has re-read a recorded pred in order, the preds [0, reads) were
    re-read and the rest not yet; from its first read that needed a new
    edge — the cut, at pred index k — it is [-1 - k], and [cut_srcs]
-   holds the sources the cut detached, for a failed run to restore. *)
+   holds the sources the cut detached, for a failed run to restore.
+   Frames are reused: the engine keeps one per call-stack depth ever
+   reached, and a pop points [fnode] back at a placeholder, so a frame
+   above the stack keeps no node alive. *)
 type frame = {
-  fnode : nd;
-  stamp : int;
+  mutable fnode : nd;
+  mutable stamp : int;
   mutable reads : int;
   mutable cut_srcs : nd list;
 }
@@ -185,9 +189,12 @@ type t = {
   strategy0 : strategy;
   max_retries : int;
   max_stack_depth : int option;
-  (* the call-stack discipline of Algorithm 5 *)
-  mutable stack : frame list;
+  (* the call-stack discipline of Algorithm 5: [frames.(0 ..
+     stack_depth - 1)] are the running executions, innermost last *)
+  mutable frames : frame array;
   mutable stack_depth : int;
+  placeholder : nd; (* a node of a graph of its own, never run *)
+  heap_key : int -> int; (* every partition heap's key *)
   mutable mask : bool; (* record dependency edges? false under unchecked *)
   mutable fmask : bool; (* true = fault injection suppressed (repair paths) *)
   mutable exec_serial : int; (* the last execution's stamp *)
@@ -210,7 +217,7 @@ type t = {
   mutable self_audit : bool;
   mutable journal : journal option;
   (* Maintained invariant:
-       quick = (txn = None) && (journal = None) && (stack = [])
+       quick = (txn = None) && (journal = None) && (stack_depth = 0)
      — the regime in which a tracked read is exactly the typed cell
      load and a tracked write to an already-queued cell is exactly the
      store (no recording, no journaling, no undo logging, and a mark
@@ -306,17 +313,29 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     ?(max_retries = 3) ?max_stack_depth () =
   if max_retries < 1 then invalid_arg "Engine.create: max_retries must be >= 1";
   let graph = G.create () in
+  (* a retired id (its node removed) keys below every order tag, so a
+     rekey floats it to the top, where the drain drops it *)
+  let heap_key id =
+    match G.of_arena_id graph id with Some n -> G.order_key n | None -> -1
+  in
+  let placeholder =
+    G.add_node (G.create ()) ~order_after:None
+      { name = ""; kind = Storage; queued = false; on_stack = false;
+        discarded = false; part_elt = None; writers = [] }
+  in
   {
     graph;
     global_part =
-      { queue = Heap.create ~key:G.order_key; keyed = G.order_epoch graph;
+      { queue = Heap.create ~key:heap_key; keyed = G.order_epoch graph;
         on_dirty_list = false };
     use_partitions = partitioning;
     strategy0 = default_strategy;
     max_retries;
     max_stack_depth;
-    stack = [];
+    frames = [||];
     stack_depth = 0;
+    placeholder;
+    heap_key;
     mask = true;
     fmask = false;
     exec_serial = 0;
@@ -363,9 +382,7 @@ let refresh_quick t =
     (match t.txn with
     | Some _ -> false
     | None -> (
-      match t.journal with
-      | Some _ -> false
-      | None -> ( match t.stack with [] -> true | _ :: _ -> false)))
+      match t.journal with Some _ -> false | None -> t.stack_depth = 0))
 
 let[@inline] quick t = t.quick
 
@@ -569,7 +586,7 @@ let unlist_part t part =
 
 let enqueue t node =
   let part = partition_of t node in
-  Heap.insert part.queue node;
+  Heap.insert part.queue (G.arena_id node);
   list_part t part
 
 (* [cause] is provenance for telemetry only: the node whose processing
@@ -598,9 +615,14 @@ let mark_caused t ~caused cause node =
 
 let mark_inconsistent t node = mark_caused t ~caused:false node node
 
-let rec frame_of dst = function
-  | f :: rest -> if f.fnode == dst then f else frame_of dst rest
-  | [] -> assert false (* on_stack: it has a frame *)
+(* The running execution of [dst], an instance on the call stack (so
+   the search cannot run off the bottom). *)
+let frame_of t dst =
+  let rec find d =
+    let f = t.frames.(d) in
+    if f.fnode == dst then f else find (d - 1)
+  in
+  find (t.stack_depth - 1)
 
 (* Mark the successors of [node] from the [i]th on, [node] the cause:
    a top-level loop, so forwarding allocates no closure. A consumer on
@@ -613,7 +635,7 @@ let rec forward t node i =
     if
       (not (G.payload dst).on_stack)
       ||
-      let reads = (frame_of dst t.stack).reads in
+      let reads = (frame_of t dst).reads in
       reads < 0 || G.succ_pred_index node i < reads
     then mark_caused t ~caused:true node dst;
     forward t node (i + 1)
@@ -635,13 +657,14 @@ let mark_succs t node =
    just before the consumer; top-level creations append at the end. *)
 let new_node t payload =
   let node =
-    match t.stack with
-    | { fnode; _ } :: _ -> G.add_node_before t.graph ~order_before:fnode payload
-    | [] -> G.add_node t.graph ~order_after:None payload
+    if t.stack_depth > 0 then
+      G.add_node_before t.graph
+        ~order_before:t.frames.(t.stack_depth - 1).fnode payload
+    else G.add_node t.graph ~order_after:None payload
   in
   if t.use_partitions then begin
     let part =
-      { queue = Heap.create ~key:G.order_key;
+      { queue = Heap.create ~key:t.heap_key;
         keyed = G.order_epoch t.graph; on_dirty_list = false }
     in
     (G.payload node).part_elt <- Some (Uf.make part)
@@ -768,9 +791,8 @@ let add_dependency t src f =
    any and if recording is not suppressed by [unchecked]. A read that
    repeats the last execution's read at the cursor writes no edge. *)
 let record_dependency ?(is_write = false) t src =
-  match t.stack with
-  | [] -> ()
-  | f :: _ ->
+  if t.stack_depth > 0 then begin
+    let f = Array.unsafe_get t.frames (t.stack_depth - 1) in
     if t.mask then begin
       (* before any mutation: a fault here aborts the consumer's
          execution, whose failure handler restores its edge set *)
@@ -781,6 +803,7 @@ let record_dependency ?(is_write = false) t src =
       | `New -> add_dependency t src f);
       if is_write then note_writer src f.fnode
     end
+  end
 
 let record_read t node = record_dependency t node
 
@@ -920,16 +943,34 @@ let restore_preds t node f =
       f.cut_srcs
   end
 
+(* Push a frame for an execution of [node], reusing the one last used
+   at this depth. *)
+let push_frame t node =
+  let d = t.stack_depth in
+  if d = Array.length t.frames then
+    t.frames <-
+      Array.init (max 8 (2 * d)) (fun i ->
+          if i < d then t.frames.(i)
+          else { fnode = t.placeholder; stamp = 0; reads = 0; cut_srcs = [] });
+  let f = Array.unsafe_get t.frames d in
+  f.fnode <- node;
+  f.stamp <- next_stamp t;
+  f.reads <- 0;
+  t.stack_depth <- d + 1;
+  t.quick <- false;
+  f
+
 (* Pop the frame pushed by [run_instance] — on success and on unwind. *)
-let pop_frame t p saved_mask =
+let pop_frame t f p saved_mask =
   t.mask <- saved_mask;
   p.on_stack <- false;
+  f.fnode <- t.placeholder;
+  (match f.cut_srcs with [] -> () | _ :: _ -> f.cut_srcs <- []);
   t.stack_depth <- t.stack_depth - 1;
-  t.stack <- List.tl t.stack;
   refresh_quick t
 
 (* Re-execute an incremental procedure instance under the call-stack
-   discipline of Algorithm 5: push a fresh frame with the cursor at the
+   discipline of Algorithm 5: push a frame with the cursor at the
    first recorded pred, run, settle the edge set, pop. Returns the
    quiescence test: did the cached value change?
 
@@ -965,10 +1006,7 @@ let run_instance t node p inst =
      inst.consistent <- false;
      record_failure t node p inst e;
      raise e);
-  let f = { fnode = node; stamp = next_stamp t; reads = 0; cut_srcs = [] } in
-  t.stack <- f :: t.stack;
-  t.quick <- false;
-  t.stack_depth <- t.stack_depth + 1;
+  let f = push_frame t node in
   p.on_stack <- true;
   p.queued <- false;
   inst.consistent <- true;
@@ -984,8 +1022,8 @@ let run_instance t node p inst =
       poke t "exec-begin";
       inst.recompute ()
     with e ->
-      pop_frame t p saved_mask;
       restore_preds t node f;
+      pop_frame t f p saved_mask;
       (* leave the instance inconsistent so a later call retries *)
       inst.consistent <- false;
       record_failure t node p inst e;
@@ -996,7 +1034,7 @@ let run_instance t node p inst =
   in
   (* without a cut, drop the preds the execution never re-read *)
   if f.reads >= 0 then drop_preds t node f f.reads ~save:false;
-  pop_frame t p saved_mask;
+  pop_frame t f p saved_mask;
   inst.failures <- 0;
   if tele_on t then
     emit t (fun () ->
@@ -1075,17 +1113,19 @@ let audit_errors_run t ~idle =
   let err fmt = Fmt.kstr (fun s -> errs := s :: !errs) fmt in
   (try G.validate t.graph
    with Failure m | Invalid_argument m -> err "graph: %s" m);
-  let stack_ids = List.map (fun f -> G.id f.fnode) t.stack in
-  if List.length t.stack <> t.stack_depth then
-    err "stack depth counter %d disagrees with %d frames" t.stack_depth
-      (List.length t.stack);
+  let stack = Array.to_list (Array.sub t.frames 0 t.stack_depth) in
+  let stack_ids = List.map (fun f -> G.id f.fnode) stack in
   List.iter
     (fun f ->
       let p = G.payload f.fnode in
       if p.discarded then err "discarded node %s#%d on stack" p.name (G.id f.fnode);
       if not p.on_stack then
         err "stack frame %s#%d not flagged on_stack" p.name (G.id f.fnode))
-    t.stack;
+    stack;
+  for d = t.stack_depth to Array.length t.frames - 1 do
+    if t.frames.(d).fnode != t.placeholder then
+      err "frame %d above the stack still holds a node" d
+  done;
   (* partition heap membership, computed once per distinct partition *)
   let heap_members : (partition * (int, unit) Hashtbl.t) list ref = ref [] in
   let members part =
@@ -1093,7 +1133,7 @@ let audit_errors_run t ~idle =
     | Some (_, tbl) -> tbl
     | None ->
       let tbl = Hashtbl.create 16 in
-      List.iter (fun n -> Hashtbl.replace tbl (G.id n) ()) (Heap.to_list part.queue);
+      List.iter (fun id -> Hashtbl.replace tbl id ()) (Heap.to_list part.queue);
       heap_members := (part, tbl) :: !heap_members;
       tbl
   in
@@ -1111,7 +1151,7 @@ let audit_errors_run t ~idle =
         | Storage -> ());
         if p.queued && not t.settling then begin
           let part = partition_of t node in
-          if not (Hashtbl.mem (members part) (G.id node)) then
+          if not (Hashtbl.mem (members part) (G.arena_id node)) then
             err "queued node %s#%d missing from its inconsistent set" p.name
               (G.id node);
           if not part.on_dirty_list then
@@ -1144,9 +1184,9 @@ let audit_errors_run t ~idle =
       with Failure m -> err "inconsistent set out of priority order: %s" m)
     t.dirty_parts;
   if idle then begin
-    if t.stack = [] && (not t.settling) && t.txn = None && not t.mask
+    if t.stack_depth = 0 && (not t.settling) && t.txn = None && not t.mask
     then err "edge-recording mask left disabled outside any execution";
-    if t.stack = [] && t.settling then
+    if t.stack_depth = 0 && t.settling then
       err "settling flag left set outside any settle"
   end;
   let errors = List.rev !errs in
@@ -1232,10 +1272,10 @@ let step t node p =
    ([true]) or the clock reaches [stop] at a node still to process
    ([false]). A heap keyed under an older order epoch is re-keyed before
    its minimum is trusted: a relabel or a Pearce–Kelly reorder since the
-   last pop may have moved queued nodes' priorities. Stale entries
-   (unqueued since their push) are dropped. Nodes on the call stack must
-   not be processed here — an eager re-execution would be a false cycle
-   — so they go to [t.skipped].
+   last pop may have moved queued nodes' priorities. Stale entries —
+   unqueued since their push, or naming a removed node — are dropped.
+   Nodes on the call stack must not be processed here — an eager
+   re-execution would be a false cycle — so they go to [t.skipped].
    Top-level and closure-free: every demand settle runs it. *)
 let rec drain t part stop =
   if Heap.is_empty part.queue then true
@@ -1245,25 +1285,25 @@ let rec drain t part stop =
       Heap.rekey part.queue;
       part.keyed <- epoch
     end;
-    let node = Heap.min_elt part.queue in
-    let p = G.payload node in
-    if not p.queued then begin
+    match G.of_arena_id t.graph (Heap.min_elt part.queue) with
+    | Some node when (G.payload node).queued ->
+      let p = G.payload node in
+      if p.on_stack then begin
+        Heap.drop_min part.queue;
+        t.skipped <- node :: t.skipped;
+        drain t part stop
+      end
+      else if t.clock.ticks >= stop then false
+      else begin
+        step t node p;
+        Heap.drop_min part.queue;
+        process_guarded t node p;
+        if t.self_audit then audit_step t;
+        drain t part stop
+      end
+    | Some _ | None ->
       Heap.drop_min part.queue;
       drain t part stop
-    end
-    else if p.on_stack then begin
-      Heap.drop_min part.queue;
-      t.skipped <- node :: t.skipped;
-      drain t part stop
-    end
-    else if t.clock.ticks >= stop then false
-    else begin
-      step t node p;
-      Heap.drop_min part.queue;
-      process_guarded t node p;
-      if t.self_audit then audit_step t;
-      drain t part stop
-    end
   end
 
 let requeue_skipped t =
@@ -1397,7 +1437,7 @@ let rollback_txn t tx =
 let transact t f =
   if t.txn <> None then
     invalid_arg "Engine.transact: already inside a transaction";
-  if t.stack <> [] then
+  if t.stack_depth > 0 then
     invalid_arg "Engine.transact: called during an incremental execution";
   let tx = { undos = []; tmarked = []; ran = [] } in
   t.txn <- Some tx;
@@ -1527,9 +1567,9 @@ let unchecked t f =
   let finally () = t.mask <- saved in
   Fun.protect ~finally f
 
-let is_executing t = t.stack <> []
+let is_executing t = t.stack_depth > 0
 
-let recording t = t.mask && t.stack <> []
+let recording t = t.mask && t.stack_depth > 0
 
 let node_name node = (G.payload node).name
 let node_id node = G.id node

@@ -342,7 +342,8 @@ val degrade_to_exhaustive : t -> unit
 
 val audit : t -> unit
 (** Checks the coherence of the engine's metadata: graph link symmetry,
-    call stack ↔ [on_stack] flags, every queued node present in its
+    call stack ↔ [on_stack] flags, no reused call-stack frame above the
+    stack holding a node, every queued node present in its
     partition's inconsistent set and that partition reachable from the
     dirty list, discarded nodes fully detached, poisoned instances not
     flagged consistent, and the recording/settling flags coherent when

@@ -9,7 +9,9 @@ type ('a, 'b) t = {
   body : ('a, 'b) t -> 'a -> 'b;
   table : ('a, ('a, 'b) entry) Htbl.t;
   (* recency list: [newest] is the most recently used (LRU) or most
-     recently inserted (FIFO); eviction scans from [oldest]. *)
+     recently inserted (FIFO); eviction scans from [oldest]. Only a
+     bounded policy keeps it: an [Unbounded] table never evicts, so
+     its entries are never linked. *)
   mutable newest : ('a, 'b) entry option;
   mutable oldest : ('a, 'b) entry option;
 }
@@ -83,22 +85,19 @@ let evict t e =
 (* Enforce the capacity bound, evicting only sound candidates (no live
    dependents, not pending, not executing) and never the entry just
    inserted. Gives up rather than evicting an unsound candidate. *)
-let maybe_evict t ~keep =
-  match Policy.capacity t.policy with
-  | None -> ()
-  | Some cap ->
-    let excess () = Htbl.length t.table - cap in
-    let rec scan e_opt =
-      if excess () > 0 then
-        match e_opt with
-        | None -> ()
-        | Some e when e == keep -> scan e.younger
-        | Some e ->
-          let next = e.younger in
-          if Engine.removable t.eng e.enode then evict t e;
-          scan next
-    in
-    scan t.oldest
+let maybe_evict t ~keep cap =
+  let excess () = Htbl.length t.table - cap in
+  let rec scan e_opt =
+    if excess () > 0 then
+      match e_opt with
+      | None -> ()
+      | Some e when e == keep -> scan e.younger
+      | Some e ->
+        let next = e.younger in
+        if Engine.removable t.eng e.enode then evict t e;
+        scan next
+  in
+  scan t.oldest
 
 let find_or_create t a =
   match Htbl.find t.table a with
@@ -130,8 +129,11 @@ let find_or_create t a =
            c.v <- v;
            changed);
     Htbl.add t.table a e;
-    push_front t e;
-    maybe_evict t ~keep:e;
+    (match t.policy with
+    | Policy.Unbounded -> ()
+    | Policy.Lru cap | Policy.Fifo cap ->
+      push_front t e;
+      maybe_evict t ~keep:e cap);
     e
 
 let call t a =

@@ -16,7 +16,3 @@ let pp ppf = function
   | Unbounded -> Fmt.string ppf "unbounded"
   | Lru n -> Fmt.pf ppf "lru(%d)" n
   | Fifo n -> Fmt.pf ppf "fifo(%d)" n
-
-let capacity = function
-  | Unbounded -> None
-  | Lru n | Fifo n -> Some n

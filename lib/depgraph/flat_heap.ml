@@ -1,27 +1,23 @@
-(* Flat array binary heap with int keys.
+(* Flat array binary heap of int ids with int keys.
 
-   The engine's inconsistent-set queue: elements live in one growable
-   array, so insert and drop_min shuffle array cells instead of
-   allocating heap nodes. Each element's int key is computed once, at
-   insert, and kept in a parallel int array, so the sift loops compare
-   unboxed ints in place rather than calling a comparison closure that
-   chases pointers on both sides. The price is that a key is a snapshot:
-   when the ordering it was read from moves, the owner calls [rekey].
+   The engine's inconsistent-set queue: an entry is an id in one
+   growable int array and its key in a parallel one, so insert and
+   drop_min move unboxed ints instead of allocating heap nodes — or
+   storing pointers, which would cost a write barrier per move and keep
+   every queued element alive. Each id's key is computed once, at
+   insert, so the sift loops compare ints in place rather than calling
+   a comparison closure that chases pointers on both sides. The price
+   is that a key is a snapshot: when the ordering it was read from
+   moves, the owner calls [rekey].
 
    The trade for meld is O(m log n) bulk insert instead of a meldable
    heap's O(1) pointer splice — which the engine only pays on the rare
    partition unions of §6.3 (and not at all with partitioning off, the
-   default).
+   default). *)
 
-   The backing arrays are created lazily on first insert, using that
-   element as the fill value; vacated cells above [n] may retain stale
-   references until overwritten or [clear]ed, which is harmless for the
-   engine (nodes are owned by the graph arena for the engine's
-   lifetime). *)
-
-type 'a t = {
-  key : 'a -> int;
-  mutable a : 'a array; (* cells [0 .. n-1] live *)
+type t = {
+  key : int -> int;
+  mutable a : int array; (* ids, cells [0 .. n-1] live *)
   mutable k : int array; (* k.(i) is a.(i)'s key; heap-ordered *)
   mutable n : int;
 }
@@ -30,10 +26,10 @@ let create ~key = { key; a = [||]; k = [||]; n = 0 }
 let is_empty h = h.n = 0
 let length h = h.n
 
-let ensure h x =
+let ensure h =
   if h.n = Array.length h.a then begin
     let cap = if h.n = 0 then 16 else 2 * h.n in
-    let a = Array.make cap x and k = Array.make cap 0 in
+    let a = Array.make cap 0 and k = Array.make cap 0 in
     Array.blit h.a 0 a 0 h.n;
     Array.blit h.k 0 k 0 h.n;
     h.a <- a;
@@ -65,7 +61,7 @@ let sift_down h i x kx =
   k.(!i) <- kx
 
 let insert h x =
-  ensure h x;
+  ensure h;
   let a = h.a and k = h.k and kx = h.key x in
   (* sift up from the new hole at [n] *)
   let i = ref h.n in
@@ -117,12 +113,7 @@ let meld dst src =
   src.a <- [||];
   src.k <- [||]
 
-let clear h =
-  h.n <- 0;
-  (* drop the arrays so stale cells don't pin elements *)
-  h.a <- [||];
-  h.k <- [||]
-
+let clear h = h.n <- 0
 let to_list h = Array.to_list (Array.sub h.a 0 h.n)
 
 let validate ?(current = false) h =
@@ -132,6 +123,6 @@ let validate ?(current = false) h =
   done;
   if current then
     for i = 0 to h.n - 1 do
-      if h.k.(i) <> h.key h.a.(i) then
-        failwith "Flat_heap.validate: stale key"
+      let k = h.key h.a.(i) in
+      if k >= 0 && k <> h.k.(i) then failwith "Flat_heap.validate: stale key"
     done

@@ -1,18 +1,25 @@
-(** Flat array binary heap with int keys — the engine's inconsistent-set
-    queue.
+(** Flat array binary heap of int ids with int keys — the engine's
+    inconsistent-set queue.
 
-    Elements live in one growable array beside a parallel array of int
-    keys: {!insert} computes an element's key once, with the [key]
-    function given at creation, and the sift loops compare the stored
-    ints in place. {!insert} and {!drop_min} shuffle array cells and
-    allocate nothing in steady state (the backing arrays double
-    amortized-O(1)). This is the priority queue behind the settle loop's
-    inconsistent set (paper §4.5).
+    An entry is two ints: an id, which the owner resolves to its element
+    (the engine packs a graph node's arena slot and generation word, see
+    {!Graph.arena_id}), and the id's key, computed once by {!insert} with
+    the [key] function given at creation. Ids and keys live in two
+    growable int arrays, so the sift loops compare and move unboxed ints:
+    no write barrier, no allocation in steady state (the arrays double
+    amortized-O(1)), and the heap keeps no element alive. This is the
+    priority queue behind the settle loop's inconsistent set (paper
+    §4.5).
 
     A stored key is a snapshot. When the ordering [key] reads from moves
     (the engine's order-list relabels and Pearce–Kelly reorders), the
     owner calls {!rekey} before trusting {!min_elt} again; until then the
     heap is ordered by the keys it stored, not by the current ones.
+
+    An owner {e retires} an id whose element is gone by having [key]
+    answer a negative int for it: {!rekey} then floats the entry to the
+    top, where the owner drops it, and {!validate} does not hold the
+    entry to its stored key.
 
     The trade is {!meld}: O(m log n) bulk insert rather than a pairing
     heap's O(1) splice. The engine only melds when the dynamic
@@ -20,55 +27,52 @@
     entirely in the default unpartitioned mode.
 
     The heap does not deduplicate; callers that need set semantics (the
-    engine does) keep an [in_set] flag on elements and skip stale pops.
-    Vacated cells may retain stale references to popped elements until
-    overwritten or {!clear}ed. *)
+    engine does) keep an [in_set] flag on elements and skip stale pops. *)
 
-type 'a t
-(** A heap of ['a], smallest key first. *)
+type t
+(** A heap of int ids, smallest key first. *)
 
-val create : key:('a -> int) -> 'a t
+val create : key:(int -> int) -> t
 (** [create ~key] is an empty heap ordered by [key]. *)
 
-val is_empty : 'a t -> bool
-(** [is_empty h] iff [h] holds no elements. O(1). *)
+val is_empty : t -> bool
+(** [is_empty h] iff [h] holds no entries. O(1). *)
 
-val length : 'a t -> int
-(** Number of elements currently in the heap (counting duplicates). O(1). *)
+val length : t -> int
+(** Number of entries currently in the heap (counting duplicates). O(1). *)
 
-val insert : 'a t -> 'a -> unit
-(** Adds an element under its current key. Amortized O(log n),
+val insert : t -> int -> unit
+(** Adds an id under its current key. Amortized O(log n),
     allocation-free in steady state. *)
 
-val min_elt : 'a t -> 'a
-(** An element of smallest stored key, without removing it. O(1).
+val min_elt : t -> int
+(** An id of smallest stored key, without removing it. O(1).
     @raise Invalid_argument if the heap is empty. *)
 
-val drop_min : 'a t -> unit
-(** Removes the element {!min_elt} returns; no-op on an empty heap.
+val drop_min : t -> unit
+(** Removes the entry {!min_elt} returns; no-op on an empty heap.
     O(log n), allocation-free. *)
 
-val rekey : 'a t -> unit
-(** Recomputes every element's key and restores heap order. O(n),
+val rekey : t -> unit
+(** Recomputes every entry's key and restores heap order. O(n),
     allocation-free; moves nothing when the new keys keep the old
     relative order. *)
 
-val meld : 'a t -> 'a t -> unit
-(** [meld dst src] moves all elements of [src] into [dst], leaving [src]
-    empty. Each moved element is inserted under its current key, so a
-    stale [src] needs no {!rekey} first; keys already stored in [dst]
-    are kept. Both heaps must have been created with the same [key]
-    (checked by physical equality of the closures). O(m log n). *)
+val meld : t -> t -> unit
+(** [meld dst src] moves all entries of [src] into [dst], leaving [src]
+    empty. Each moved id is inserted under its current key, so a stale
+    [src] needs no {!rekey} first; keys already stored in [dst] are
+    kept. Both heaps must have been created with the same [key] (checked
+    by physical equality of the closures). O(m log n). *)
 
-val clear : 'a t -> unit
-(** Empties the heap and drops the backing arrays, releasing any stale
-    element references. *)
+val clear : t -> unit
+(** Empties the heap. *)
 
-val to_list : 'a t -> 'a list
-(** Elements in unspecified order; for tests and audits. *)
+val to_list : t -> int list
+(** Ids in unspecified order; for tests and audits. *)
 
-val validate : ?current:bool -> 'a t -> unit
+val validate : ?current:bool -> t -> unit
 (** Checks the heap order of the stored keys and, with [~current:true],
-    that every stored key is still what [key] computes for its element.
-    For tests and audits.
+    that every stored key is still what [key] computes for its id,
+    retired ids excepted. For tests and audits.
     @raise Failure naming the broken invariant. *)

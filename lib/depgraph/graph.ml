@@ -25,8 +25,10 @@
    the generation it was allocated under, so [validate] can prove that
    no live handle aliases a recycled slot. Liveness itself is the
    handle's [dead] flag — exact, set once by [remove_node], and immune
-   to generation-word wraparound (equality on generations is only a
-   cross-check, never the liveness source of truth).
+   to generation-word wraparound. The one reader that trusts the
+   generation word is [of_arena_id], which the settle heaps use to
+   resolve the ints they store: an id taken before the slot was
+   recycled resolves to nothing until the word wraps.
 
    Duplicate suppression: within a single execution of a consumer,
    repeated accesses to the same source create only one edge,
@@ -35,8 +37,10 @@
 (* Generation words wrap at 2^16: small enough that the wraparound
    path is testable (test_depgraph recycles one slot past the limit),
    and wide enough that [validate]'s alias cross-check stays
-   overwhelmingly effective. *)
-let gen_limit = 1 lsl 16
+   overwhelmingly effective, and that a stale heap entry names the
+   slot's current node only after 2^16 recyclings of that slot. *)
+let gen_bits = 16
+let gen_limit = 1 lsl gen_bits
 
 type 'a node = {
   id : int; (* unique for the graph's lifetime, never recycled *)
@@ -181,6 +185,20 @@ let payload n = n.payload
 let id n = n.id
 let slot n = n.slot
 let generation n = n.gen
+
+(* A handle as one int, for the settle heaps: slot above the generation
+   word. It resolves only while the slot holds the node allocated under
+   that word; [Some n as h] hands back the arena's own option cell, so
+   resolving allocates nothing. *)
+let arena_id n = (n.slot lsl gen_bits) lor n.gen
+
+let of_arena_id t x =
+  let s = x lsr gen_bits in
+  if s >= t.slots then None
+  else
+    match Array.unsafe_get t.handles s with
+    | Some n as h when n.gen = x land (gen_limit - 1) -> h
+    | Some _ | None -> None
 
 let order_lt u v = Order_list.lt u.order v.order
 let[@inline] order_key n = Order_list.tag n.order

@@ -73,12 +73,23 @@ val slot : 'a node -> int
 val generation : 'a node -> int
 (** The generation word of the node's slot at allocation. Each recycling of
     a slot increments the slot's generation modulo {!gen_limit}, letting
-    {!validate} prove no live handle aliases a recycled slot. Wraparound is
-    benign: liveness is tracked by an exact per-node flag, and the
-    generation word is only a cross-check. *)
+    {!validate} prove no live handle aliases a recycled slot, and
+    {!of_arena_id} tell a recycled slot's new node from the one an id was
+    taken from. Wraparound is benign for handles: liveness is tracked by
+    an exact per-node flag. *)
 
 val gen_limit : int
 (** Generation words live in [0 .. gen_limit - 1] (currently [2^16]). *)
+
+val arena_id : 'a node -> int
+(** The node's slot and generation word packed in one non-negative int:
+    the settle heaps store this instead of a pointer. *)
+
+val of_arena_id : 'a t -> int -> 'a node option
+(** The live node an {!arena_id} names, or [None] once that node is
+    removed — also after its slot was recycled, until the slot's
+    generation word wraps around to the same value ({!gen_limit}
+    recyclings). No allocation. *)
 
 val order_lt : 'a node -> 'a node -> bool
 (** Priority comparison: [order_lt u v] iff [u] drains before [v]. *)

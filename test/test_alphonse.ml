@@ -257,6 +257,58 @@ let test_reexec_hit_zero_alloc () =
     g1.Depgraph.Graph.removed_edges;
   Alcotest.(check (float 0.0)) "64 calls allocate nothing" !control !calls
 
+(* A re-execution whose reads all repeat its last execution's allocates
+   nothing: its call-stack frame is reused, and re-reading a recorded
+   pred writes no edge. An eager bare instance re-reads 8 cells on every
+   iteration; against a control loop that writes a tracked cell nobody
+   reads any more (the same mark, dirty-list cell and settle step, but
+   no execution), it may not allocate a word more. *)
+let test_reexec_zero_alloc () =
+  let eng = Alphonse.Engine.create ~default_strategy:Engine.Eager () in
+  let cells = Array.init 8 (fun i -> Var.create eng ~name:"c" i) in
+  let idle = Var.create eng ~name:"idle" 0 in
+  let first = ref true and sum = ref 0 in
+  let inst =
+    Engine.new_instance eng ~name:"sum" ~strategy:Engine.Eager
+      ~recompute:(fun () ->
+        if !first then begin
+          first := false;
+          ignore (Var.get idle)
+        end;
+        let s = ref 0 in
+        for j = 0 to 7 do
+          s := !s + Var.get cells.(j)
+        done;
+        sum := !s;
+        true)
+      ()
+  in
+  Engine.on_call eng inst;
+  checkb "idle is tracked" true (Var.is_tracked idle);
+  let i = ref 0 in
+  let measure v iters =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to iters do
+      incr i;
+      Var.set v !i;
+      Engine.stabilize eng
+    done;
+    Gc.minor_words () -. w0
+  in
+  ignore (measure cells.(0) 10 +. measure idle 10) (* warm-up *);
+  let per v = (measure v 10_000 -. measure v 1_000) /. 9_000. in
+  let runs0 = executions eng and edges0 = (Engine.graph_stats eng).total_edges in
+  let reexec = per cells.(0) in
+  checki "one re-execution per iteration" 11_000 (executions eng - runs0);
+  checki "every read re-read" edges0 (Engine.graph_stats eng).total_edges;
+  checki "value tracked" (!i + 28) !sum;
+  let control = per idle in
+  checkb
+    (Printf.sprintf "re-execution allocates nothing (%.1f vs %.1f words/iter)"
+       reexec control)
+    true
+    (reexec -. control <= 0.5)
+
 let test_eager_stabilize_precomputes () =
   let eng = Engine.create ~default_strategy:Engine.Eager () in
   let runs = ref 0 in
@@ -882,6 +934,58 @@ let test_scheduling_topological_avoids_waste () =
     checki "every instance runs once" 8 (executions eng);
     checki "f runs once" 1 !runs
   done
+
+(* A heap entry outlives its node. [f 0] is queued, then forced by an
+   execution ahead of it in the drain (unqueued, its entry left behind),
+   then evicted by [f 1] under [Lru 1]; the bounded settle stops at [w]
+   with the entry still in the heap. A cell created next takes [f 0]'s
+   recycled arena slot and is queued: the old entry names that slot
+   under the previous generation word, so the drain drops it rather than
+   popping [v] ahead of [z] at [f 0]'s priority. *)
+let test_stale_entry_after_slot_reuse () =
+  let eng = Engine.create ~default_strategy:Engine.Eager () in
+  let a = Var.create eng ~name:"a" 0 and b = Var.create eng ~name:"b" false in
+  let f =
+    Func.create eng ~name:"f" ~policy:(Policy.Lru 1) (fun _ k -> Var.get a + k)
+  in
+  let reader name body =
+    let n =
+      Engine.new_instance eng ~name ~strategy:Engine.Eager
+        ~recompute:(fun () -> body (); true) ()
+    in
+    Engine.on_call eng n
+  in
+  reader "x" (fun () ->
+      ignore (Var.get a);
+      if Var.get b then
+        Engine.unchecked eng (fun () ->
+            ignore (Func.call f 0);
+            ignore (Func.call f 1)));
+  reader "w" (fun () -> ignore (Var.get a));
+  checki "f 0" 0 (Func.call f 0);
+  reader "z" (fun () -> ignore (Var.get a));
+  Var.set b true;
+  Var.set a 1;
+  checkb "the bounded settle stops at w" false
+    (Engine.settle_bounded eng ~max_steps:3);
+  checki "f 0 evicted" 1 (Engine.stats eng).Engine.evictions;
+  let tm = Alphonse.Telemetry.create () in
+  Engine.set_telemetry eng (Some tm);
+  let v = Engine.new_storage eng ~name:"v" in
+  Engine.record_write eng v ~changed:true;
+  Engine.stabilize eng;
+  let pops =
+    List.filter_map
+      (fun (r : Alphonse.Telemetry.record) ->
+        match r.ev with
+        | Alphonse.Telemetry.Settle_pop { name; _ } -> Some name
+        | _ -> None)
+      (Alphonse.Telemetry.events tm)
+  in
+  Alcotest.(check (list string)) "the stale entry is not popped"
+    [ "w"; "z"; "v" ] pops;
+  checki "f 1" 2 (Func.call f 1);
+  Engine.audit eng
 
 (* The E14 shape: a cascade of eager consumers created before the
    two-level side chains they come to read, so the first settle after
@@ -1554,6 +1658,8 @@ let () =
             test_eager_cache_write_zero_alloc;
           Alcotest.test_case "re-executed cache hit allocates nothing" `Quick
             test_reexec_hit_zero_alloc;
+          Alcotest.test_case "re-execution allocates nothing" `Quick
+            test_reexec_zero_alloc;
           Alcotest.test_case "eager stabilize precomputes" `Quick
             test_eager_stabilize_precomputes;
           Alcotest.test_case "demand stabilize defers" `Quick
@@ -1608,7 +1714,9 @@ let () =
           test_scheduling_topological_avoids_waste
         :: qsuite [ prop_pk_invariant ]
         @ [ Alcotest.test_case "reorder keeps heap order" `Quick
-              test_scheduling_reorder_keeps_heap_order ] );
+              test_scheduling_reorder_keeps_heap_order;
+            Alcotest.test_case "stale entry after slot reuse" `Quick
+              test_stale_entry_after_slot_reuse ] );
       ( "static-subgraphs",
         [
           Alcotest.test_case "correct when R(p) static" `Quick

@@ -287,6 +287,35 @@ let test_arena_generation_rollover () =
   checki "all allocations counted" (G.gen_limit + 1) s.total_nodes;
   G.validate g
 
+(* An arena id resolves to its node while the node lives, to nothing
+   once it is removed — also after a new node takes the slot — and, the
+   documented limit, to the slot's node again once the generation word
+   has wrapped back to the same value. *)
+let test_arena_ids () =
+  let g = G.create () in
+  let a = G.add_node g ~order_after:None "a" in
+  let b = G.add_node g ~order_after:None "b" in
+  let resolves n id =
+    match G.of_arena_id g id with Some m -> m == n | None -> false
+  in
+  checkb "a resolves" true (resolves a (G.arena_id a));
+  checkb "b resolves" true (resolves b (G.arena_id b));
+  checkb "ids differ" true (G.arena_id a <> G.arena_id b);
+  let id_a = G.arena_id a and slot_a = G.slot a in
+  G.remove_node g a;
+  checkb "removed: nothing" true (G.of_arena_id g id_a = None);
+  let c = G.add_node g ~order_after:None "c" in
+  checki "c takes a's slot" slot_a (G.slot c);
+  checkb "recycled slot: still nothing" true (G.of_arena_id g id_a = None);
+  checkb "c resolves" true (resolves c (G.arena_id c));
+  checkb "out of range: nothing" true (G.of_arena_id g (1 lsl 40) = None);
+  let last = ref c in
+  for _ = 1 to G.gen_limit - 1 do
+    G.remove_node g !last;
+    last := G.add_node g ~order_after:None "d"
+  done;
+  checkb "wrapped: the slot's node" true (resolves !last id_a)
+
 (* The re-read cursor: a read of the pred at the cursor writes no edge,
    a repeat is caught by the stamp, the first read that differs is the
    caller's to record, and truncating at the cursor drops exactly the
@@ -370,7 +399,10 @@ let test_graph_order_epoch () =
 
 module Fh = Depgraph.Flat_heap
 
-let int_heap () = Fh.create ~key:(fun (a : int) -> a)
+(* The heap stores int ids and reads their keys through [key], the way
+   the engine's heaps resolve arena ids to order-list tags. Here an id
+   is an index into a key table. *)
+let keyed keys = Fh.create ~key:(fun id -> keys.(id))
 
 (* Pop everything, smallest first, the way the engine's drain does. *)
 let drain h =
@@ -385,43 +417,66 @@ let drain h =
   go []
 
 let test_flat_heap_sorts () =
-  let h = int_heap () in
-  List.iter (Fh.insert h) [ 5; 1; 4; 1; 3; 9; 2 ];
+  let keys = [| 5; 1; 4; 1; 3; 9; 2 |] in
+  let h = keyed keys in
+  Array.iteri (fun id _ -> Fh.insert h id) keys;
   checkb "not empty" false (Fh.is_empty h);
-  check Alcotest.(list int) "drains sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain h);
+  let out = drain h in
+  check Alcotest.(list int) "drains by key" [ 1; 1; 2; 3; 4; 5; 9 ]
+    (List.map (fun id -> keys.(id)) out);
+  check Alcotest.(list int) "every id once" [ 0; 1; 2; 3; 4; 5; 6 ]
+    (List.sort compare out);
   checkb "empty after drain" true (Fh.is_empty h)
 
 let test_flat_heap_meld () =
-  let key (a : int) = a in
+  let keys = [| 7; 3; 5; 1; 6 |] in
+  let key id = keys.(id) in
   let h1 = Fh.create ~key and h2 = Fh.create ~key in
-  List.iter (Fh.insert h1) [ 7; 3 ];
-  List.iter (Fh.insert h2) [ 5; 1; 6 ];
+  List.iter (Fh.insert h1) [ 0; 1 ];
+  List.iter (Fh.insert h2) [ 2; 3; 4 ];
   Fh.meld h1 h2;
   checkb "absorbed heap is empty" true (Fh.is_empty h2);
-  check Alcotest.(list int) "meld = union" [ 1; 3; 5; 6; 7 ] (drain h1)
+  check Alcotest.(list int) "meld = union" [ 3; 1; 2; 4; 0 ] (drain h1)
 
 let test_flat_heap_peek_clear () =
-  let h = int_heap () in
+  let keys = [| 30; 10; 20 |] in
+  let h = keyed keys in
   check Alcotest.bool "min_elt of empty raises" true
     (match Fh.min_elt h with _ -> false | exception Invalid_argument _ -> true);
-  Fh.insert h 3;
+  Fh.insert h 0;
   Fh.insert h 1;
   checki "min_elt" 1 (Fh.min_elt h);
   checki "min_elt does not pop" 2 (Fh.length h);
   Fh.drop_min h;
-  checki "drop_min removes the minimum" 3 (Fh.min_elt h);
+  checki "drop_min removes the minimum" 0 (Fh.min_elt h);
   Fh.insert h 2;
   Fh.clear h;
-  checkb "cleared" true (Fh.is_empty h)
+  checkb "cleared" true (Fh.is_empty h);
+  Fh.insert h 2;
+  check Alcotest.(list int) "usable after clear" [ 2 ] (drain h)
+
+(* A retired id — its key now negative, as the engine answers for a
+   removed node — is not held to its stored key, and a rekey floats it
+   to the top, where the owner drops it. *)
+let test_flat_heap_retired () =
+  let keys = [| 10; 20; 30 |] in
+  let h = keyed keys in
+  List.iter (Fh.insert h) [ 0; 1; 2 ];
+  keys.(2) <- -1;
+  Fh.validate ~current:true h;
+  checki "stored key still orders it" 0 (Fh.min_elt h);
+  Fh.rekey h;
+  Fh.validate ~current:true h;
+  check Alcotest.(list int) "retired id first after rekey" [ 2; 0; 1 ] (drain h)
 
 (* In the two tests below, keys are read from a mutable table, the way
    the engine's heaps read order-list tags: moving a key is a new epoch
    for every heap. *)
 
 (* One heap filled before the keys move (stale), one after (current).
-   Melding the stale heap into the current one inserts its elements
-   under their current keys, so the drain is sorted without a rekey;
-   the other way round the stale keys stay until [rekey]. *)
+   Melding the stale heap into the current one inserts its ids under
+   their current keys, so the drain is sorted without a rekey; the
+   other way round the stale keys stay until [rekey]. *)
 let test_flat_heap_meld_epochs () =
   let keys = [| 10; 20; 30; 40; 50; 60 |] in
   let key i = keys.(i) in
@@ -459,36 +514,49 @@ let test_flat_heap_meld_epochs () =
   check Alcotest.(list int) "stale dst: sorted after rekey" [ 1; 2; 3; 4; 5; 0 ]
     (drain stale)
 
+(* A heap holding [ids], keyed by [key]. *)
+let heap_of key ids =
+  let h = Fh.create ~key in
+  List.iter (Fh.insert h) ids;
+  h
+
 let prop_flat_heap_sorts_random =
   QCheck.Test.make ~name:"flat heap drains sorted" QCheck.(list small_int)
-    (fun xs ->
-      let h = int_heap () in
-      List.iter (Fh.insert h) xs;
-      drain h = List.sort compare xs)
+    (fun ks ->
+      let keys = Array.of_list ks in
+      let key id = keys.(id) in
+      let out = drain (heap_of key (List.init (Array.length keys) Fun.id)) in
+      List.map (fun id -> keys.(id)) out = List.sort compare ks)
 
 let prop_flat_heap_meld_random =
   QCheck.Test.make ~name:"flat heap meld equals concatenation"
     QCheck.(pair (list small_int) (list small_int))
     (fun (xs, ys) ->
-      let a = int_heap () and b = int_heap () in
-      List.iter (Fh.insert a) xs;
-      List.iter (Fh.insert b) ys;
+      let keys = Array.of_list (xs @ ys) in
+      let key id = keys.(id) and nx = List.length xs in
+      let a = heap_of key (List.init nx Fun.id)
+      and b = heap_of key (List.init (List.length ys) (fun i -> nx + i)) in
       Fh.meld a b;
-      Fh.is_empty b && drain a = List.sort compare (xs @ ys))
+      Fh.is_empty b
+      && List.map (fun id -> keys.(id)) (drain a) = List.sort compare (xs @ ys))
 
 (* Interleaved inserts and drop_mins against a sorted-list model: after
-   every step the heap's minimum and length match the model's. *)
+   every step the key of the heap's minimum and its length match the
+   model's. *)
 let prop_flat_heap_interleaved =
   QCheck.Test.make ~name:"flat heap matches sorted-list model"
     QCheck.(list (option small_int))
     (fun ops ->
-      let h = int_heap () in
+      let keys = Array.of_list (List.filter_map Fun.id ops) in
+      let h = keyed keys in
+      let next = ref 0 in
       let model = ref [] in
       List.for_all
         (fun op ->
           (match op with
           | Some x ->
-              Fh.insert h x;
+              Fh.insert h !next;
+              incr next;
               model := List.merge compare [ x ] !model
           | None -> (
               Fh.drop_min h;
@@ -497,8 +565,91 @@ let prop_flat_heap_interleaved =
           &&
           match !model with
           | [] -> Fh.is_empty h
-          | m :: _ -> Fh.min_elt h = m)
+          | m :: _ -> keys.(Fh.min_elt h) = m)
         ops)
+
+(* Every operation against a sorted list of (key, id) pairs: inserts,
+   drop_min, key moves followed by a rekey, and melds of a second heap.
+   After each step the minimum's key, the length and the stored heap
+   order agree with the oracle; at the end the drain holds exactly the
+   oracle's ids, in key order. *)
+type heap_op = Ins of int | Drop | Move of int * int | Meld of int list
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun k -> Ins k) small_nat);
+        (3, return Drop);
+        (1, map2 (fun i k -> Move (i, k)) small_nat small_nat);
+        (1, map (fun ks -> Meld ks) (list_size (int_bound 5) small_nat));
+      ])
+
+let pp_heap_op = function
+  | Ins k -> Printf.sprintf "Ins %d" k
+  | Drop -> "Drop"
+  | Move (i, k) -> Printf.sprintf "Move (%d, %d)" i k
+  | Meld ks ->
+      Printf.sprintf "Meld [%s]" (String.concat "; " (List.map string_of_int ks))
+
+let prop_flat_heap_ops =
+  QCheck.Test.make ~name:"flat heap ops match sorted-list oracle"
+    (QCheck.make ~print:(QCheck.Print.list pp_heap_op)
+       (QCheck.Gen.list_size (QCheck.Gen.int_bound 200) heap_op_gen))
+    (fun ops ->
+      let keys = Array.make 1024 0 and next = ref 0 in
+      let fresh k =
+        let id = !next in
+        incr next;
+        keys.(id) <- k;
+        id
+      in
+      let key id = keys.(id) in
+      let h = Fh.create ~key in
+      let oracle = ref [] in
+      let add id = oracle := List.merge compare [ (keys.(id), id) ] !oracle in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Ins k ->
+              let id = fresh k in
+              Fh.insert h id;
+              add id
+          | Drop -> (
+              match !oracle with
+              | [] -> Fh.drop_min h
+              | _ ->
+                  let id = Fh.min_elt h in
+                  Fh.drop_min h;
+                  oracle := List.filter (fun (_, i) -> i <> id) !oracle)
+          | Move (i, k) ->
+              if !next > 0 then begin
+                keys.(i mod !next) <- k;
+                Fh.rekey h;
+                oracle :=
+                  List.sort compare
+                    (List.map (fun (_, id) -> (keys.(id), id)) !oracle)
+              end
+          | Meld ks ->
+              let src = Fh.create ~key in
+              List.iter
+                (fun k ->
+                  let id = fresh k in
+                  Fh.insert src id;
+                  add id)
+                ks;
+              Fh.meld h src);
+          Fh.validate ~current:true h;
+          Fh.length h = List.length !oracle
+          &&
+          match !oracle with
+          | [] -> Fh.is_empty h
+          | (k, _) :: _ -> keys.(Fh.min_elt h) = k)
+        ops
+      &&
+      let out = drain h in
+      List.sort compare out = List.sort compare (List.map snd !oracle)
+      && List.map key out = List.map fst !oracle)
 
 (* Fill a heap under one set of keys, move arbitrary keys (a new epoch),
    rekey, then keep inserting: the drain comes out sorted by the new
@@ -593,14 +744,15 @@ let () =
         :: Alcotest.test_case "peek/clear" `Quick test_flat_heap_peek_clear
         :: qsuite [ prop_flat_heap_sorts_random ]
         @ [ Alcotest.test_case "meld across epochs" `Quick
-              test_flat_heap_meld_epochs ] );
+              test_flat_heap_meld_epochs;
+            Alcotest.test_case "retired ids" `Quick test_flat_heap_retired ] );
       (* Alcotest sizes its label column by the longest suite name and
          truncates long test names to fit; keep the longest name at 12
          characters so the reported test names stay stable. *)
       ( "heap_oracles",
         qsuite
           [ prop_flat_heap_meld_random; prop_flat_heap_interleaved;
-            prop_flat_heap_rekey ] );
+            prop_flat_heap_rekey; prop_flat_heap_ops ] );
       ( "graph",
         Alcotest.test_case "edges" `Quick test_graph_edges
         :: Alcotest.test_case "edge dedup" `Quick test_graph_edge_dedup
@@ -613,6 +765,7 @@ let () =
              test_arena_generation_rollover
         :: Alcotest.test_case "re-read cursor" `Quick
              test_arena_reread_cursor
+        :: Alcotest.test_case "arena ids" `Quick test_arena_ids
         :: qsuite [ prop_graph_matches_oracle ]
         @ [ Alcotest.test_case "order epoch versions keys" `Quick
               test_graph_order_epoch ] );
