@@ -57,9 +57,10 @@ let set t v =
   | Some n when Engine.quick t.eng ->
     (* Quick regime: nothing executes, and no transaction or journal is
        open, so the write records, logs and journals nothing. It marks
-       the node only when it changes the value of a node not yet marked;
-       otherwise it is the store (the E6 tracked-mutator fast path, and
-       E10's equal-value write). *)
+       the node, walking its dependents, only when it changes the value
+       of a node not marked since its last tracked read; otherwise it
+       is the store (the E6 tracked-mutator fast path, and E10's
+       equal-value write). *)
     if Engine.quick_write_ok t.eng n || t.equal t.contents v then
       t.contents <- v
     else begin
