@@ -13,7 +13,8 @@
      from its own WAL behind exponential backoff, a flapping one is
      parked by its circuit breaker — 503 for that tenant only;
    - deadlines: a batch that outlives its budget is cancelled at a
-     settle-step boundary and rolled back — 408, state unchanged;
+     settle step or a demand execution and rolled back — 408, state
+     unchanged;
    - SIGTERM drain: stop accepting, finish in-flight requests,
      checkpoint every tenant, return.
 

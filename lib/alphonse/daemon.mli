@@ -18,9 +18,9 @@
     {!Engine.Budget} derived from [deadline_ms] (defaulting to the
     configured deadline) and optional [max_steps]. Responses reuse HTTP
     status vocabulary: [200] results; [400] malformed request or op
-    (batch rolled back); [408] budget tripped — the settle was
-    cancelled at a step boundary and the batch {e rolled back}, state
-    unchanged; [503] shed, draining, tenant restarting or parked — with
+    (batch rolled back); [408] budget tripped — the batch was
+    cancelled at a settle step or a demand execution and {e rolled
+    back}, state unchanged; [503] shed, draining, tenant restarting or parked — with
     [retry_after_ms]. [{"op":"ping"}] answers without touching any
     tenant. Ops themselves are interpreted by the hosted
     {!Tenant.workload} ([Sheet.workload] in [alphonsec daemon]).
