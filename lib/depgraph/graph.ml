@@ -99,8 +99,8 @@ let create () =
     removed_edges = 0;
   }
 
-let check_alive who n =
-  if n.dead then invalid_arg (who ^ ": removed dependency graph node")
+let[@inline never] removed who = invalid_arg (who ^ ": removed dependency graph node")
+let[@inline] check_alive who n = if n.dead then removed who
 
 (* Resolve a slot to its live handle. Adjacency entries never hold a
    freed slot (every incident edge is detached before the slot is
@@ -181,18 +181,18 @@ let add_node_before t ~order_before payload =
   check_alive "Graph.add_node_before" order_before;
   mk_node t (order_insert t Order_list.insert_before order_before.order) payload
 
-let payload n = n.payload
+let[@inline] payload n = n.payload
 let id n = n.id
-let slot n = n.slot
+let[@inline] slot n = n.slot
 let generation n = n.gen
 
 (* A handle as one int, for the settle heaps: slot above the generation
    word. It resolves only while the slot holds the node allocated under
    that word; [Some n as h] hands back the arena's own option cell, so
    resolving allocates nothing. *)
-let arena_id n = (n.slot lsl gen_bits) lor n.gen
+let[@inline] arena_id n = (n.slot lsl gen_bits) lor n.gen
 
-let of_arena_id t x =
+let[@inline] of_arena_id t x =
   let s = x lsr gen_bits in
   if s >= t.slots then None
   else
@@ -303,7 +303,7 @@ let clear_preds t n = truncate_preds t n 0
 (* The read of [src] by the execution [stamp] of [dst], whose cursor
    is [at]: a repeat within the execution, the source at the cursor
    (stamped), or a read that needs a new edge. *)
-let reread ~stamp ~src ~dst at =
+let[@inline] reread ~stamp ~src ~dst at =
   check_alive "Graph.reread" src;
   if src.last_stamp = stamp then `Repeat
   else if at >= 0 && at < dst.pred_n && Array.unsafe_get dst.pred_node at = src.slot
@@ -360,18 +360,20 @@ let iter_pred f n =
     f (handle t n.pred_node.(i))
   done
 
-let succ_at n i =
-  check_alive "Graph.succ_at" n;
-  if i < 0 || i >= n.succ_n then invalid_arg "Graph.succ_at: index out of range";
-  handle n.owner n.succ_node.(i)
+(* The forwarding loop's accessors, inlined into it. A removed node has
+   no successors ([remove_node] clears them), so the range check also
+   rejects one. *)
+let[@inline never] succ_out_of_range who = invalid_arg (who ^ ": index out of range")
 
-let succ_pred_index n i =
-  check_alive "Graph.succ_pred_index" n;
-  if i < 0 || i >= n.succ_n then
-    invalid_arg "Graph.succ_pred_index: index out of range";
-  n.succ_twin.(i)
+let[@inline] succ_at n i =
+  if i < 0 || i >= n.succ_n then succ_out_of_range "Graph.succ_at";
+  handle n.owner (Array.unsafe_get n.succ_node i)
 
-let succ_count n = n.succ_n
+let[@inline] succ_pred_index n i =
+  if i < 0 || i >= n.succ_n then succ_out_of_range "Graph.succ_pred_index";
+  Array.unsafe_get n.succ_twin i
+
+let[@inline] succ_count n = n.succ_n
 let pred_count n = n.pred_n
 
 (* Restore topological order after discovering the edge src → dst with

@@ -22,6 +22,8 @@ and node = {
 }
 
 let tree_equal a b =
+  a == b
+  ||
   match (a, b) with
   | Nil, Nil -> true
   | Node x, Node y -> x.id = y.id
