@@ -1,7 +1,8 @@
 (* A live leaderboard: the order-statistic tree (maintained size, §7.3
    applied twice) serving rank / percentile queries while scores stream
    in, with eager evaluation spending idle cycles in preemptable slices
-   (§4.5) and the dependency graph's parallelism profile (§10).
+   (§4.5: a stabilize under a step-capped [Engine.Budget]) and the
+   dependency graph's parallelism profile (§10).
 
      dune exec examples/leaderboard_demo.exe *)
 
@@ -41,13 +42,19 @@ let () =
   for _ = 1 to 200 do
     Ostat.insert board (Random.State.int rand 100_000)
   done;
-  let slices = ref 0 in
-  while not (Engine.settle_bounded eng ~max_steps:64) do
-    incr slices
-  done;
-  Fmt.pr "@.200 inserts settled eagerly in %d preemptable slices of 64 \
-          steps@."
-    !slices;
+  (* a slice is a stabilize under a step-capped budget: the cap
+     preempts it before its 65th step, and the next slice resumes there *)
+  let rec settle_in_slices n =
+    match
+      Engine.with_budget eng (Engine.Budget.create ~max_steps:64 ()) (fun () ->
+          Engine.stabilize eng)
+    with
+    | () -> n
+    | exception Engine.Cancelled _ -> settle_in_slices (n + 1)
+  in
+  Fmt.pr "@.200 inserts settled eagerly in %d preemptable slices of at most \
+          64 steps@."
+    (settle_in_slices 1);
   (* the eager slices maintained size and height; the balance method is
      demand-evaluated (it must be — see Trees.Avl), so its work happens
      at the next query… *)

@@ -7,13 +7,11 @@ type strategy = Demand | Eager
 exception Cycle of string
 exception Poisoned of string
 exception Audit_failure of string list
-exception Watchdog of string
 exception Cancelled of string
 
 (* The settle-step clock: advanced by exactly one site ([step]) and
-   never reset. Both step limits are a comparison against a mark taken
-   on this clock when the limited span starts: a [Budget] step cap (per
-   arming) and [settle_bounded]'s [max_steps] (per call). It is also the
+   never reset. The one step limit, a [Budget] step cap, compares it
+   with a mark taken when the budget is armed. It is also the
    [settle_steps] counter. A record of its own so an armed budget can
    read it without the engine. *)
 type clock = { mutable ticks : int }
@@ -206,7 +204,6 @@ type t = {
   use_partitions : bool;
   strategy0 : strategy;
   max_retries : int;
-  max_stack_depth : int option;
   (* the call-stack discipline of Algorithm 5: [frames.(0 ..
      stack_depth - 1)] are the running executions, innermost last *)
   mutable frames : frame array;
@@ -341,7 +338,7 @@ let counters =
   |]
 
 let create ?(partitioning = false) ?(default_strategy = Demand)
-    ?(max_retries = 3) ?max_stack_depth () =
+    ?(max_retries = 3) () =
   if max_retries < 1 then invalid_arg "Engine.create: max_retries must be >= 1";
   let graph = G.create () in
   (* a retired id (its node removed) keys below every order tag, so a
@@ -364,7 +361,6 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     use_partitions = partitioning;
     strategy0 = default_strategy;
     max_retries;
-    max_stack_depth;
     frames = [||];
     stack_depth = 0;
     placeholder;
@@ -486,30 +482,33 @@ let set_metrics t reg =
 
 let metrics t = Option.map fst t.metrics
 
+let budget_trip t reason =
+  t.c_cancellations <- t.c_cancellations + 1;
+  emit t (fun () -> Telemetry.Budget_tripped { reason });
+  raise (Cancelled reason)
+
 (* Budget enforcement. [budget_check] runs at the head of every settle
-   step, *before* the inconsistent-set pop, and at the start of every
-   demand execution, before its frame: a raise here leaves the pending
-   node queued (or inconsistent) and the heap untouched, so the work can
-   be resumed (next stabilize or call) or rolled back (enclosing
-   [transact]) without losing propagation. Cheap when unarmed: one [match]. The
-   deadline comparison is last — [Unix.gettimeofday] is the only
-   syscall on this path. *)
-let[@inline] budget_check t =
+   step ([~step:true]), *before* the inconsistent-set pop, and at the
+   start of every demand execution, before its frame: a raise here
+   leaves the pending node queued (or inconsistent) and the heap
+   untouched, so the work can be resumed (next stabilize or call) or
+   rolled back (enclosing [transact]) without losing propagation. The
+   step cap counts settle steps, so only a step checks it: a demand
+   execution inside an eager step's body is part of that step, and a
+   cap reached by the step itself must not cut it off. Cheap when
+   unarmed: one [match]. The deadline comparison is last —
+   [Unix.gettimeofday] is the only syscall on this path. *)
+let[@inline] budget_check t ~step =
   match t.budget with
   | None -> ()
-  | Some b ->
-    let trip reason =
-      t.c_cancellations <- t.c_cancellations + 1;
-      emit t (fun () -> Telemetry.Budget_tripped { reason });
-      raise (Cancelled reason)
-    in
-    if Atomic.get b.Budget.cancel then trip "cancelled";
+  | Some b -> (
+    if Atomic.get b.Budget.cancel then budget_trip t "cancelled";
     (match b.Budget.step_cap with
-    | Some cap when Budget.steps_used b >= cap ->
-      trip (Printf.sprintf "settle-step budget %d exhausted" cap)
+    | Some cap when step && Budget.steps_used b >= cap ->
+      budget_trip t (Printf.sprintf "settle-step budget %d exhausted" cap)
     | _ -> ());
-    (match b.Budget.deadline with
-    | Some d when Unix.gettimeofday () > d -> trip "deadline exceeded"
+    match b.Budget.deadline with
+    | Some d when Unix.gettimeofday () > d -> budget_trip t "deadline exceeded"
     | _ -> ())
 
 (* Arming marks the engine clock; disarming folds the steps since into
@@ -567,7 +566,6 @@ let masked t f =
   Fun.protect ~finally f
 
 let set_self_audit t b = t.self_audit <- b
-let self_audit t = t.self_audit
 
 let set_journal t j =
   t.journal <- j;
@@ -1189,14 +1187,12 @@ let record_write t node ~changed =
 
 (* Failure accounting for an instance whose execution raised. Structural
    exceptions — [Cycle], a dependency's [Poisoned], [Audit_failure], a
-   [Watchdog] depth violation — are reported to the caller but never
-   consume the retry budget: they are deterministic properties of the
-   graph (or its configured limits), not transient faults. In particular
-   a nested frame's [Watchdog] unwinding through its callers must not
-   charge them — retrying can never shrink the recursion. *)
+   budget's [Cancelled] — are reported to the caller but never consume
+   the retry budget: they are deterministic properties of the graph (or
+   of the caller's limits), not transient faults. *)
 let record_failure t node p (inst : instance) e =
   match e with
-  | Cycle _ | Poisoned _ | Audit_failure _ | Watchdog _ | Cancelled _ -> ()
+  | Cycle _ | Poisoned _ | Audit_failure _ | Cancelled _ -> ()
   | _ ->
     t.c_failures <- t.c_failures + 1;
     inst.failures <- inst.failures + 1;
@@ -1331,27 +1327,20 @@ let run_instance t node p inst =
   | None -> ());
   (* A demand execution is a budget checkpoint, as a settle step is for
      an eager one: a write's walk queues no demand work, so without it a
-     deadline or a cancel could not stop a demand batch. Checked before
-     anything changes, so a trip leaves the instance dirty. *)
-  (match inst.strategy with Demand -> budget_check t | Eager -> ());
-  (* Pre-body faults — the depth watchdog, an injected "clear-preds"
-     fault — must take the same failure path as a raise from the body: a
-     settle loop has already popped this node and cleared [queued], so a
-     raise that bypassed the handler would leave a previously-consistent
-     eager instance unqueued with [consistent] still set, silently losing
-     its pending invalidation. Nothing is recorded yet, so the edge set
-     is intact, and no [Exec_begin] has been emitted, so the handler
-     emits no [Exec_end] — traces stay balanced. *)
-  (try
-     (match t.max_stack_depth with
-     | Some lim when t.stack_depth >= lim ->
-       raise
-         (Watchdog
-            (Fmt.str "call-stack depth limit %d reached at %s#%d" lim p.name
-               (G.id node)))
-     | _ -> ());
-     (* the site where RemovePredEdges ran, and keeps its name *)
-     poke t "clear-preds"
+     deadline or a cancel could not stop a demand batch (the step cap
+     is not checked: see [budget_check]). Checked before anything
+     changes, so a trip leaves the instance dirty. *)
+  (match inst.strategy with Demand -> budget_check t ~step:false | Eager -> ());
+  (* A pre-body fault — an injected "clear-preds" fault, at the site
+     where RemovePredEdges ran — must take the same failure path as a
+     raise from the body: a settle loop has already popped this node and
+     cleared [queued], so a raise that bypassed the handler would leave a
+     previously-consistent eager instance unqueued with [consistent]
+     still set, silently losing its pending invalidation. Nothing is
+     recorded yet, so the edge set is intact, and no [Exec_begin] has
+     been emitted, so the handler emits no [Exec_end] — traces stay
+     balanced. *)
+  (try poke t "clear-preds"
    with e ->
      inst.consistent <- false;
      inst.raised <- true;
@@ -1469,7 +1458,7 @@ let degrade_to_exhaustive t =
    pop forces one. Failures are quarantined: settlement is total — an
    exception from one instance must not abort propagation of the
    others. Audit failures pass through. Structural failures ([Cycle],
-   [Poisoned], [Watchdog]) are never quarantined — retrying cannot fix a
+   [Poisoned]) are never quarantined — retrying cannot fix a
    property of the graph — so a structurally-failed eager instance is
    left inconsistent but unqueued: it degrades to demand recomputation
    (the next read re-attempts it) instead of being retried by settles. *)
@@ -1491,7 +1480,7 @@ let process_guarded t node p =
    is the only per-step count. *)
 let step t node p =
   poke t "settle-pop";
-  budget_check t;
+  budget_check t ~step:true;
   if tele_on t then
     emit t (fun () -> Telemetry.Settle_pop { id = eid t node; name = p.name });
   p.queued <- false;
@@ -1501,18 +1490,17 @@ let step t node p =
   log_remark t node;
   t.clock.ticks <- t.clock.ticks + 1
 
-(* The drain: process [part]'s heap in priority order until it is empty
-   ([true]) or the clock reaches [stop] at a node still to process
-   ([false]). A heap keyed under an older order epoch is re-keyed before
+(* The drain: process [part]'s heap in priority order until it is
+   empty. A heap keyed under an older order epoch is re-keyed before
    its minimum is trusted: a relabel or a Pearce–Kelly reorder since the
    last pop may have moved queued nodes' priorities. Stale entries —
    unqueued since their push, or naming a removed node — are dropped.
    Nodes on the call stack must not be processed here — a re-execution
-   would be a false cycle — so they go to [t.skipped]. Top-level and
+   would be a false cycle — so they go to [t.skipped]. An armed
+   [Budget] preempts it at a [step], before the pop. Top-level and
    closure-free: every partition settle of a call runs it. *)
-let rec drain t part stop =
-  if Heap.is_empty part.queue then true
-  else begin
+let rec drain t part =
+  if not (Heap.is_empty part.queue) then begin
     let epoch = G.order_epoch t.graph in
     if part.keyed <> epoch then begin
       Heap.rekey part.queue;
@@ -1523,20 +1511,18 @@ let rec drain t part stop =
       let p = G.payload node in
       if p.on_stack then begin
         Heap.drop_min part.queue;
-        t.skipped <- node :: t.skipped;
-        drain t part stop
+        t.skipped <- node :: t.skipped
       end
-      else if t.clock.ticks >= stop then false
       else begin
         step t node p;
         Heap.drop_min part.queue;
         process_guarded t node p;
-        if t.self_audit then audit_step t;
-        drain t part stop
-      end
+        if t.self_audit then audit_step t
+      end;
+      drain t part
     | Some _ | None ->
       Heap.drop_min part.queue;
-      drain t part stop
+      drain t part
   end
 
 let requeue_skipped t =
@@ -1549,62 +1535,55 @@ let requeue_skipped t =
 (* Drain [part] and re-queue what it skipped, also when it raises. The
    partition leaves the dirty list only if it emptied with nothing
    skipped — after a raise it keeps its place, so the next settle
-   resumes it; answers that quiescence. *)
-let drain_partition t part stop =
-  match drain t part stop with
-  | drained ->
-    let quiet = drained && match t.skipped with [] -> true | _ -> false in
+   resumes it. *)
+let drain_partition t part =
+  match drain t part with
+  | () ->
+    let quiet = match t.skipped with [] -> true | _ -> false in
     requeue_skipped t;
-    if quiet then unlist_part t part;
-    quiet
+    if quiet then unlist_part t part
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     requeue_skipped t;
     Printexc.raise_with_backtrace e bt
 
-(* Whether an instance on the call stack is marked: a settle run from
-   inside an execution leaves it to its frame. *)
-let rec stack_marked t d =
-  d > 0 && ((G.payload t.frames.(d - 1).fnode).queued || stack_marked t (d - 1))
-
-let quiescent t = t.dirty_parts = [] && not (stack_marked t t.stack_depth)
-
 (* Drain every listed partition, pass after pass while a pass takes a
    step (processing may list a partition the pass is past). Each pass
-   first flushes the instances the steps before it deferred. Answers
-   quiescence. *)
-let rec drain_all t stop =
+   first flushes the instances the steps before it deferred. *)
+let rec drain_all t =
   flush_deferred t;
   match t.dirty_parts with
-  | [] -> quiescent t
+  | [] -> ()
   | parts ->
     let ticks = t.clock.ticks in
-    drain_pass t stop parts;
-    if t.clock.ticks > ticks then drain_all t stop else quiescent t
+    drain_pass t parts;
+    if t.clock.ticks > ticks then drain_all t
 
-and drain_pass t stop = function
+and drain_pass t = function
   | [] -> ()
   | part :: rest ->
-    if part.on_dirty_list then ignore (drain_partition t part stop : bool);
-    drain_pass t stop rest
+    if part.on_dirty_list then drain_partition t part;
+    drain_pass t rest
 
 (* Every step runs inside a settle session: [settling] is set while it
    runs (calls made inside force instead of re-entering it). [~all]
    drains the dirty list; otherwise only [part] drains — the partition
    settle of [on_call]. *)
-let session t ~all part stop =
+let session t ~all part =
   t.settling <- true;
-  match if all then drain_all t stop else drain_partition t part stop with
-  | quiet ->
-    t.settling <- false;
-    quiet
+  match if all then drain_all t else drain_partition t part with
+  | () -> t.settling <- false
   | exception e ->
     t.settling <- false;
     raise e
 
-(* [stabilize] is the walk with no step limit, after re-marking the
+(* [stabilize] drains every listed partition, after re-marking the
    quarantined instances. A session with work is counted and timed; the
-   common already-quiescent stabilize is not a session. *)
+   common already-quiescent stabilize is not a session. Preemptable
+   evaluation (§4.5: "the evaluation routine should be called whenever
+   cycles are available … and can be preempted when necessary") is this
+   under a step-capped [Budget]: a trip before a pop leaves the node
+   queued, and the next stabilize resumes the work. *)
 let stabilize t =
   requeue_quarantined t;
   flush_deferred t;
@@ -1613,25 +1592,13 @@ let stabilize t =
     | [], _ -> ()
     | _ :: _, None ->
       t.c_settles <- t.c_settles + 1;
-      ignore (session t ~all:true t.global_part max_int : bool)
+      session t ~all:true t.global_part
     | _ :: _, Some (_, seconds) ->
       t.c_settles <- t.c_settles + 1;
       let t0 = Metrics.now () in
       Fun.protect
         ~finally:(fun () -> Metrics.observe_since seconds t0)
-        (fun () -> ignore (session t ~all:true t.global_part max_int : bool))
-
-(* Preemptable evaluation (§4.5: "the evaluation routine should be called
-   whenever cycles are available … and can be preempted when necessary"):
-   the walk, stopped once it has taken [max_steps] steps. *)
-let settle_bounded t ~max_steps =
-  if t.settling then quiescent t
-  else begin
-    requeue_quarantined t;
-    let now = t.clock.ticks in
-    session t ~all:true t.global_part
-      (if max_steps >= max_int - now then max_int else now + max_steps)
-  end
+        (fun () -> session t ~all:true t.global_part)
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
@@ -1764,8 +1731,7 @@ let on_call t node =
     (* only eager work lists a partition, and a quiescent one is
        unlisted: a cache hit's settle share is two loads and a branch *)
     let part = partition_of t node in
-    if part.on_dirty_list then
-      ignore (session t ~all:false part max_int : bool)
+    if part.on_dirty_list then session t ~all:false part
   end;
   force_or_hit t node p;
   (* The dependency edge is recorded only now, after any forcing, so the
@@ -1818,8 +1784,6 @@ let unchecked t f =
   t.mask <- false;
   let finally () = t.mask <- saved in
   Fun.protect ~finally f
-
-let is_executing t = t.stack_depth > 0
 
 let recording t = t.mask && t.stack_depth > 0
 

@@ -89,30 +89,21 @@ exception Audit_failure of string list
 (** Raised by {!audit} when an engine invariant does not hold; the
     payload lists every violated invariant. *)
 
-exception Watchdog of string
-(** Raised when the call-stack depth watchdog trips (see {!create}'s
-    [max_stack_depth]) — runaway recursion through incremental calls.
-    Structural, like {!Cycle}: a nested frame's depth violation unwinds
-    through its callers without consuming their retry budgets (retrying
-    cannot shrink the recursion, so charging would eventually poison
-    instances for a condition only a graph change can fix). *)
-
 exception Cancelled of string
 (** Raised when the armed {!Budget} trips: its wall-clock deadline
     passed, its settle-step cap was reached, or {!Budget.cancel} was
     called from another thread. Checked at every settle-step boundary,
-    before the inconsistent-set pop, and at the start of every demand
-    execution, before its body (cooperative cancellation), so the
-    abandoned work leaves every pending node dirty: a later stabilize
-    or call resumes it, and inside {!transact} the whole batch rolls
-    back to its pre-batch state. Structural, like {!Watchdog}: a trip
-    never consumes any instance's retry budget. *)
+    before the inconsistent-set pop, and (deadline and cancel only) at
+    the start of every demand execution, before its body (cooperative
+    cancellation), so the abandoned work leaves every pending node
+    dirty: a later stabilize or call resumes it, and inside {!transact}
+    the whole batch rolls back to its pre-batch state. Structural, like
+    {!Cycle}: a trip never consumes any instance's retry budget. *)
 
 val create :
   ?partitioning:bool ->
   ?default_strategy:strategy ->
   ?max_retries:int ->
-  ?max_stack_depth:int ->
   unit ->
   t
 (** [create ()] makes a fresh engine. [partitioning] (default [false])
@@ -134,10 +125,8 @@ val create :
 
     Fault tolerance: [max_retries] (default 3, must be ≥ 1) is how many
     consecutive times an instance's execution may fail before it is
-    poisoned ({!Poisoned}). [max_stack_depth] (unset by default) bounds
-    the incremental call stack; exceeding it raises {!Watchdog}.
-    {!set_self_audit} turns on an {!audit} after every settle step and
-    every write's walk. *)
+    poisoned ({!Poisoned}). {!set_self_audit} turns on an {!audit}
+    after every settle step and every write's walk. *)
 
 val default_strategy : t -> strategy
 (** The strategy applied to instances created without an explicit one. *)
@@ -234,22 +223,22 @@ val stabilize : t -> unit
     Settlement is total with respect to instance failures: an execution
     that raises is quarantined (retried by the next stabilize, up to
     [max_retries], then poisoned) and propagation of the remaining work
-    continues. Quarantined instances are re-marked at entry. *)
+    continues. Quarantined instances are re-marked at entry.
 
-val settle_bounded : t -> max_steps:int -> bool
-(** Preemptable evaluation (§4.5): processes at most [max_steps] elements
-    of the inconsistent sets, in priority order, and returns whether the
-    engine is now quiescent. Intended for spending idle cycles in slices
-    ("the evaluation routine should be called whenever cycles are
-    available … and can be preempted when necessary").
-
-    Two limits count settle steps, and both count the same ones — the
-    pops that {!type:stats}'s [settle_steps] reports, each counted once
-    however many limits are running: a {!Budget} step cap per arming,
-    raising {!Cancelled}; and [max_steps] here per call, returning
-    [false]. A settle step is eager work: it pops and forces an eager
-    instance. Marking demand instances takes no step, so both limits
-    slice and cap eager work only. *)
+    Preemptable evaluation (§4.5: the evaluation routine "can be
+    preempted when necessary") is a stabilize under a step-capped
+    {!Budget}, caught on {!Cancelled}:
+    {[
+      match
+        Engine.with_budget eng (Engine.Budget.create ~max_steps:k ())
+          (fun () -> Engine.stabilize eng)
+      with
+      | () -> (* quiescent *)
+      | exception Engine.Cancelled _ -> (* preempted after k steps *)
+    ]}
+    The cap trips before the pop of step [k + 1], which stays queued, so
+    the next stabilize resumes where the slice stopped: slices take the
+    same steps and executions as one stabilize. *)
 
 (** {1 Deadlines and cooperative cancellation}
 
@@ -260,7 +249,8 @@ val settle_bounded : t -> max_steps:int -> bool
     execution's start and — when
     the batch runs inside {!transact} — the undo log restores the
     pre-batch state, so a cancelled request never leaves a wrong
-    answer, only an unserved one. *)
+    answer, only an unserved one. A step cap is also the engine's one
+    step limit, the §4.5 preemption of {!stabilize}. *)
 
 module Budget : sig
   type t
@@ -268,11 +258,13 @@ module Budget : sig
   val create : ?deadline:float -> ?max_steps:int -> unit -> t
   (** [deadline] is absolute (the [Unix.gettimeofday] timeline).
       [max_steps] caps the settle steps charged to this budget across
-      every settle it is armed for (must be [>= 1]) — the same steps
-      {!settle_bounded} counts: eager executions only, so a batch whose
-      dirt is all demand takes none; its deadline and {!cancel} still
-      stop it at a demand execution. With no arguments the budget only
-      trips via {!cancel}. *)
+      every settle it is armed for (must be [>= 1]) — the steps
+      {!type:stats}'s [settle_steps] counts: eager executions only, so
+      a batch whose dirt is all demand takes none; its deadline and
+      {!cancel} still stop it at a demand execution. The cap is checked
+      at a settle step only: a demand instance that an eager step's
+      body calls runs inside that step. With no arguments the budget
+      only trips via {!cancel}. *)
 
   val cancel : t -> unit
   (** Request cancellation; thread/domain-safe. The owning engine
@@ -294,8 +286,9 @@ val with_budget : t -> Budget.t -> (unit -> 'a) -> 'a
     budget on return or raise. The daemon wraps each request batch:
     [with_budget eng b (fun () -> transact eng batch)]. The budget is
     checked at every settle-step boundary of every settle flavour
-    (full, bounded, the partition settle of a call), before the pop,
-    and at the start of every demand execution — so a trip leaves all
+    ({!stabilize}, the partition settle of a call), before the pop,
+    and (deadline and cancel only) at the start of every demand
+    execution — so a trip leaves all
     pending work dirty and resumable; each trip
     emits a {!Telemetry.Budget_tripped} event. A budget counts the steps
     of one engine at a time: arming it on another engine stops the
@@ -332,7 +325,7 @@ val txn_log : t -> (unit -> unit) -> unit
 
 val quarantined : t -> node list
 (** Instances whose last execution failed and that await a bounded retry
-    at the next {!stabilize}/{!settle_bounded} (demand instances also
+    at the next {!stabilize} (demand instances also
     retry on their next call). *)
 
 val poisoned : t -> node -> bool
@@ -385,9 +378,6 @@ val set_self_audit : t -> bool -> unit
     settle (off in a new engine): each then runs {!audit}, so the first
     incoherence raises
     {!Audit_failure} from the settle that caused it. *)
-
-val self_audit : t -> bool
-(** Whether per-step auditing is currently enabled. *)
 
 (** {1 Fault injection (engine half of {!Faults})} *)
 
@@ -463,10 +453,6 @@ val unchecked : t -> (unit -> 'a) -> 'a
     called by [f] still track their own dependencies internally. Writes are
     still propagated (suppressing them would be unsound, not merely
     imprecise). *)
-
-val is_executing : t -> bool
-(** Whether an incremental procedure instance is currently on the call
-    stack. *)
 
 val recording : t -> bool
 (** Whether an access made right now would record a dependency edge: an

@@ -21,8 +21,6 @@ let payload e =
   | Some d -> d
   | None -> assert false
 
-let set_payload e d = (find_root e).data <- Some d
-
 let same a b = find_root a == find_root b
 
 let union ~merge a b =

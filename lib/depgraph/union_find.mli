@@ -20,9 +20,6 @@ val find : 'a elt -> 'a elt
 val payload : 'a elt -> 'a
 (** Payload stored at the set's root. *)
 
-val set_payload : 'a elt -> 'a -> unit
-(** Replaces the payload at the element's root. *)
-
 val same : 'a elt -> 'a elt -> bool
 (** Whether two elements are in the same set. *)
 

@@ -10,11 +10,8 @@ let audit_mode = Sys.getenv_opt "ALPHONSE_AUDIT" = Some "1"
 module Engine = struct
   include Alphonse.Engine
 
-  let create ?partitioning ?default_strategy ?max_retries ?max_stack_depth
-      () =
-    let eng =
-      create ?partitioning ?default_strategy ?max_retries ?max_stack_depth ()
-    in
+  let create ?partitioning ?default_strategy ?max_retries () =
+    let eng = create ?partitioning ?default_strategy ?max_retries () in
     if audit_mode then set_self_audit eng true;
     eng
 end
@@ -742,7 +739,20 @@ let test_switched_read_tracked () =
 (* Preemptable evaluation (§4.5)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_settle_bounded_slices () =
+(* One preemptable slice: a stabilize under a budget capped at [k]
+   settle steps. [true] when it ran to quiescence, [false] when the cap
+   preempted it (the rest stays queued for the next slice). *)
+let slice eng k =
+  match
+    Engine.with_budget eng (Engine.Budget.create ~max_steps:k ()) (fun () ->
+        Engine.stabilize eng)
+  with
+  | () -> true
+  | exception Engine.Cancelled _ -> false
+
+let settles eng = (Engine.stats eng).Engine.settles
+
+let test_sliced_settle () =
   let eng = Engine.create ~default_strategy:Engine.Eager () in
   let runs = ref 0 in
   let cells = Array.init 20 (fun i -> Var.create eng i) in
@@ -760,30 +770,31 @@ let test_settle_bounded_slices () =
   (* each dirty cell costs one settle step (its eager reader; the
      write's walk queued it), so a budget of 10 advances ten of the
      twenty re-executions *)
-  checkb "not yet quiescent" false (Engine.settle_bounded eng ~max_steps:10);
-  checkb "partial progress" true (!runs > 20 && !runs < 40);
+  checkb "not yet quiescent" false (slice eng 10);
+  checki "ten steps taken" 30 !runs;
   let guard = ref 0 in
-  while (not (Engine.settle_bounded eng ~max_steps:7)) && !guard < 50 do
+  while (not (slice eng 7)) && !guard < 50 do
     incr guard
   done;
   checki "all recomputed across slices" 40 !runs;
-  checkb "now quiescent" true (Engine.settle_bounded eng ~max_steps:1);
+  checki "seven-step slices: one preempted, one to finish" 1 !guard;
+  checkb "now quiescent" true (slice eng 1);
   (* every value is current without any further execution *)
   Array.iteri
     (fun i f -> checki "current" ((100 + i) * 2) (Func.call f ()))
     funcs;
   checki "queries were pure hits" 40 !runs
 
-let test_settle_bounded_noop_when_clean () =
+let test_slice_noop_when_clean () =
   let eng = Engine.create () in
-  checkb "clean engine is quiescent" true
-    (Engine.settle_bounded eng ~max_steps:5)
+  checkb "clean engine is quiescent" true (slice eng 5);
+  checki "no settle session" 0 (settles eng)
 
 (* Regression: the settle a call runs on its partition must take the
    emptied partition off the dirty list. It used to clear only the
    flag, so every later mark listed the partition again — the list grew
-   by one entry per edit — and [settle_bounded] reported pending work
-   on an engine whose every node was consistent. *)
+   by one entry per edit — and a stabilize found pending work on an
+   engine whose every node was consistent. *)
 let test_demand_settle_unlists_partition () =
   let eng = Engine.create () in
   let a = Var.create eng ~name:"a" 0 in
@@ -795,8 +806,9 @@ let test_demand_settle_unlists_partition () =
   done;
   checki "every call current" (500_500 + 1000) !sum;
   Engine.audit eng;
-  checkb "quiescent without a step" true
-    (Engine.settle_bounded eng ~max_steps:0)
+  let before = settles eng in
+  Engine.stabilize eng;
+  checki "quiescent: stabilize has no session to run" before (settles eng)
 
 (* ------------------------------------------------------------------ *)
 (* Feature interactions                                                *)
@@ -856,7 +868,7 @@ let test_unchecked_call_edge_suppressed () =
   checki "inner fresh" 5 (Func.call inner ());
   checki "outer frozen" 10 (Func.call outer ())
 
-let test_settle_bounded_with_partitions () =
+let test_sliced_settle_with_partitions () =
   let eng =
     Engine.create ~partitioning:true ~default_strategy:Engine.Eager ()
   in
@@ -876,10 +888,11 @@ let test_settle_bounded_with_partitions () =
   Array.iter (fun (v, _) -> Var.set v 100) pairs;
   (* drain all six independent partitions in slices *)
   let guard = ref 0 in
-  while (not (Engine.settle_bounded eng ~max_steps:3)) && !guard < 50 do
+  while (not (slice eng 3)) && !guard < 50 do
     incr guard
   done;
   checki "all partitions drained" 12 !runs;
+  checki "two slices of three steps" 1 !guard;
   Array.iteri
     (fun _ (_, f) -> checki "current" 101 (Func.call f ()))
     pairs;
@@ -943,7 +956,7 @@ let test_scheduling_topological_avoids_waste () =
 
 (* A heap entry outlives its node. [f 0] is queued, then forced by an
    execution ahead of it in the drain (unqueued, its entry left behind),
-   then evicted by [f 1] under [Lru 1]; the bounded settle stops at [w]
+   then evicted by [f 1] under [Lru 1]; a one-step slice stops at [w]
    with the entry still in the heap. An instance created next takes
    [f 0]'s recycled arena slot and is queued ([clear_poison] re-marks
    it): the old entry names that slot under the previous generation
@@ -973,8 +986,7 @@ let test_stale_entry_after_slot_reuse () =
   reader "z" (fun () -> ignore (Var.get a));
   Var.set b true;
   Var.set a 1;
-  checkb "the bounded settle stops at w" false
-    (Engine.settle_bounded eng ~max_steps:1);
+  checkb "the one-step slice stops at w" false (slice eng 1);
   checki "f 0 evicted" 1 (Engine.stats eng).Engine.evictions;
   let tm = Alphonse.Telemetry.create () in
   Engine.set_telemetry eng (Some tm);
@@ -1715,7 +1727,7 @@ let () =
           Alcotest.test_case "unchecked call edge" `Quick
             test_unchecked_call_edge_suppressed;
           Alcotest.test_case "bounded settle with partitions" `Quick
-            test_settle_bounded_with_partitions;
+            test_sliced_settle_with_partitions;
         ] );
       ( "scheduling",
         Alcotest.test_case "topological avoids waste" `Quick
@@ -1737,9 +1749,9 @@ let () =
       ( "preemption",
         [
           Alcotest.test_case "bounded settle slices" `Quick
-            test_settle_bounded_slices;
+            test_sliced_settle;
           Alcotest.test_case "noop when clean" `Quick
-            test_settle_bounded_noop_when_clean;
+            test_slice_noop_when_clean;
           Alcotest.test_case "demand settle unlists its partition" `Quick
             test_demand_settle_unlists_partition;
         ] );

@@ -114,12 +114,6 @@ let test_uf_basic () =
   ignore (Uf.union ~merge:( + ) a c);
   checki "no double merge" 7 (Uf.payload a)
 
-let test_uf_set_payload () =
-  let a = Uf.make "x" and b = Uf.make "y" in
-  ignore (Uf.union ~merge:(fun k _ -> k) a b);
-  Uf.set_payload b "z";
-  check Alcotest.string "set via non-root" "z" (Uf.payload a)
-
 let prop_uf_partition_refinement =
   (* random unions on 40 elements agree with a naive partition oracle *)
   QCheck.Test.make ~name:"union-find agrees with naive partition"
@@ -736,7 +730,6 @@ let () =
         ] );
       ( "union_find",
         Alcotest.test_case "basic" `Quick test_uf_basic
-        :: Alcotest.test_case "set_payload" `Quick test_uf_set_payload
         :: qsuite [ prop_uf_partition_refinement ] );
       ( "flat_heap",
         Alcotest.test_case "sorts" `Quick test_flat_heap_sorts

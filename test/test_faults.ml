@@ -7,8 +7,8 @@
    pass and replaying the (deterministic, idempotent) scenario must
    converge to the clean run's observations — the exhaustive-spec
    answer. Around the sweep: unit tests for the quarantine/poison
-   lifecycle, transactional batches with rollback, the stack-depth
-   watchdog, the exhaustive fallback, budgets, the spreadsheet's
+   lifecycle, transactional batches with rollback, the exhaustive
+   fallback, budgets and preemptable slices, the spreadsheet's
    error-value surface, and the injectors themselves. *)
 
 module Engine = Alphonse.Engine
@@ -33,6 +33,17 @@ let node_of f arg =
   match Func.node f arg with
   | Some n -> n
   | None -> Alcotest.fail "instance has no node"
+
+(* One preemptable slice (§4.5): a stabilize under a budget capped at
+   [k] settle steps. [true] when it ran to its end, [false] when the cap
+   preempted it (the rest stays queued for the next slice). *)
+let slice eng k =
+  match
+    Engine.with_budget eng (Engine.Budget.create ~max_steps:k ()) (fun () ->
+        Engine.stabilize eng)
+  with
+  | () -> true
+  | exception Engine.Cancelled _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* The sweep harness                                                   *)
@@ -472,7 +483,7 @@ let test_transact_nesting_rejected () =
   check_audit "after rejections" eng
 
 (* ------------------------------------------------------------------ *)
-(* Watchdogs                                                           *)
+(* Degradation and preemption                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The exhaustive fallback [Durable] recovery takes: degrading with
@@ -488,87 +499,58 @@ let test_degrade_with_marks_pending () =
   in
   Array.iter (fun f -> ignore (Func.call f ())) fs;
   Var.set a 2;
-  checkb "marks pending" false (Engine.settle_bounded eng ~max_steps:0);
+  checkb "marks pending" true
+    (Array.for_all (fun f -> Engine.node_dirty (node_of f ())) fs);
   Engine.degrade_to_exhaustive eng;
   checki "degradation counted" 1 (Engine.stats eng).Engine.degradations;
-  checkb "no marks left pending" true (Engine.settle_bounded eng ~max_steps:0);
+  let settles = (Engine.stats eng).Engine.settles in
+  Engine.stabilize eng;
+  checki "no marks left pending: stabilize has no session to run" settles
+    (Engine.stats eng).Engine.settles;
   check_audit "after degradation" eng;
   (* the exhaustive fallback still answers every demand correctly *)
   Array.iteri (fun i f -> checki (Fmt.str "f%d" i) (2 + i) (Func.call f ())) fs;
   check_audit "after exhaustive recomputation" eng
 
-let test_stack_depth_watchdog () =
-  let eng = Engine.create ~max_stack_depth:8 () in
-  let f =
-    Func.create eng ~name:"deep" (fun self n ->
-        if n = 0 then 0 else Func.call self (n - 1) + 1)
-  in
-  (match Func.call f 100 with
-  | _ -> Alcotest.fail "expected Watchdog"
-  | exception Engine.Watchdog _ -> ());
-  check_audit "after watchdog unwind" eng;
-  checki "shallow recursion still fine" 5 (Func.call f 5);
-  check_audit "after recovery" eng
-
-(* The depth limit is structural: a nested frame's Watchdog unwinding
-   through its callers must not charge their retry budgets (with
-   max_retries = 1 a single charge would poison every frame on the
-   chain for a condition retries can never fix). *)
-let test_stack_depth_watchdog_structural () =
-  let eng = Engine.create ~max_stack_depth:4 ~max_retries:1 () in
-  let f =
-    Func.create eng ~name:"deep" (fun self n ->
-        if n = 0 then 0 else Func.call self (n - 1) + 1)
-  in
-  (match Func.call f 100 with
-  | _ -> Alcotest.fail "expected Watchdog"
-  | exception Engine.Watchdog _ -> ());
-  checkb "outer frame not poisoned" false
-    (Engine.poisoned eng (node_of f 100));
-  checki "no retry budget consumed" 0
-    (Engine.failure_count eng (node_of f 100));
-  checkb "not quarantined" false
-    (List.memq (node_of f 100) (Engine.quarantined eng));
-  check_audit "after unwind" eng;
-  checki "recursion within the limit still fine" 3 (Func.call f 3);
-  check_audit "after recovery" eng
-
-(* settle_bounded must not declare a partition quiescent when nodes were
-   skipped because they sat on the call stack: regression for the
-   reinsert finalizer clearing the skip list before the quiescence
-   check, which stranded still-queued nodes in a partition no longer
-   flagged dirty. *)
-let test_settle_bounded_on_stack_skip () =
+(* A settle must not unlist a partition whose drain skipped a node
+   because it sat on the call stack: regression for the reinsert
+   finalizer clearing the skip list before the quiescence check, which
+   stranded still-queued nodes in a partition no longer flagged dirty.
+   [h] is eager and its first run is a top-level call, not a settle
+   step, so a step-capped stabilize inside it drains a heap that holds
+   [h] itself. *)
+let test_slice_on_stack_skip () =
   let eng = Engine.create () in
-  let a = Var.create eng ~name:"a" 1 in
   let b = Var.create eng ~name:"b" 0 in
-  let inside = ref None in
+  let runs = ref 0 and inside = ref None in
   let h =
-    Func.create eng ~name:"h" (fun _ () ->
-        let v = Var.get a in
-        if v > 1 then begin
-          (* re-dirty one of our own recorded dependencies and drive a
-             bounded settle from inside the execution: the drain pops
-             this very instance, finds it on-stack, and must keep the
-             partition dirty *)
+    Func.create eng ~name:"h" ~strategy:Engine.Eager (fun _ () ->
+        incr runs;
+        let v = Var.get b in
+        if v = 0 then begin
+          (* re-dirty our own recorded dependency and drive a slice from
+             inside the execution: the drain pops this very instance,
+             finds it on the stack, and must keep its partition listed *)
           Var.set b 9;
-          inside := Some (Engine.settle_bounded eng ~max_steps:100)
+          inside := Some (slice eng 100)
         end;
-        (v * 2) + Var.get b)
+        v * 2)
   in
-  checki "clean run" 2 (Func.call h ());
-  Var.set a 2;
-  checki "re-run" 13 (Func.call h ());
-  checkb "not quiescent while the executing instance is skipped" false
+  checki "first run read b before its write" 0 (Func.call h ());
+  checkb "the in-execution slice ran to its end" true
     (match !inside with
     | Some q -> q
     | None -> Alcotest.fail "in-execution settle never ran");
+  checki "the slice did not run h" 1 !runs;
+  checkb "h still pending" true (Engine.node_dirty (node_of h ()));
   (* the write during execution left h queued: its partition must still
-     be flagged dirty, or the next stabilize would never drain it *)
-  check_audit "after in-execution bounded settle" eng;
+     be listed, or the next stabilize would never drain it *)
+  check_audit "after in-execution slice" eng;
   Engine.stabilize eng;
+  checki "the follow-up stabilize re-ran h" 2 !runs;
   check_audit "after follow-up stabilize" eng;
-  checki "stable" 13 (Func.call h ())
+  checki "stable" 18 (Func.call h ());
+  checki "a cache hit" 2 !runs
 
 (* ------------------------------------------------------------------ *)
 (* Spreadsheet error-value surface                                     *)
@@ -697,10 +679,10 @@ let test_count_restores_hook () =
    an all-demand batch completes at once.
 
    One more input rides along: the batch settled in preempted slices —
-   [settle_bounded ~max_steps:k] until it answers quiescent, for k = 1,
-   3, 7 — must take the same settle steps and executions as one
-   [stabilize] and leave the same reads, with partitioning off and on:
-   the three step limits count one clock, so slicing adds no step. *)
+   [slice eng k] until one runs to its end, for k = 1, 3, 7 — must take
+   the same settle steps and executions as one [stabilize] and leave
+   the same reads, with partitioning off and on: a cap trips before a
+   pop, so slicing adds no step and abandons no execution. *)
 let cancel_sweep
     (make :
       ?partitioning:bool -> unit -> Engine.t * (unit -> string) * (unit -> unit))
@@ -727,8 +709,7 @@ let cancel_sweep
           let what = Fmt.str "slices of %d (partitioning %b)" k partitioning in
           let rec slices n eng =
             if n > 10_000 then Alcotest.failf "%s never quiesce" what;
-            if not (Engine.settle_bounded eng ~max_steps:k) then
-              slices (n + 1) eng
+            if not (slice eng k) then slices (n + 1) eng
           in
           let steps', execs', reads' = settled_by (slices 0) in
           checki (what ^ ": settle steps") steps steps';
@@ -829,6 +810,36 @@ let diamond_cancel ~strategy ?partitioning () =
   in
   (eng, snap, batch)
 
+(* Eager steps over demand work: the eager [top] and [twice] call the
+   demand [f] and [g], so the batch's settle steps run demand executions
+   inside them, and a step cap must not cut a step off inside itself.
+   The batch reads nothing back, which leaves its eager work to the
+   settle. *)
+let mixed_cancel ?partitioning () =
+  let eng = Engine.create ?partitioning () in
+  let a = Var.create eng ~name:"a" 2 in
+  let b = Var.create eng ~name:"b" 5 in
+  let f = Func.create eng ~name:"f" (fun _ () -> Var.get a + Var.get b) in
+  let g = Func.create eng ~name:"g" (fun _ () -> Var.get a * Var.get b) in
+  let top =
+    Func.create eng ~name:"top" ~strategy:Engine.Eager (fun _ () ->
+        Func.call f () + Func.call g ())
+  in
+  let twice =
+    Func.create eng ~name:"twice" ~strategy:Engine.Eager (fun _ () ->
+        2 * Func.call g ())
+  in
+  let snap () =
+    Engine.stabilize eng;
+    Fmt.str "%d/%d" (Func.call top ()) (Func.call twice ())
+  in
+  ignore (snap () : string);
+  let batch () =
+    Var.set a 3;
+    Var.set b (-4)
+  in
+  (eng, snap, batch)
+
 let sheet_cancel ?partitioning () =
   let s = S.create ?partitioning () in
   S.set s "A1" "4";
@@ -916,6 +927,30 @@ let test_budget_cancel_flag () =
   checki "write rolled back" 10 (Func.call f ());
   check_audit "after cancel flag" eng
 
+(* The step cap counts settle steps, so it trips before a step, never
+   inside one: a dirty demand instance that an eager step's body calls
+   is that step's own work, and a cap of one step lets it finish. *)
+let test_budget_cap_spares_its_last_step () =
+  let eng = Engine.create () in
+  let a = Var.create eng ~name:"a" 1 in
+  let d = Func.create eng ~name:"d" (fun _ () -> Var.get a + 1) in
+  let e =
+    Func.create eng ~name:"e" ~strategy:Engine.Eager (fun _ () ->
+        2 * Func.call d ())
+  in
+  checki "primed" 4 (Func.call e ());
+  let b = Engine.Budget.create ~max_steps:1 () in
+  (match
+     Engine.with_budget eng b (fun () ->
+         Engine.transact eng (fun () -> Var.set a 5))
+   with
+  | () -> ()
+  | exception Engine.Cancelled msg ->
+    Alcotest.failf "a one-step batch cancelled inside its step: %s" msg);
+  checki "one step charged" 1 (Engine.Budget.steps_used b);
+  checki "no cancellation" 0 (Engine.stats eng).Engine.cancellations;
+  checki "batch committed" 12 (Func.call e ())
+
 let test_budget_counts_steps () =
   let eng = Engine.create ~default_strategy:Engine.Eager () in
   let a = Var.create eng ~name:"a" 1 in
@@ -976,22 +1011,23 @@ let () =
             (cancel_sweep sheet_cancel);
           Alcotest.test_case "cancel sweep: avl" `Quick
             (cancel_sweep avl_cancel);
+          Alcotest.test_case "cancel sweep: eager over demand" `Quick
+            (cancel_sweep mixed_cancel);
           Alcotest.test_case "expired deadline trips and rolls back" `Quick
             test_budget_deadline_expired;
           Alcotest.test_case "cancel flag preempts the settle" `Quick
             test_budget_cancel_flag;
           Alcotest.test_case "steps are charged to the budget" `Quick
             test_budget_counts_steps;
+          Alcotest.test_case "step cap spares its last step" `Quick
+            test_budget_cap_spares_its_last_step;
         ] );
       ( "watchdog",
         [
           Alcotest.test_case "degrade with marks pending" `Quick
             test_degrade_with_marks_pending;
-          Alcotest.test_case "stack depth" `Quick test_stack_depth_watchdog;
-          Alcotest.test_case "stack depth is structural" `Quick
-            test_stack_depth_watchdog_structural;
           Alcotest.test_case "bounded settle skips stay dirty" `Quick
-            test_settle_bounded_on_stack_skip;
+            test_slice_on_stack_skip;
         ] );
       ( "spreadsheet",
         [

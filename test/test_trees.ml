@@ -9,11 +9,8 @@ let audit_mode = Sys.getenv_opt "ALPHONSE_AUDIT" = Some "1"
 module Engine = struct
   include Alphonse.Engine
 
-  let create ?partitioning ?default_strategy ?max_retries ?max_stack_depth
-      () =
-    let eng =
-      create ?partitioning ?default_strategy ?max_retries ?max_stack_depth ()
-    in
+  let create ?partitioning ?default_strategy ?max_retries () =
+    let eng = create ?partitioning ?default_strategy ?max_retries () in
     if audit_mode then set_self_audit eng true;
     eng
 end
