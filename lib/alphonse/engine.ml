@@ -1467,10 +1467,14 @@ let process_guarded t node p =
   | Storage -> ()
   | Instance inst -> (
     try force t node p inst with
-    | (Audit_failure _ | Cancelled _) as e ->
+    | Audit_failure _ as e -> raise e
+    | Cancelled _ as e ->
       (* a budget trip aborts the whole settle, it is not an instance
-         failure to quarantine — the node was re-marked inconsistent by
-         the failure path, so nothing is lost *)
+         failure to quarantine. It tripped at a demand execution inside
+         this step, after the pop: the failure path left the instance
+         inconsistent but unqueued, and the dirty callee stops the next
+         write's walk short of it, so re-queue it before the raise *)
+      masked t (fun () -> mark_inconsistent t node);
       raise e
     | _ -> ())
 

@@ -60,23 +60,6 @@ let incremental_procs (env : Tc.env) : (string, pragma) Hashtbl.t =
     env.classes;
   tbl
 
-(* Pre-order walk of one expression's subtree. *)
-let rec iter_expr f e =
-  f e;
-  match e.desc with
-  | Int _ | Bool _ | Text _ | Nil | Var _ | New _ -> ()
-  | Field (b, _) -> iter_expr f b
-  | Index (b, i) ->
-    iter_expr f b;
-    iter_expr f i
-  | Call (callee, args) ->
-    (match callee with Cmethod (o, _) -> iter_expr f o | Cproc _ -> ());
-    List.iter (iter_expr f) args
-  | Binop (_, a, b) ->
-    iter_expr f a;
-    iter_expr f b
-  | Unop (_, a) | Unchecked a -> iter_expr f a
-
 type call_site = {
   cs_caller : string;  (** procedure name, or {!main_name} *)
   cs_target : string;  (** resolved implementing procedure *)
@@ -117,44 +100,14 @@ let call_sites (env : Tc.env) : call_site list =
       | _ -> ())
     | _ -> ()
   in
-  let walk ~caller ~params stmts locals_inits =
-    let each e = iter_expr (emit ~caller ~params) e in
-    List.iter each locals_inits;
-    let rec stmt s =
-      match s.sdesc with
-      | Assign (d, e) ->
-        each d;
-        each e
-      | Call_stmt e -> each e
-      | If (branches, els) ->
-        List.iter
-          (fun (c, body) ->
-            each c;
-            List.iter stmt body)
-          branches;
-        List.iter stmt els
-      | While (c, body) ->
-        each c;
-        List.iter stmt body
-      | Repeat (body, c) ->
-        List.iter stmt body;
-        each c
-      | For (_, a, b, body) ->
-        each a;
-        each b;
-        List.iter stmt body
-      | Return (Some e) -> each e
-      | Return None -> ()
-    in
-    List.iter stmt stmts
+  let visit ~caller ~params ~locals:_ ~target:_ e =
+    iter_expr (emit ~caller ~params) e
   in
   List.iter
     (fun (pd : proc_decl) ->
-      walk ~caller:pd.pname ~params:pd.params pd.body
-        (List.filter_map (fun l -> l.linit) pd.locals))
+      iter_proc_body pd (visit ~caller:pd.pname ~params:pd.params))
     env.m.procs;
-  walk ~caller:main_name ~params:[] env.m.main
-    (List.filter_map (fun g -> g.ginit) env.m.globals);
+  iter_main_body env.m (visit ~caller:main_name ~params:[]);
   List.rev !sites
 
 (** Caller ↦ resolved direct callees (each listed once), including

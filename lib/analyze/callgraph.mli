@@ -45,6 +45,3 @@ val reachable :
   (string, string list) Hashtbl.t -> string list -> (string, unit) Hashtbl.t
 (** [reachable (callees env) seeds] — procedures reachable from the
     seeds (inclusive) over the resolved call graph. *)
-
-val iter_expr : (Lang.Ast.expr -> unit) -> Lang.Ast.expr -> unit
-(** Pre-order walk of one expression's subtree. *)

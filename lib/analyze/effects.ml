@@ -54,82 +54,47 @@ type t = {
 (* Direct effects of one procedure (or the module body)                *)
 (* ------------------------------------------------------------------ *)
 
+(* A variable reference names storage when the type checker resolved it
+   to a global, or when no local of the walk's scope binds the name. *)
+let names_global ~locals e x = e.note.is_global || not (Hashtbl.mem locals x)
+
 (* Reads performed while evaluating [e] (no local-variable effects;
    callee effects are NOT included here — the fixpoint adds them). *)
 let expr_reads ~locals acc e =
   let reads = ref acc in
-  Callgraph.iter_expr
+  iter_expr
     (fun e ->
       match e.desc with
       | Var x ->
-        if e.note.is_global || not (Hashtbl.mem locals x) then
-          reads := Locs.add (Global x) !reads
+        if names_global ~locals e x then reads := Locs.add (Global x) !reads
       | Field (_, f) -> reads := Locs.add (Field f) !reads
       | Index _ -> reads := Locs.add Arrays !reads
       | _ -> ())
     e;
   !reads
 
-let direct_of_body (pd : (string * ty) list) local_decls body inits :
-    (string, unit) Hashtbl.t -> eff =
- fun locals ->
-  List.iter (fun (n, _) -> Hashtbl.replace locals n ()) pd;
-  List.iter (fun (l : local_decl) -> Hashtbl.replace locals l.lname ()) local_decls;
+(* Direct effects of one body, walked by [iter] ({!Lang.Ast.iter_proc_body}
+   or {!Lang.Ast.iter_main_body}): an assignment's designator is a
+   write, its subscripts and base pointers reads. *)
+let direct_of_body (iter : visit -> unit) =
   let reads = ref Locs.empty and writes = ref Locs.empty in
-  let rd e = reads := expr_reads ~locals !reads e in
-  List.iter rd inits;
-  let rec stmt s =
-    match s.sdesc with
-    | Assign (d, e) ->
-      (match d.desc with
-      | Var x ->
-        if d.note.is_global || not (Hashtbl.mem locals x) then
-          writes := Locs.add (Global x) !writes
-      | Field (b, f) ->
-        writes := Locs.add (Field f) !writes;
-        rd b
-      | Index (b, i) ->
-        writes := Locs.add Arrays !writes;
-        rd b;
-        rd i
-      | _ -> ());
-      rd e
-    | Call_stmt e -> rd e
-    | If (branches, els) ->
-      List.iter
-        (fun (c, body) ->
-          rd c;
-          List.iter stmt body)
-        branches;
-      List.iter stmt els
-    | While (c, body) ->
-      rd c;
-      List.iter stmt body
-    | Repeat (body, c) ->
-      List.iter stmt body;
-      rd c
-    | For (v, a, b, body) ->
-      rd a;
-      rd b;
-      let shadowed = Hashtbl.mem locals v in
-      Hashtbl.replace locals v ();
-      List.iter stmt body;
-      if not shadowed then Hashtbl.remove locals v
-    | Return (Some e) -> rd e
-    | Return None -> ()
-  in
-  List.iter stmt body;
+  iter (fun ~locals ~target e ->
+      let rd e = reads := expr_reads ~locals !reads e in
+      if not target then rd e
+      else
+        match e.desc with
+        | Var x ->
+          if names_global ~locals e x then
+            writes := Locs.add (Global x) !writes
+        | Field (b, f) ->
+          writes := Locs.add (Field f) !writes;
+          rd b
+        | Index (b, i) ->
+          writes := Locs.add Arrays !writes;
+          rd b;
+          rd i
+        | _ -> ());
   { reads = !reads; writes = !writes }
-
-let direct_of_proc (pd : proc_decl) =
-  direct_of_body pd.params pd.locals pd.body
-    (List.filter_map (fun l -> l.linit) pd.locals)
-    (Hashtbl.create 8)
-
-let direct_of_main (m : module_) =
-  direct_of_body [] [] m.main
-    (List.filter_map (fun g -> g.ginit) m.globals)
-    (Hashtbl.create 8)
 
 (* ------------------------------------------------------------------ *)
 (* The fixed point                                                     *)
@@ -138,9 +103,10 @@ let direct_of_main (m : module_) =
 let compute (env : Tc.env) : t =
   let direct = Hashtbl.create 16 in
   List.iter
-    (fun (pd : proc_decl) -> Hashtbl.replace direct pd.pname (direct_of_proc pd))
+    (fun (pd : proc_decl) ->
+      Hashtbl.replace direct pd.pname (direct_of_body (iter_proc_body pd)))
     env.m.procs;
-  Hashtbl.replace direct main_name (direct_of_main env.m);
+  Hashtbl.replace direct main_name (direct_of_body (iter_main_body env.m));
   let callees = Callgraph.callees env in
   let summary = Hashtbl.copy direct in
   let changed = ref true in
@@ -185,7 +151,7 @@ let procs t =
     writes come from callees). *)
 let expr_effect t ~locals e =
   let acc = ref { reads = expr_reads ~locals Locs.empty e; writes = Locs.empty } in
-  Callgraph.iter_expr
+  iter_expr
     (fun e ->
       let add_target p = acc := union_eff !acc (summary t p) in
       match e.desc with

@@ -36,11 +36,6 @@ val callees : t -> string -> string list
 val procs : t -> string list
 (** All analyzed procedure names ({!main_name} included), sorted. *)
 
-val expr_reads :
-  locals:(string, unit) Hashtbl.t -> Locs.t -> Lang.Ast.expr -> Locs.t
-(** Storage read while evaluating one expression (callee effects not
-    included); [locals] are the names bound in the enclosing scope. *)
-
 val expr_effect : t -> locals:(string, unit) Hashtbl.t -> Lang.Ast.expr -> eff
 (** Transitive effect of evaluating one expression: its own reads plus
     the summaries of every procedure it may call. *)

@@ -19,51 +19,15 @@ let globals_of set =
   Effects.Locs.filter (function Effects.Global _ -> true | _ -> false) set
 
 (* Visit every [(*UNCHECKED*)] expression of a procedure body together
-   with the local names in scope at that point (params, declared locals,
-   enclosing FOR indices). *)
+   with the local names in scope at that point. *)
 let iter_unchecked (pd : proc_decl) f =
-  let locals = Hashtbl.create 8 in
-  List.iter (fun (n, _) -> Hashtbl.replace locals n ()) pd.params;
-  List.iter (fun (l : local_decl) -> Hashtbl.replace locals l.lname ()) pd.locals;
-  let each e =
-    Callgraph.iter_expr
-      (fun e ->
-        match e.desc with
-        | Unchecked inner -> f ~locals inner e.pos
-        | _ -> ())
-      e
-  in
-  List.iter (fun (l : local_decl) -> Option.iter each l.linit) pd.locals;
-  let rec stmt s =
-    match s.sdesc with
-    | Assign (d, e) ->
-      each d;
-      each e
-    | Call_stmt e -> each e
-    | If (branches, els) ->
-      List.iter
-        (fun (c, body) ->
-          each c;
-          List.iter stmt body)
-        branches;
-      List.iter stmt els
-    | While (c, body) ->
-      each c;
-      List.iter stmt body
-    | Repeat (body, c) ->
-      List.iter stmt body;
-      each c
-    | For (v, a, b, body) ->
-      each a;
-      each b;
-      let shadowed = Hashtbl.mem locals v in
-      Hashtbl.replace locals v ();
-      List.iter stmt body;
-      if not shadowed then Hashtbl.remove locals v
-    | Return (Some e) -> each e
-    | Return None -> ()
-  in
-  List.iter stmt pd.body
+  iter_proc_body pd (fun ~locals ~target:_ e ->
+      iter_expr
+        (fun e ->
+          match e.desc with
+          | Unchecked inner -> f ~locals inner e.pos
+          | _ -> ())
+        e)
 
 (* Position that declared [p] incremental: the pragma'd procedure, or
    the earliest METHODS/OVERRIDES entry binding it with a pragma. *)

@@ -179,54 +179,83 @@ type module_ = {
 let find_type m name = List.find_opt (fun t -> t.tname = name) m.types
 let find_proc m name = List.find_opt (fun p -> p.pname = name) m.procs
 
-(** Walk every expression of the module (declarations' initializers,
-    procedure bodies, and the main body). *)
-let iter_exprs f m =
-  let rec expr e =
-    f e;
-    match e.desc with
-    | Int _ | Bool _ | Text _ | Nil | Var _ | New _ -> ()
-    | Field (b, _) -> expr b
-    | Index (b, i) ->
-      expr b;
-      expr i
-    | Call (callee, args) ->
-      (match callee with Cproc _ -> () | Cmethod (o, _) -> expr o);
-      List.iter expr args
-    | Binop (_, a, b) ->
-      expr a;
-      expr b
-    | Unop (_, a) | Unchecked a -> expr a
-  and stmt s =
+(* ------------------------------------------------------------------ *)
+(* The static side's one walk                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** Pre-order walk of one expression's subtree. *)
+let rec iter_expr f e =
+  f e;
+  match e.desc with
+  | Int _ | Bool _ | Text _ | Nil | Var _ | New _ -> ()
+  | Field (b, _) -> iter_expr f b
+  | Index (b, i) ->
+    iter_expr f b;
+    iter_expr f i
+  | Call (callee, args) ->
+    (match callee with Cproc _ -> () | Cmethod (o, _) -> iter_expr f o);
+    List.iter (iter_expr f) args
+  | Binop (_, a, b) ->
+    iter_expr f a;
+    iter_expr f b
+  | Unop (_, a) | Unchecked a -> iter_expr f a
+
+type visit = locals:(string, unit) Hashtbl.t -> target:bool -> expr -> unit
+
+(* Hand [f] every top-level expression of [body], in program order, with
+   [locals] in scope. A FOR index is in scope in its loop body only: its
+   bounds are evaluated outside, and after the loop the name means
+   whatever it meant before. *)
+let walk_stmts locals body (f : visit) =
+  let each e = f ~locals ~target:false e in
+  let rec stmt s =
     match s.sdesc with
     | Assign (d, e) ->
-      expr d;
-      expr e
-    | Call_stmt e -> expr e
+      f ~locals ~target:true d;
+      each e
+    | Call_stmt e -> each e
     | If (branches, els) ->
       List.iter
         (fun (c, body) ->
-          expr c;
+          each c;
           List.iter stmt body)
         branches;
       List.iter stmt els
     | While (c, body) ->
-      expr c;
+      each c;
       List.iter stmt body
     | Repeat (body, c) ->
       List.iter stmt body;
-      expr c
-    | For (_, a, b, body) ->
-      expr a;
-      expr b;
-      List.iter stmt body
-    | Return (Some e) -> expr e
+      each c
+    | For (v, a, b, body) ->
+      each a;
+      each b;
+      let shadowed = Hashtbl.mem locals v in
+      Hashtbl.replace locals v ();
+      List.iter stmt body;
+      if not shadowed then Hashtbl.remove locals v
+    | Return (Some e) -> each e
     | Return None -> ()
   in
-  List.iter (fun g -> Option.iter expr g.ginit) m.globals;
+  List.iter stmt body
+
+let iter_proc_body pd (f : visit) =
+  let locals = Hashtbl.create 8 in
+  List.iter (fun (n, _) -> Hashtbl.replace locals n ()) pd.params;
+  (* an initializer sees the parameters and the locals declared before it *)
   List.iter
-    (fun p ->
-      List.iter (fun l -> Option.iter expr l.linit) p.locals;
-      List.iter stmt p.body)
-    m.procs;
-  List.iter stmt m.main
+    (fun l ->
+      Option.iter (f ~locals ~target:false) l.linit;
+      Hashtbl.replace locals l.lname ())
+    pd.locals;
+  walk_stmts locals pd.body f
+
+let iter_main_body m (f : visit) =
+  let locals = Hashtbl.create 8 in
+  List.iter (fun g -> Option.iter (f ~locals ~target:false) g.ginit) m.globals;
+  walk_stmts locals m.main f
+
+let iter_exprs f m =
+  let each ~locals:_ ~target:_ e = iter_expr f e in
+  List.iter (fun pd -> iter_proc_body pd each) m.procs;
+  iter_main_body m each

@@ -151,6 +151,33 @@ type module_ = {
 val find_type : module_ -> string -> type_decl option
 val find_proc : module_ -> string -> proc_decl option
 
+(** {1 Walks}
+
+    The static analyses ([Analyze], [Transform.Analysis]) walk the tree
+    only through these, so the scoping rule for locals lives here
+    once. *)
+
+val iter_expr : (expr -> unit) -> expr -> unit
+(** Pre-order walk of one expression's subtree. *)
+
+type visit = locals:(string, unit) Hashtbl.t -> target:bool -> expr -> unit
+(** Called on each top-level expression of a body: [locals] holds the
+    names in scope there, as the type checker scopes them — the
+    parameters, the locals declared so far (an initializer sees those
+    before its own), and the FOR indices of the enclosing loops (an
+    index is in scope in its loop body only, not in its bounds nor after
+    the loop); [target] is true for an assignment's designator. The
+    table is the walk's own and changes as it goes: copy it to keep
+    it. *)
+
+val iter_proc_body : proc_decl -> visit -> unit
+(** The local initializers, then the statements, in program order. *)
+
+val iter_main_body : module_ -> visit -> unit
+(** The global initializers, then the module body (which has no
+    locals but its FOR indices). *)
+
 val iter_exprs : (expr -> unit) -> module_ -> unit
-(** Applies a function to every expression of the module (initializers,
-    procedure bodies, the main body), parents before subexpressions. *)
+(** Applies a function to every expression of the module (procedure
+    bodies, then initializers and the main body), parents before
+    subexpressions. *)

@@ -5,26 +5,26 @@
     paper uses dataflow analysis to identify the sites where the test's
     outcome is statically known. Here:
 
-    - Local variables and parameters are stack storage; by the TOP
-      restriction no Alphonse procedure can retain dependencies on them,
-      so they are never instrumented.
-    - A {e global} is instrumented only if some procedure reachable from
-      an incremental procedure may access it.
-    - A {e field} is instrumented only if reachable incremental code may
-      access a field of that name.
+    - Local variables, parameters and FOR indices are stack storage; by
+      the TOP restriction no Alphonse procedure can retain dependencies
+      on them, so they are never instrumented.
+    - A {e global}, a {e field} (by name) or the array pool is
+      instrumented only if some incremental instance can observe a
+      change to it: it is in the effect summary reads of an incremental
+      procedure {e and} in the direct writes of some procedure or the
+      module body. A location never written cannot invalidate, and one
+      no incremental execution reads acquires no edges for a write to
+      fire. Pass [~sharpen:false] for the baseline: everything the
+      incremental procedures' summaries read or write.
     - A {e call site} is instrumented only if its static callee — or, for
       method calls, {e any} override that dynamic dispatch could select —
       is a maintained or cached procedure.
 
-    The analysis is a reachability fixed point over the call graph, with
-    method calls resolved to every implementation in the static receiver
-    type's subtree (sound for our single-dispatch language), {e sharpened}
-    by the interprocedural effect analysis of [Analyze.Effects]: a
-    location accessed by reachable incremental code is still untracked
-    when no incremental instance can ever observe a change to it — it is
-    never written anywhere, or never (transitively) read by an
-    incremental procedure. Pass [~sharpen:false] for the pure
-    reachability analysis.
+    The storage facts are [Analyze.Effects]' alone (its summaries close
+    the direct effects over the [Analyze.Callgraph] call graph, method
+    calls resolved to every implementation in the static receiver
+    type's subtree); this module only marks the sites, walking them with
+    [Lang.Ast.iter_proc_body]/[iter_main_body].
 
     {b Static graph partitioning (§6.3).} [connectivity] builds the type
     connectivity graph (an edge when one object type has a pointer field
@@ -54,174 +54,56 @@ type result = {
   tracked_globals : (string, unit) Hashtbl.t;
   tracked_fields : (string, unit) Hashtbl.t;
   arrays_tracked : bool;
-      (** some procedure reachable from incremental code subscripts an
-          array; element accesses are then instrumented (coarse: elements
-          are not distinguished by which array they belong to) *)
+      (** array element accesses are instrumented (coarse: elements are
+          not distinguished by which array they belong to) *)
   stats : site_stats;
 }
-
-(* Iterate over the direct callees (procedure names) and accessed
-   globals/fields of one procedure body. *)
-let iter_proc_accesses env (pd : proc_decl) ~on_call ~on_global ~on_field
-    ~on_array =
-  let locals = Hashtbl.create 8 in
-  List.iter (fun (n, _) -> Hashtbl.replace locals n ()) pd.params;
-  List.iter (fun l -> Hashtbl.replace locals l.lname ()) pd.locals;
-  let rec expr e =
-    (match e.desc with
-    | Var x -> if not (Hashtbl.mem locals x) then on_global x
-    | Field (_, f) -> on_field f
-    | Index _ -> on_array ()
-    | Call (Cproc p, _) -> on_call p
-    | Call (Cmethod (o, m), _) -> (
-      match o.note.ty with
-      | Some (Tobj cls) ->
-        List.iter
-          (fun (mi : Tc.method_info) -> on_call mi.mi_impl)
-          (Analyze.Callgraph.dispatch_targets env cls m)
-      | _ -> ())
-    | Int _ | Bool _ | Text _ | Nil | New _ | Binop _ | Unop _ | Unchecked _
-      ->
-      ());
-    match e.desc with
-    | Field (b, _) -> expr b
-    | Index (b, i) ->
-      expr b;
-      expr i
-    | Call (callee, args) ->
-      (match callee with Cmethod (o, _) -> expr o | Cproc _ -> ());
-      List.iter expr args
-    | Binop (_, a, b) ->
-      expr a;
-      expr b
-    | Unop (_, a) | Unchecked a -> expr a
-    | Int _ | Bool _ | Text _ | Nil | Var _ | New _ -> ()
-  in
-  let rec stmt s =
-    match s.sdesc with
-    | Assign (d, e) ->
-      (match d.desc with
-      | Var x -> if not (Hashtbl.mem locals x) then on_global x
-      | Field (b, f) ->
-        on_field f;
-        expr b
-      | Index (b, i) ->
-        on_array ();
-        expr b;
-        expr i
-      | _ -> ());
-      expr e
-    | Call_stmt e -> expr e
-    | If (branches, els) ->
-      List.iter
-        (fun (c, body) ->
-          expr c;
-          List.iter stmt body)
-        branches;
-      List.iter stmt els
-    | While (c, body) ->
-      expr c;
-      List.iter stmt body
-    | Repeat (body, c) ->
-      List.iter stmt body;
-      expr c
-    | For (v, a, b, body) ->
-      Hashtbl.replace locals v ();
-      expr a;
-      expr b;
-      List.iter stmt body
-    | Return (Some e) -> expr e
-    | Return None -> ()
-  in
-  List.iter (fun l -> Option.iter expr l.linit) pd.locals;
-  List.iter stmt pd.body
 
 (* ------------------------------------------------------------------ *)
 (* The analysis                                                        *)
 (* ------------------------------------------------------------------ *)
 
+module E = Analyze.Effects
+
 let analyze ?(sharpen = true) (env : Tc.env) : result =
   let m = env.m in
-  (* 1. the incremental procedures: cached procs + maintained impls *)
+  (* 1. the incremental procedures and the code they may run *)
   let incremental_procs = Analyze.Callgraph.incremental_procs env in
-  (* 2. reachability from incremental procedures *)
-  let reachable_procs = Hashtbl.create 16 in
-  let work = Queue.create () in
-  Hashtbl.iter
-    (fun p _ ->
-      Hashtbl.replace reachable_procs p ();
-      Queue.add p work)
-    incremental_procs;
+  let seeds = Hashtbl.fold (fun p _ acc -> p :: acc) incremental_procs [] in
+  let reachable_procs =
+    Analyze.Callgraph.reachable (Analyze.Callgraph.callees env) seeds
+  in
+  (* 2. the tracked storage (see the header) *)
+  let eff = E.compute env in
+  let incr_summary =
+    List.fold_left (fun acc p -> E.union_eff acc (E.summary eff p)) E.empty_eff
+      seeds
+  in
+  let tracked =
+    if sharpen then
+      let all_writes =
+        List.fold_left
+          (fun acc p -> E.Locs.union acc (E.direct eff p).E.writes)
+          E.Locs.empty (E.procs eff)
+      in
+      E.Locs.inter incr_summary.E.reads all_writes
+    else E.Locs.union incr_summary.E.reads incr_summary.E.writes
+  in
   let tracked_globals = Hashtbl.create 8 in
   let tracked_fields = Hashtbl.create 8 in
-  let arrays_tracked = ref false in
-  while not (Queue.is_empty work) do
-    let pname = Queue.pop work in
-    match Hashtbl.find_opt env.procs pname with
-    | None -> ()
-    | Some pd ->
-      iter_proc_accesses env pd
-        ~on_call:(fun callee ->
-          if
-            (not (Hashtbl.mem reachable_procs callee))
-            && Hashtbl.mem env.procs callee
-          then begin
-            Hashtbl.replace reachable_procs callee ();
-            Queue.add callee work
-          end)
-        ~on_global:(fun g -> Hashtbl.replace tracked_globals g ())
-        ~on_field:(fun f -> Hashtbl.replace tracked_fields f ())
-        ~on_array:(fun () -> arrays_tracked := true)
-  done;
-  (* 2b. sharpen with the interprocedural effect analysis: a location
-     needs instrumentation only if some incremental instance can observe
-     a change to it — i.e. it is (transitively) READ by an incremental
-     procedure AND WRITTEN somewhere in the program. A never-written
-     location cannot invalidate (initializers run before any instance
-     exists), and a location no incremental execution reads acquires no
-     dependency edges for a write to fire. The reachability sets of step
-     2 use accesses (reads or writes), so this strictly shrinks them. *)
-  if sharpen then begin
-    let module E = Analyze.Effects in
-    let eff = E.compute env in
-    let incr_reads =
-      Hashtbl.fold
-        (fun p _ acc -> E.Locs.union acc (E.summary eff p).E.reads)
-        incremental_procs E.Locs.empty
-    in
-    let all_writes =
-      List.fold_left
-        (fun acc p -> E.Locs.union acc (E.direct eff p).E.writes)
-        E.Locs.empty (E.procs eff)
-    in
-    let keep l = E.Locs.mem l incr_reads && E.Locs.mem l all_writes in
-    let drop_unless mk tbl =
-      let dead =
-        Hashtbl.fold (fun k () acc -> if keep (mk k) then acc else k :: acc)
-          tbl []
-      in
-      List.iter (Hashtbl.remove tbl) dead
-    in
-    drop_unless (fun g -> E.Global g) tracked_globals;
-    drop_unless (fun f -> E.Field f) tracked_fields;
-    arrays_tracked := !arrays_tracked && keep E.Arrays
-  end;
-  let arrays_tracked = !arrays_tracked in
+  E.Locs.iter
+    (function
+      | E.Global g -> Hashtbl.replace tracked_globals g ()
+      | E.Field f -> Hashtbl.replace tracked_fields f ()
+      | E.Arrays -> ())
+    tracked;
+  let arrays_tracked = E.Locs.mem E.Arrays tracked in
   (* 3. mark every site in the module *)
   let tr = ref 0 and ur = ref 0 and tw = ref 0 and uw = ref 0 in
   let tc = ref 0 and uc = ref 0 in
-  let mark_read e =
-    match e.desc with
-    | Var x ->
-      e.note.tracked <- e.note.is_global && Hashtbl.mem tracked_globals x;
-      if e.note.tracked then incr tr else incr ur
-    | Field (_, f) ->
-      e.note.tracked <- Hashtbl.mem tracked_fields f;
-      if e.note.tracked then incr tr else incr ur
-    | Index _ ->
-      e.note.tracked <- arrays_tracked;
-      if e.note.tracked then incr tr else incr ur
-    | _ -> ()
+  let mark_read tracked e =
+    e.note.tracked <- tracked;
+    if tracked then incr tr else incr ur
   in
   let mark_call e =
     match e.desc with
@@ -240,37 +122,22 @@ let analyze ?(sharpen = true) (env : Tc.env) : result =
       if e.note.tracked then incr tc else incr uc
     | _ -> ()
   in
-  iter_exprs
-    (fun e ->
-      match e.desc with
-      | Var _ | Field _ | Index _ -> mark_read e
-      | Call _ -> mark_call e
-      | _ -> ())
-    m;
-  (* writes: assignment designators *)
-  let mark_write d =
-    (match d.desc with
-    | Var x ->
-      d.note.tracked <- d.note.is_global && Hashtbl.mem tracked_globals x
-    | Field (_, f) -> d.note.tracked <- Hashtbl.mem tracked_fields f
-    | Index _ -> d.note.tracked <- arrays_tracked
-    | _ -> ());
-    if d.note.tracked then incr tw else incr uw
+  let mark ~locals:_ ~target e =
+    iter_expr
+      (fun e ->
+        match e.desc with
+        | Var x ->
+          mark_read (e.note.is_global && Hashtbl.mem tracked_globals x) e
+        | Field (_, f) -> mark_read (Hashtbl.mem tracked_fields f) e
+        | Index _ -> mark_read arrays_tracked e
+        | Call _ -> mark_call e
+        | _ -> ())
+      e;
+    (* a designator is counted as a read above and as a write here *)
+    if target then if e.note.tracked then incr tw else incr uw
   in
-  let rec stmt s =
-    match s.sdesc with
-    | Assign (d, _) -> mark_write d
-    | If (branches, els) ->
-      List.iter (fun (_, body) -> List.iter stmt body) branches;
-      List.iter stmt els
-    | While (_, body) | Repeat (body, _) | For (_, _, _, body) ->
-      List.iter stmt body
-    | Call_stmt _ | Return _ -> ()
-  in
-  List.iter
-    (fun (pd : proc_decl) -> List.iter stmt pd.body)
-    m.procs;
-  List.iter stmt m.main;
+  List.iter (fun pd -> iter_proc_body pd mark) m.procs;
+  iter_main_body m mark;
   {
     incremental_procs;
     reachable_procs;
@@ -306,6 +173,7 @@ let pp_stats ppf (s : site_stats) =
     ["type:T"], ["global:g"], ["proc:p"] — to a component id. *)
 let connectivity (env : Tc.env) (r : result) : (string * int) list =
   let module Uf = Depgraph.Union_find in
+  let eff = E.compute env in
   let elts : (string, int Uf.elt) Hashtbl.t = Hashtbl.create 16 in
   let elt name =
     match Hashtbl.find_opt elts name with
@@ -361,13 +229,13 @@ let connectivity (env : Tc.env) (r : result) : (string * int) list =
             | Tobj tn -> link ("proc:" ^ pname) ("type:" ^ tn)
             | Tint | Tbool | Ttext | Tarray _ -> ())
           pd.params;
-        iter_proc_accesses env pd
-          ~on_call:(fun _ -> ())
-          ~on_global:(fun g ->
-            if Hashtbl.mem r.tracked_globals g then
-              link ("proc:" ^ pname) ("global:" ^ g))
-          ~on_field:(fun _ -> ())
-          ~on_array:(fun () -> ()))
+        let d = E.direct eff pname in
+        E.Locs.iter
+          (function
+            | E.Global g when Hashtbl.mem r.tracked_globals g ->
+              link ("proc:" ^ pname) ("global:" ^ g)
+            | E.Global _ | E.Field _ | E.Arrays -> ())
+          (E.Locs.union d.E.reads d.E.writes))
     r.incremental_procs;
   Hashtbl.fold (fun name e acc -> (name, Uf.payload e) :: acc) elts []
   |> List.sort compare

@@ -1,15 +1,15 @@
 (** Static analysis for the Alphonse transformation.
 
-    {b Limiting runtime checks (§6.1).} {!analyze} computes which program
-    sites need the access/modify/call instrumentation at all, by a
-    reachability fixed point over the call graph seeded at the
-    incremental procedures (method calls resolve to every override in the
-    static receiver's subtree). Locals and parameters are never
-    instrumented (stack storage, per the TOP restriction); a global or
-    field is instrumented only if reachable incremental code may touch
-    it; a call site only if its resolved target may carry a pragma. The
-    results are written into the AST [note] fields that
-    {!Incr_interp} and [Lang.Pretty.pp_module ~marks:true] consult.
+    {b Limiting runtime checks (§6.1).} {!analyze} decides which program
+    sites need the access/modify/call instrumentation at all. The
+    storage facts come from [Analyze.Effects] alone: a global, field or
+    the array pool is tracked when an incremental procedure's summary
+    reads it and some procedure or the module body writes it. Locals,
+    parameters and FOR indices are never instrumented (stack storage,
+    per the TOP restriction); a call site is instrumented only if its
+    resolved target may carry a pragma. This module only marks the
+    sites, into the AST [note] fields that {!Incr_interp} and
+    [Lang.Pretty.pp_module ~marks:true] consult.
 
     {b Static graph partitioning (§6.3).} {!connectivity} reports the
     connected components of the type connectivity graph — the static
@@ -33,20 +33,18 @@ type result = {
   tracked_globals : (string, unit) Hashtbl.t;
   tracked_fields : (string, unit) Hashtbl.t;
   arrays_tracked : bool;
-      (** reachable incremental code subscripts some array (coarse:
-          elements are not distinguished per array) *)
+      (** array element accesses are instrumented (coarse: elements are
+          not distinguished per array) *)
   stats : site_stats;
 }
 
 val analyze : ?sharpen:bool -> Lang.Typecheck.env -> result
 (** Run the analysis and mark every site note in the module. With
-    [sharpen] (the default), the reachability result is refined by the
-    interprocedural effect analysis ([Analyze.Effects]): a global, field
-    or the array pool stays tracked only if incremental code may
-    (transitively) read it {e and} some code may write it — otherwise no
+    [sharpen] (the default), the tracked storage is the incremental
+    procedures' summary reads that some code may write — otherwise no
     instance can ever observe a change there and the instrumentation is
-    dropped. [~sharpen:false] reproduces the pure reachability
-    analysis. *)
+    dropped. [~sharpen:false] tracks everything the incremental
+    procedures' summaries read or write. *)
 
 val pp_stats : Format.formatter -> site_stats -> unit
 

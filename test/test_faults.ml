@@ -951,6 +951,40 @@ let test_budget_cap_spares_its_last_step () =
   checki "no cancellation" 0 (Engine.stats eng).Engine.cancellations;
   checki "batch committed" 12 (Func.call e ())
 
+(* A cancel that trips at a demand execution inside an eager settle
+   step, outside a transaction, must leave the eager instance queued:
+   its dirty demand callee stops the next write's walk short of it, so
+   nothing else would ever re-mark it and later stabilizes would take no
+   step while its cached value stays stale. *)
+let test_budget_cancel_inside_step_requeues () =
+  let eng = Engine.create () in
+  let a = Var.create eng ~name:"a" 1 in
+  let d = Func.create eng ~name:"d" (fun _ () -> Var.get a + 1) in
+  let e =
+    Func.create eng ~name:"e" ~strategy:Engine.Eager (fun _ () ->
+        2 * Func.call d ())
+  in
+  checki "primed" 4 (Func.call e ());
+  Var.set a 5;
+  let b = Engine.Budget.create () in
+  (* cancelled as e's execution begins: the trip comes at d's demand
+     checkpoint, inside the step *)
+  Engine.set_fault_hook eng
+    (Some (fun site -> if site = "exec-begin" then Engine.Budget.cancel b));
+  (match Engine.with_budget eng b (fun () -> Engine.stabilize eng) with
+  | () -> Alcotest.fail "expected Cancelled"
+  | exception Engine.Cancelled _ -> ());
+  Engine.set_fault_hook eng None;
+  check_audit "after the trip" eng;
+  Var.set a 7;
+  let steps = (Engine.stats eng).Engine.settle_steps in
+  Engine.stabilize eng;
+  checkb "the stranded step is resumed" true
+    ((Engine.stats eng).Engine.settle_steps > steps);
+  Alcotest.(check (option int)) "eager instance current" (Some 16)
+    (Func.peek e ());
+  check_audit "after the resumed settle" eng
+
 let test_budget_counts_steps () =
   let eng = Engine.create ~default_strategy:Engine.Eager () in
   let a = Var.create eng ~name:"a" 1 in
@@ -1021,6 +1055,8 @@ let () =
             test_budget_counts_steps;
           Alcotest.test_case "step cap spares its last step" `Quick
             test_budget_cap_spares_its_last_step;
+          Alcotest.test_case "cancel inside a step re-queues it" `Quick
+            test_budget_cancel_inside_step_requeues;
         ] );
       ( "watchdog",
         [

@@ -37,30 +37,60 @@ let contains sub s =
 
 let fuel = 100_000_000
 
+(* Theorem 5.1 for one program under every strategy × partitioning
+   variant; returns the conventional output. *)
+let check_theorem_5_1 name env =
+  let conv = Interp.run ~fuel env in
+  checkb (name ^ " conventional ok") true (conv.Interp.error = None);
+  List.iter
+    (fun (variant, strategy, partitioning) ->
+      let inc = Incr.run ~fuel ~default_strategy:strategy ~partitioning env in
+      (match inc.Incr.error with
+      | Some e -> Alcotest.failf "%s (%s): %s" name variant e
+      | None -> ());
+      checks
+        (Fmt.str "%s (%s) output equals conventional" name variant)
+        conv.Interp.output inc.Incr.output)
+    [
+      ("demand", Engine.Demand, false);
+      ("eager", Engine.Eager, false);
+      ("demand+part", Engine.Demand, true);
+      ("eager+part", Engine.Eager, true);
+    ];
+  conv.Interp.output
+
 let test_theorem_5_1 () =
   List.iter
-    (fun (name, src) ->
-      let env = compile src in
-      let conv = Interp.run ~fuel env in
-      checkb (name ^ " conventional ok") true (conv.Interp.error = None);
-      List.iter
-        (fun (variant, strategy, partitioning) ->
-          let inc =
-            Incr.run ~fuel ~default_strategy:strategy ~partitioning env
-          in
-          (match inc.Incr.error with
-          | Some e -> Alcotest.failf "%s (%s): %s" name variant e
-          | None -> ());
-          checks
-            (Fmt.str "%s (%s) output equals conventional" name variant)
-            conv.Interp.output inc.Incr.output)
-        [
-          ("demand", Engine.Demand, false);
-          ("eager", Engine.Eager, false);
-          ("demand+part", Engine.Demand, true);
-          ("eager+part", Engine.Eager, true);
-        ])
+    (fun (name, src) -> ignore (check_theorem_5_1 name (compile src) : string))
     Lang.Samples.all
+
+(* A FOR index named like a global: inside Get's loop [i] is the index,
+   after it the global the module body writes. An analysis that keeps
+   the index local after its loop leaves that read untracked, and the
+   second call answers 102 from a stale cache. *)
+let for_scope =
+  {|MODULE ForScope;
+    VAR i : INTEGER;
+    (*CACHED*) PROCEDURE Get(k : INTEGER) : INTEGER =
+    VAR s : INTEGER;
+    BEGIN
+      s := 0;
+      FOR i := 1 TO k DO s := s + i END;
+      RETURN s + i
+    END Get;
+    BEGIN
+      i := 92;
+      Print(Get(4), "\n");
+      i := 192;
+      Print(Get(4), "\n")
+    END ForScope.|}
+
+let test_for_scope () =
+  let env = compile for_scope in
+  checks "conventional output" "102\n202\n"
+    (check_theorem_5_1 "for_scope" env);
+  let r = Analysis.analyze env in
+  checkb "global i tracked" true (Hashtbl.mem r.Analysis.tracked_globals "i")
 
 (* ------------------------------------------------------------------ *)
 (* Incrementality is observable                                        *)
@@ -279,6 +309,74 @@ let test_arrays_untracked_when_unused_incrementally () =
     (inc.Incr.graph_stats.Depgraph.Graph.live_nodes <= 2)
 
 (* ------------------------------------------------------------------ *)
+(* Effect soundness: the static summaries cover the run-time edges     *)
+(* ------------------------------------------------------------------ *)
+
+module Effects = Analyze.Effects
+module Telemetry = Alphonse.Telemetry
+
+(* The effect location a storage node of [Incr_interp] stands for. *)
+let loc_of_storage name =
+  let after i = String.sub name i (String.length name - i) in
+  if String.starts_with ~prefix:"global:" name then
+    Effects.Global (after (String.length "global:"))
+  else if String.starts_with ~prefix:"arr#" name then Effects.Arrays
+  else Effects.Field (after (String.rindex name '.' + 1))
+
+(* With every site instrumented, each dependency edge the engine records
+   from storage into an instance must name a location in the effect
+   summary of the instance's procedure. An edge outside it is a read
+   the sharpened §6.1 analysis may leave untracked: a silent stale
+   answer. Returns the number of storage edges checked. *)
+let check_effect_soundness name src =
+  let env = compile src in
+  let r = Analysis.analyze env in
+  Lang.Ast.iter_exprs (fun e -> e.Lang.Ast.note.tracked <- true) env.Tc.m;
+  let eff = Effects.compute env in
+  let names = Hashtbl.create 64 and storage = Hashtbl.create 64 in
+  let edges = ref 0 in
+  let tm = Telemetry.create () in
+  Telemetry.set_sink tm
+    (Some
+       (fun (rc : Telemetry.record) ->
+         match rc.ev with
+         | Telemetry.Storage_created { id; name } ->
+           Hashtbl.replace names id name;
+           Hashtbl.replace storage id ()
+         | Telemetry.Instance_created { id; name } ->
+           Hashtbl.replace names id name;
+           Hashtbl.remove storage id
+         | Telemetry.Edge_added { src; dst } when Hashtbl.mem storage src ->
+           incr edges;
+           let cell = Hashtbl.find names src in
+           let inst = Hashtbl.find names dst in
+           let proc =
+             match String.index_opt inst '(' with
+             | Some i -> String.sub inst 0 i
+             | None -> inst
+           in
+           let s = Effects.summary eff proc in
+           let l = loc_of_storage cell in
+           if not (Effects.Locs.mem l (Effects.Locs.union s.reads s.writes))
+           then
+             Alcotest.failf "%s: %s reads %s, outside its effects %a" name inst
+               cell Effects.pp_eff s
+         | _ -> ()));
+  let st = Incr.init_state ~fuel ~telemetry:tm env r in
+  Incr.exec_stmts st (Hashtbl.create 8) env.Tc.m.main;
+  !edges
+
+let test_effect_soundness () =
+  let edges =
+    List.fold_left
+      (fun n (name, src) -> n + check_effect_soundness name src)
+      0 Lang.Samples.all
+  in
+  checkb "the samples record storage edges" true (edges > 0);
+  checkb "the FOR-scope program reads global i" true
+    (check_effect_soundness "for_scope" for_scope > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Algorithm 2: the transformed-source display                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -300,7 +398,11 @@ let () =
   Alcotest.run "transform"
     [
       ( "theorem-5.1",
-        [ Alcotest.test_case "output equivalence" `Quick test_theorem_5_1 ] );
+        [
+          Alcotest.test_case "output equivalence" `Quick test_theorem_5_1;
+          Alcotest.test_case "FOR index scoped to its loop" `Quick
+            test_for_scope;
+        ] );
       ( "incrementality",
         [
           Alcotest.test_case "cached fib is linear" `Quick
@@ -324,6 +426,7 @@ let () =
             test_dispatch_override_chain;
           Alcotest.test_case "connectivity" `Quick
             test_connectivity_components;
+          Alcotest.test_case "effect soundness" `Quick test_effect_soundness;
         ] );
       ( "emission",
         [ Alcotest.test_case "marked output" `Quick test_marked_output ] );
