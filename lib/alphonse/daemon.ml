@@ -360,6 +360,30 @@ let admit t entry =
    deeper queues get longer hints, bounded to keep retries live. *)
 let retry_hint depth = Float.min 2.0 (0.05 *. float_of_int (max 1 depth))
 
+(* The batch fields of a request, typed: the ops (absent is an empty
+   batch), [deadline_ms] (a number) and [max_steps] (a positive
+   integer), or the 400 message for the first ill-typed one. *)
+let batch_fields req =
+  let num key =
+    match Json.member key req with
+    | None -> Ok None
+    | Some v -> (
+      match Json.to_float v with
+      | Some f -> Ok (Some f)
+      | None -> Error (key ^ " must be a number"))
+  in
+  match (Json.member "ops" req, num "deadline_ms", num "max_steps") with
+  | Some v, _, _ when Json.to_list v = None -> Error "ops must be an array"
+  | _, Error m, _ | _, _, Error m -> Error m
+  | _, _, Ok (Some n)
+    when not (Float.is_integer n && n >= 1. && n < float_of_int max_int) ->
+    Error "max_steps must be a positive integer"
+  | ops, Ok deadline_ms, Ok max_steps ->
+    Ok
+      ( Option.value ~default:[] (Option.bind ops Json.to_list),
+        deadline_ms,
+        Option.map int_of_float max_steps )
+
 let submit t req =
   let id = Json.member "id" req in
   if t.draining then err t ?id 503 "draining" ~retry_after:(Some 1.0)
@@ -374,11 +398,9 @@ let submit t req =
       | Some tid when not (Tenant.valid_id tid) ->
         err t ?id 400 "invalid tenant id" ~retry_after:None
       | Some tid -> (
-        let ops =
-          match Option.bind (Json.member "ops" req) Json.to_list with
-          | Some l -> l
-          | None -> []
-        in
+        match batch_fields req with
+        | Error msg -> err t ?id 400 msg ~retry_after:None
+        | Ok (ops, deadline_ms, max_steps) -> (
         match get_tenant t tid with
         | Error `Bad_id -> err t ?id 400 "invalid tenant id" ~retry_after:None
         | Error (`Unavailable msg) ->
@@ -401,18 +423,12 @@ let submit t req =
             @@ fun () ->
             let now = Unix.gettimeofday () in
             let deadline =
-              match
-                Option.bind (Json.member "deadline_ms" req) Json.to_float
-              with
+              match deadline_ms with
               | Some ms -> Some (now +. (ms /. 1000.))
               | None -> (
                 match t.cfg.d_default_deadline with
                 | Some s -> Some (now +. s)
                 | None -> None)
-            in
-            let max_steps =
-              Option.bind (Json.member "max_steps" req) Json.to_float
-              |> Option.map int_of_float
             in
             let budget =
               match (deadline, max_steps) with
@@ -440,7 +456,7 @@ let submit t req =
               | Error (Tenant.Rejected msg) ->
                 err t ?id 400 msg ~retry_after:None
               | Error (Tenant.Unavailable { reason; retry_after }) ->
-                err t ?id 503 reason ~retry_after:(Some retry_after)))))
+                err t ?id 503 reason ~retry_after:(Some retry_after))))))
 
 (* ------------------------------------------------------------------ *)
 (* Connections                                                         *)

@@ -18,7 +18,9 @@
     {!Engine.Budget} derived from [deadline_ms] (defaulting to the
     configured deadline) and optional [max_steps]. Responses reuse HTTP
     status vocabulary: [200] results; [400] malformed request or op
-    (batch rolled back); [408] budget tripped — the batch was
+    (batch rolled back), or an ill-typed field — [ops] not an array,
+    [deadline_ms] not a number, [max_steps] not a positive integer —
+    answered before the tenant is touched; [408] budget tripped — the batch was
     cancelled at a settle step or a demand execution and {e rolled
     back}, state unchanged; [503] shed, draining, tenant restarting or parked — with
     [retry_after_ms]. [{"op":"ping"}] answers without touching any

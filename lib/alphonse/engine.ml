@@ -67,10 +67,11 @@ end
    node's mark, and
    what it means depends on the node:
    - an eager instance: it is in its partition's inconsistent set (the
-     settle heap);
-   - a demand instance: it is deferred — a walk reached it while it was
-     on the call stack; when its frame pops it goes on [t.deferred], to
-     be flipped and walked at the next flush;
+     settle heap), or on the call stack, and its frame's pop puts it
+     there;
+   - a demand instance: it is on the call stack and a walk reached it
+     there; it is flipped and walked when its call returns, right after
+     the caller records its edge;
    - storage: a changed write walked its successors, and no consumer
      has read it since, so every successor is still dirty (or on the
      stack and yet to re-read it). A repeated write to it stops here.
@@ -217,22 +218,10 @@ type t = {
   clock : clock; (* settle steps, never reset *)
   mutable budget : Budget.t option; (* cooperative deadline/step budget *)
   mutable dirty_parts : partition list;
-  mutable skipped : nd list;
-      (* eager instances popped by the running drain while on the call
-         stack; re-queued when the drain ends *)
-  mutable deferred : nd list;
-      (* deferred demand instances whose frames have popped, flushed at
-         the next [on_call], settle or [transact] (entries no longer
-         [queued] are stale and dropped) *)
   (* the walk's stack of nodes whose successors are still to be marked,
      as arena ids (no write barrier); empty between walks *)
   mutable walk_ids : int array;
   mutable walk_top : int;
-  mutable forced : int;
-      (* the arena id of the instance whose change [mark_succs] is
-         walking from, or -1: off the stack, but its caller has not
-         recorded its edge yet (an id, so setting it takes no write
-         barrier) *)
   mutable telemetry : Telemetry.t option;
   (* the attached registry and its [settle_seconds] cell; the counters
      below reach it as scrape-time sources *)
@@ -372,11 +361,8 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
     clock = { ticks = 0 };
     budget = None;
     dirty_parts = [];
-    skipped = [];
-    deferred = [];
     walk_ids = Array.make 64 0;
     walk_top = 0;
-    forced = -1;
     telemetry = None;
     metrics = None;
     sources = [];
@@ -646,7 +632,7 @@ let seen_on_stack t node i dst =
 let[@inline] edge_seen t node i dst =
   (not (G.payload dst).on_stack) || seen_on_stack t node i dst
 
-(* Pending: an instance queued, deferred or flagged inconsistent; a
+(* Pending: an instance queued or flagged inconsistent; a
    storage cell marked since its last read. *)
 let[@inline] consistent p =
   match p.kind with Instance i -> i.consistent | Storage -> true
@@ -668,13 +654,11 @@ let dirty p = p.queued || not (consistent p)
 
 (* Checks (on demand, or under [self_audit] after every settle step and
    every walk outside a settle) that the engine's metadata is coherent;
-   see the mli for the list. Set-membership checks are skipped while a
-   settle is draining (the drain temporarily holds popped-but-queued
-   skipped nodes outside the heaps by design). [idle] is false for the
-   audits that run from inside settlement or an execution, where the
-   settling flag is legitimately set; every public entry point passes
-   true — a user-initiated audit that sees the settling flag with an
-   empty call stack has found a leak. *)
+   see the mli for the list. [idle] is false for the audits that run
+   from inside settlement or an execution, where the settling flag is
+   legitimately set; every public entry point passes true — a
+   user-initiated audit that sees the settling flag with an empty call
+   stack has found a leak. *)
 let audit_errors_run t ~idle =
   t.c_audits <- t.c_audits + 1;
   let errs = ref [] in
@@ -711,14 +695,14 @@ let audit_errors_run t ~idle =
      such a node must be dirty already. Knowingly weaker: an instance
      whose last execution raised. Its consumer may have caught the
      exception and finished consistent; it keeps the caught answer
-     until that instance runs again and changes. A deferred instance is
-     still consistent: its successors are walked when it is flushed. *)
+     until that instance runs again and changes. A queued demand
+     instance is on the stack and still consistent: its successors are
+     walked when its call returns. *)
   let stops p =
     match (p.kind, strategy_of p) with
     | Storage, _ -> p.queued
     | Instance inst, Demand ->
-      (not (consistent p)) && (not p.queued) && (not p.on_stack)
-      && not inst.raised
+      (not (consistent p)) && (not p.on_stack) && not inst.raised
     | Instance _, Eager -> false
   in
   G.iter_nodes
@@ -735,7 +719,7 @@ let audit_errors_run t ~idle =
         | Storage -> ());
 
         (match (p.kind, strategy_of p) with
-        | Instance _, Eager when p.queued && not t.settling ->
+        | Instance _, Eager when p.queued && not p.on_stack ->
           let part = partition_of t node in
           if not (Hashtbl.mem (members part) (G.arena_id node)) then
             err "queued node %s#%d missing from its inconsistent set" p.name
@@ -746,10 +730,8 @@ let audit_errors_run t ~idle =
           if not (List.memq part t.dirty_parts) then
             err "queued node %s#%d in a partition missing from the dirty list"
               p.name (G.id node)
-        | Instance _, Demand
-          when p.queued && (not p.on_stack) && not (List.memq node t.deferred)
-          ->
-          err "deferred instance %s#%d missing from the deferred list" p.name
+        | Instance _, Demand when p.queued && not p.on_stack ->
+          err "queued demand instance %s#%d off the call stack" p.name
             (G.id node)
         | Instance _, _ | Storage, _ -> ());
         if stops p then
@@ -762,27 +744,15 @@ let audit_errors_run t ~idle =
           done
       end)
     t.graph;
-  List.iter
-    (fun node ->
-      let p = G.payload node in
-      match (p.kind, strategy_of p) with
-      | Instance _, Demand -> ()
-      | Instance _, Eager | Storage, _ ->
-        if p.queued then
-          err "%s#%d on the deferred list is not a demand instance" p.name
-            (G.id node))
-    t.deferred;
   (* the dirty-list rule: every listed partition flagged, listed once *)
-  if not t.settling then begin
-    let rec check_list = function
-      | [] -> ()
-      | part :: rest ->
-        if not part.on_dirty_list then err "listed partition not flagged dirty";
-        if List.memq part rest then err "partition listed twice";
-        check_list rest
-    in
-    check_list t.dirty_parts
-  end;
+  let rec check_list = function
+    | [] -> ()
+    | part :: rest ->
+      if not part.on_dirty_list then err "listed partition not flagged dirty";
+      if List.memq part rest then err "partition listed twice";
+      check_list rest
+  in
+  check_list t.dirty_parts;
   (* the settle order: each listed heap is in heap order on its stored
      keys, and one keyed under the current order epoch stores current
      keys — so its minimum is the queued node of least priority *)
@@ -822,9 +792,12 @@ let audit_step t =
    miniAdapton: a changed write marks its storage cell and walks up the
    sub → super edges. A consistent demand instance off the call stack
    is flipped (consistent <- false) and the walk goes on from it; an
-   eager instance is queued on its partition's heap for a settle to
-   run; a demand instance on the call stack is deferred (see
-   [flush_deferred]). The walk stops at a node already marked and at an
+   eager instance off the stack is queued on its partition's heap for a
+   settle to run. An instance on the call stack cannot re-run there, so
+   its mark waits for its call to return: it only sets [queued], and
+   [pop_frame] enqueues an eager one, [on_call] flips and walks a demand
+   one once the caller has recorded its edge. The walk stops at a node
+   already marked and at an
    inconsistent demand instance — the auditor's stop rule says their
    successors are dirty already — so a repeated write costs O(1).
    Marking order does not matter (a flip is idempotent and runs no
@@ -864,11 +837,8 @@ let flip t p =
   log_consistent t p;
   set_consistent p false
 
-(* Mark one instance (see above); a node to walk on from is pushed. The
-   instance a change walks from is deferred like one on the stack when a
-   cycle leads the walk back to it: its caller records its edge only
-   after the walk. A walk reaches only instances (storage has no
-   preds). *)
+(* Mark one instance (see above); a node to walk on from is pushed. A
+   walk reaches only instances (storage has no preds). *)
 let mark_node t ~caused cause node p =
   if (not p.queued) && not p.discarded then
     match p.kind with
@@ -879,10 +849,6 @@ let mark_node t ~caused cause node p =
       if inst.consistent then begin
         note_marked t ~caused cause node p;
         if p.on_stack then p.queued <- true
-        else if G.arena_id node = t.forced then begin
-          p.queued <- true;
-          t.deferred <- node :: t.deferred
-        end
         else begin
           flip t p;
           push_walk t node
@@ -892,7 +858,7 @@ let mark_node t ~caused cause node p =
       note_marked t ~caused cause node p;
       p.queued <- true;
       t.c_pushes <- t.c_pushes + 1;
-      enqueue t node)
+      if not p.on_stack then enqueue t node)
 
 (* Mark the successors of [node] that have seen its value, from the
    [i]th on, [node] the cause: a top-level loop, so the walk allocates
@@ -947,42 +913,9 @@ let mark_inconsistent t node =
 let mark_succs t node =
   if G.succ_count node > 0 then begin
     let fault = match poke t "mark" with () -> None | exception e -> Some e in
-    t.forced <- G.arena_id node;
-    (match walk_succs t node with
-    | () -> t.forced <- -1
-    | exception e ->
-      t.forced <- -1;
-      raise e);
+    walk_succs t node;
     Option.iter raise fault
   end
-
-(* Flip and walk the deferred instances whose frames have popped. A
-   deferred instance's caller records its edge only once the call
-   returns, so a flip in place would leave that caller consistent behind
-   an already-inconsistent instance, where the stop rule would miss it.
-   Flipped here, the walk reaches it. Entries no longer [queued] (a
-   rollback or a degradation cleared them) are dropped, and so is one
-   back on the stack: its frame lists it again when it pops. *)
-let rec flush_list t = function
-  | [] -> ()
-  | node :: rest ->
-    let p = G.payload node in
-    if p.queued && not p.on_stack then begin
-      p.queued <- false;
-      if consistent p then begin
-        flip t p;
-        push_walk t node
-      end
-    end;
-    flush_list t rest
-
-let flush_deferred t =
-  match t.deferred with
-  | [] -> ()
-  | nodes ->
-    t.deferred <- [];
-    flush_list t nodes;
-    finish_walk t
 
 (* Node creation: priorities approximate topological order — a node created
    while a consumer executes is one of its dependencies, so it is ordered
@@ -1296,15 +1229,15 @@ let push_frame t node =
   t.quick <- false;
   f
 
-(* Pop the frame pushed by [run_instance] — on success and on unwind. A
-   deferred demand instance goes on the deferred list. *)
+(* Pop the frame pushed by [run_instance] — on success and on unwind. An
+   eager instance marked while it ran goes on its partition's heap. *)
 let pop_frame t f p saved_mask =
   t.mask <- saved_mask;
   p.on_stack <- false;
   (if p.queued then
      match strategy_of p with
-     | Demand -> t.deferred <- f.fnode :: t.deferred
-     | Eager -> ());
+     | Eager -> enqueue t f.fnode
+     | Demand -> ());
   f.fnode <- t.placeholder;
   (match f.cut_srcs with [] -> () | _ :: _ -> f.cut_srcs <- []);
   t.stack_depth <- t.stack_depth - 1;
@@ -1312,8 +1245,10 @@ let pop_frame t f p saved_mask =
 
 (* Re-execute an incremental procedure instance under the call-stack
    discipline of Algorithm 5: push a frame with the cursor at the
-   first recorded pred, run, settle the edge set, pop. Returns the
-   quiescence test: did the cached value change?
+   first recorded pred, run, settle the edge set, walk the dependents
+   if the cached value changed (the quiescence test), pop. The walk
+   runs with the frame still on the stack, so a cycle that leads it
+   back to this instance meets it there and only sets [queued].
 
    Exception safety: any raise out of the body (user exception, [Cycle],
    an injected fault) pops the frame, restores the edge set of the last
@@ -1364,9 +1299,11 @@ let run_instance t node p inst =
     with e ->
       restore_preds t node f;
       pop_frame t f p saved_mask;
-      (* leave the instance inconsistent so a later call retries *)
+      (* leave the instance inconsistent so a later call retries; a
+         demand one marked while it ran has nothing left to flip *)
       inst.consistent <- false;
       inst.raised <- true;
+      (match inst.strategy with Demand -> p.queued <- false | Eager -> ());
       record_failure t node p inst e;
       emit t (fun () ->
           Telemetry.Exec_end
@@ -1375,7 +1312,6 @@ let run_instance t node p inst =
   in
   (* without a cut, drop the preds the execution never re-read *)
   if f.reads >= 0 then drop_preds t node f f.reads ~save:false;
-  pop_frame t f p saved_mask;
   inst.failures <- 0;
   inst.raised <- false;
   if tele_on t then
@@ -1389,15 +1325,18 @@ let run_instance t node p inst =
        propagation stops here (quiescence, paper §4.5) *)
     t.c_cutoffs <- t.c_cutoffs + 1;
   inst.ever_ran <- true;
-  changed
+  match if changed then mark_succs t node with
+  | () -> pop_frame t f p saved_mask
+  | exception e ->
+    pop_frame t f p saved_mask;
+    raise e
 
-(* Force a dirty instance to currency, notifying dependents on change.
-   A [Poisoned] dependency still notifies dependents (their reads must
-   surface the typed error) before the exception propagates. *)
+(* Force a dirty instance to currency. A [Poisoned] dependency still
+   notifies dependents (their reads must surface the typed error)
+   before the exception propagates. *)
 let force t node p inst =
-  match run_instance t node p inst with
-  | changed -> if changed then mark_succs t node
-  | exception (Poisoned _ as e) ->
+  try run_instance t node p inst
+  with Poisoned _ as e ->
     walk_succs t node;
     raise e
 
@@ -1407,20 +1346,48 @@ let cache_hit t node p =
   if tele_on t then
     emit t (fun () -> Telemetry.Cache_hit { id = eid t node; name = p.name })
 
+(* A demand instance marked while it ran, resolved once its call has
+   returned and the caller has recorded its edge: a flip before the
+   edge would leave that caller consistent behind an already
+   inconsistent instance, where the stop rule would miss it. Flipped
+   now, the walk reaches the caller. *)
+let resolve_mark t node p inst =
+  match inst.strategy with
+  | Demand when p.queued ->
+    p.queued <- false;
+    flip t p;
+    walk_succs t node
+  | Demand | Eager -> ()
+
 (* Bring a called instance current for its caller: force it if dirty,
-   else count the cache hit. A failed force was still observed by the
-   caller, so the dependency is recorded before the raise — a later
-   recovery of the instance then re-invalidates the caller. *)
+   else count the cache hit; then record the caller's edge. The edge is
+   recorded only after any forcing, so the caller is never spuriously
+   invalidated by the fresh value it is about to read. A failed force
+   was still observed by the caller, so the edge is recorded before the
+   raise — a later recovery of the instance then re-invalidates the
+   caller. A mark the instance took while it ran is resolved last, also
+   when forcing or recording raises. *)
 let force_or_hit t node p =
   match p.kind with
   | Storage -> invalid_arg "Engine.on_call: storage node"
   | Instance inst ->
-    if p.queued || not inst.consistent then (
-      try force t node p inst
-      with e ->
-        masked t (fun () -> record_dependency t node);
-        raise e)
-    else if inst.ever_ran then cache_hit t node p
+    if p.queued || not inst.consistent then begin
+      match
+        (try force t node p inst
+         with e ->
+           masked t (fun () -> record_dependency t node);
+           raise e);
+        record_dependency t node
+      with
+      | () -> resolve_mark t node p inst
+      | exception e ->
+        resolve_mark t node p inst;
+        raise e
+    end
+    else begin
+      if inst.ever_ran then cache_hit t node p;
+      record_dependency t node
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Settlement                                                          *)
@@ -1451,7 +1418,6 @@ let degrade_to_exhaustive t =
       | Storage -> ())
     t.graph;
   clear_dirty t;
-  t.deferred <- [];
   t.quarantined <- []
 
 (* Process one settle pop, §4.5: only eager instances are queued, so a
@@ -1498,11 +1464,11 @@ let step t node p =
    empty. A heap keyed under an older order epoch is re-keyed before
    its minimum is trusted: a relabel or a Pearce–Kelly reorder since the
    last pop may have moved queued nodes' priorities. Stale entries —
-   unqueued since their push, or naming a removed node — are dropped.
-   Nodes on the call stack must not be processed here — a re-execution
-   would be a false cycle — so they go to [t.skipped]. An armed
-   [Budget] preempts it at a [step], before the pop. Top-level and
-   closure-free: every partition settle of a call runs it. *)
+   unqueued since their push, or naming a removed node — are dropped,
+   and so is one for an instance on the call stack: a re-execution
+   would be a false cycle, and its frame's pop queues it again. An
+   armed [Budget] preempts it at a [step], before the pop. Top-level
+   and closure-free: every partition settle of a call runs it. *)
 let rec drain t part =
   if not (Heap.is_empty part.queue) then begin
     let epoch = G.order_epoch t.graph in
@@ -1510,52 +1476,27 @@ let rec drain t part =
       Heap.rekey part.queue;
       part.keyed <- epoch
     end;
-    match G.of_arena_id t.graph (Heap.min_elt part.queue) with
-    | Some node when (G.payload node).queued ->
+    (match G.of_arena_id t.graph (Heap.min_elt part.queue) with
+    | Some node when (G.payload node).queued && not (G.payload node).on_stack
+      ->
       let p = G.payload node in
-      if p.on_stack then begin
-        Heap.drop_min part.queue;
-        t.skipped <- node :: t.skipped
-      end
-      else begin
-        step t node p;
-        Heap.drop_min part.queue;
-        process_guarded t node p;
-        if t.self_audit then audit_step t
-      end;
-      drain t part
-    | Some _ | None ->
+      step t node p;
       Heap.drop_min part.queue;
-      drain t part
+      process_guarded t node p;
+      if t.self_audit then audit_step t
+    | Some _ | None -> Heap.drop_min part.queue);
+    drain t part
   end
 
-let requeue_skipped t =
-  match t.skipped with
-  | [] -> ()
-  | nodes ->
-    t.skipped <- [];
-    List.iter (fun n -> if (G.payload n).queued then enqueue t n) nodes
-
-(* Drain [part] and re-queue what it skipped, also when it raises. The
-   partition leaves the dirty list only if it emptied with nothing
-   skipped — after a raise it keeps its place, so the next settle
-   resumes it. *)
+(* Drain [part], then take it off the dirty list. After a raise it
+   keeps its place, so the next settle resumes it. *)
 let drain_partition t part =
-  match drain t part with
-  | () ->
-    let quiet = match t.skipped with [] -> true | _ -> false in
-    requeue_skipped t;
-    if quiet then unlist_part t part
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    requeue_skipped t;
-    Printexc.raise_with_backtrace e bt
+  drain t part;
+  unlist_part t part
 
 (* Drain every listed partition, pass after pass while a pass takes a
-   step (processing may list a partition the pass is past). Each pass
-   first flushes the instances the steps before it deferred. *)
+   step (processing may list a partition the pass is past). *)
 let rec drain_all t =
-  flush_deferred t;
   match t.dirty_parts with
   | [] -> ()
   | parts ->
@@ -1590,7 +1531,6 @@ let session t ~all part =
    queued, and the next stabilize resumes the work. *)
 let stabilize t =
   requeue_quarantined t;
-  flush_deferred t;
   if not t.settling then
     match (t.dirty_parts, t.metrics) with
     | [], _ -> ()
@@ -1612,8 +1552,8 @@ let stabilize t =
    instance that executed inside the transaction read some of its inputs
    against the batch's intermediate state — invalidate those instances
    and their dependents so the next settle recomputes from the restored
-   inputs. Un-marking is lazy w.r.t. the heaps and the deferred list:
-   settlement and the flush skip entries whose [queued] flag is off. *)
+   inputs. Un-marking is lazy w.r.t. the heaps: settlement skips entries
+   whose [queued] flag is off. *)
 let rollback_txn t tx =
   t.txn <- None;
   refresh_quick t;
@@ -1659,10 +1599,6 @@ let transact t f =
     invalid_arg "Engine.transact: already inside a transaction";
   if t.stack_depth > 0 then
     invalid_arg "Engine.transact: called during an incremental execution";
-  (* with the stack empty this flushes every deferral, so the batch
-     never flips (and a rollback never restores) a node dirtied before
-     it began *)
-  flush_deferred t;
   let tx = { undos = []; tmarked = []; ran = [] } in
   t.txn <- Some tx;
   t.quick <- false;
@@ -1713,7 +1649,6 @@ let on_call t node =
     record_dependency t node;
     raise (Cycle p.name)
   end;
-  (match t.deferred with [] -> () | _ :: _ -> flush_deferred t);
   (* Before trusting the cached value, propagate the pending
      inconsistencies of this node's partition — Algorithm 5's
      "IF SetSize(Inconsistent) > 0 THEN Evaluate". Inside the evaluator
@@ -1724,11 +1659,11 @@ let on_call t node =
      transaction's [ran] list and re-invalidated on rollback.
 
      The caller receives the value cached by the instance's own (body)
-     execution. Writes performed *during* that execution may leave the
-     instance deferred (e.g. the AVL balance rotations); that dirt is
-     deliberately left for the next flush — re-forcing here would
-     hand the mutator the value of a *later* re-execution under the
-     already-mutated state (for balance: the demoted node's local
+     execution. Writes performed *during* that execution may mark the
+     instance (e.g. the AVL balance rotations); that mark is flipped and
+     walked when the call returns, not re-forced — re-forcing here
+     would hand the mutator the value of a *later* re-execution under
+     the already-mutated state (for balance: the demoted node's local
      subtree instead of the new root), which is not what the imperative
      program's call returns. *)
   if not t.settling then begin
@@ -1737,11 +1672,7 @@ let on_call t node =
     let part = partition_of t node in
     if part.on_dirty_list then session t ~all:false part
   end;
-  force_or_hit t node p;
-  (* The dependency edge is recorded only now, after any forcing, so the
-     consumer is never spuriously invalidated by the fresh value it is
-     about to read. *)
-  record_dependency t node
+  force_or_hit t node p
 
 (* Clearing poison also resets [failures] to 0: the operator has
    (presumably) fixed the environment, so the instance gets a full

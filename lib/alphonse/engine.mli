@@ -183,11 +183,16 @@ val on_call : t -> node -> unit
     {!record_write} walks the dependents of a changed cell, flips each
     consistent demand instance (the paper's consistent(u) flag) and
     goes on from it, stops at one already inconsistent, and queues
-    each eager instance it reaches for a settle. A demand instance
-    reached while it executes is deferred: it is flipped, and walked
-    on, at the first call, settle or {!transact} after it returns. So
-    only eager work ever lists a partition, and a call into a
-    partition whose dirt is all demand settles nothing.
+    each eager instance it reaches for a settle. An instance reached
+    while it executes (a maintained procedure's write to storage it
+    read, as in the AVL rotations) is only marked; the mark is
+    resolved when its call returns: an eager one is queued, and a
+    demand one is flipped and walked on from right after its caller's
+    dependency is recorded, also when the call raises. So right after
+    the call returns the instance and its callers read as dirty, and
+    the next call re-runs them. Only eager work ever lists a
+    partition, and a call into a partition whose dirt is all demand
+    settles nothing.
 
     Failure semantics: if the forced execution raises, the engine first
     restores itself (stack unwound, the instance's previous edge set put
@@ -216,9 +221,10 @@ val stabilize : t -> unit
 (** Runs propagation to quiescence over every partition: processes the
     inconsistent sets as in §4.5, which hold eager instances only, and
     re-executes them now. [Demand] instances were flagged when the
-    write happened; this only flushes the ones deferred while they
-    executed. This is the "evaluation routine [to] be called whenever
-    cycles are available".
+    write happened (or, for one marked while it executed, when its call
+    returned), so this leaves them to their next call. This is the
+    "evaluation routine [to] be called whenever cycles are
+    available".
 
     Settlement is total with respect to instance failures: an execution
     that raises is quarantined (retried by the next stabilize, up to
@@ -357,10 +363,11 @@ val degrade_to_exhaustive : t -> unit
 val audit : t -> unit
 (** Checks the coherence of the engine's metadata: graph link symmetry,
     call stack ↔ [on_stack] flags, no reused call-stack frame above the
-    stack holding a node, every queued eager instance present in its
-    partition's inconsistent set and that partition reachable from the
-    dirty list, every deferred demand instance off the stack on the
-    deferred list, the stop rule the write-time walk relies on (every
+    stack holding a node, every queued eager instance off the stack
+    present in its partition's inconsistent set and that partition on
+    the dirty list, every listed partition flagged and listed once,
+    every queued demand instance on the stack (its mark is resolved
+    when its call returns), the stop rule the write-time walk relies on (every
     dependent that has seen a marked storage cell or an inconsistent
     demand instance off the stack is dirty, or on the stack before its
     cursor reaches the edge — except behind an instance whose last
@@ -371,7 +378,10 @@ val audit : t -> unit
     @raise Audit_failure listing every violated invariant. *)
 
 val audit_errors : t -> string list
-(** Non-raising {!audit}: the violated invariants, [[]] when coherent. *)
+(** Non-raising {!audit}: the violated invariants, [[]] when coherent.
+    Every check but the idle-only flags also holds during a settle, so
+    the audits [set_self_audit] runs after each settle step check the
+    same invariants. *)
 
 val set_self_audit : t -> bool -> unit
 (** Toggles auditing after every settle step and every walk outside a

@@ -100,7 +100,7 @@ let call_sites (env : Tc.env) : call_site list =
       | _ -> ())
     | _ -> ()
   in
-  let visit ~caller ~params ~locals:_ ~target:_ e =
+  let visit ~caller ~params ~target:_ e =
     iter_expr (emit ~caller ~params) e
   in
   List.iter

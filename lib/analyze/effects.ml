@@ -54,19 +54,17 @@ type t = {
 (* Direct effects of one procedure (or the module body)                *)
 (* ------------------------------------------------------------------ *)
 
-(* A variable reference names storage when the type checker resolved it
-   to a global, or when no local of the walk's scope binds the name. *)
-let names_global ~locals e x = e.note.is_global || not (Hashtbl.mem locals x)
-
 (* Reads performed while evaluating [e] (no local-variable effects;
-   callee effects are NOT included here — the fixpoint adds them). *)
-let expr_reads ~locals acc e =
+   callee effects are NOT included here — the fixpoint adds them). A
+   variable reference names storage when the type checker resolved it
+   to a global. *)
+let expr_reads acc e =
   let reads = ref acc in
   iter_expr
     (fun e ->
       match e.desc with
       | Var x ->
-        if names_global ~locals e x then reads := Locs.add (Global x) !reads
+        if e.note.is_global then reads := Locs.add (Global x) !reads
       | Field (_, f) -> reads := Locs.add (Field f) !reads
       | Index _ -> reads := Locs.add Arrays !reads
       | _ -> ())
@@ -78,14 +76,13 @@ let expr_reads ~locals acc e =
    write, its subscripts and base pointers reads. *)
 let direct_of_body (iter : visit -> unit) =
   let reads = ref Locs.empty and writes = ref Locs.empty in
-  iter (fun ~locals ~target e ->
-      let rd e = reads := expr_reads ~locals !reads e in
+  iter (fun ~target e ->
+      let rd e = reads := expr_reads !reads e in
       if not target then rd e
       else
         match e.desc with
         | Var x ->
-          if names_global ~locals e x then
-            writes := Locs.add (Global x) !writes
+          if e.note.is_global then writes := Locs.add (Global x) !writes
         | Field (b, f) ->
           writes := Locs.add (Field f) !writes;
           rd b
@@ -145,12 +142,11 @@ let procs t =
 (* Expression-level queries (the UNCHECKED rules)                      *)
 (* ------------------------------------------------------------------ *)
 
-(** Transitive effect of evaluating one expression in a scope whose
-    local names are [locals]: its own reads plus the summaries of every
-    procedure it may call (expressions cannot write directly, so any
-    writes come from callees). *)
-let expr_effect t ~locals e =
-  let acc = ref { reads = expr_reads ~locals Locs.empty e; writes = Locs.empty } in
+(** Transitive effect of evaluating one expression: its own reads plus
+    the summaries of every procedure it may call (expressions cannot
+    write directly, so any writes come from callees). *)
+let expr_effect t e =
+  let acc = ref { reads = expr_reads Locs.empty e; writes = Locs.empty } in
   iter_expr
     (fun e ->
       let add_target p = acc := union_eff !acc (summary t p) in

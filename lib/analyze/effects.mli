@@ -24,7 +24,9 @@ val main_name : string
 
 val compute : Lang.Typecheck.env -> t
 (** Direct effects of every procedure (and {!main_name}), then the
-    transitive-closure fixed point over the resolved call graph. *)
+    transitive-closure fixed point over the resolved call graph. The
+    environment must come from {!Lang.Typecheck.check}: a variable
+    names storage exactly when the checker noted it [is_global]. *)
 
 val direct : t -> string -> eff
 (** Storage the procedure's own body may touch (callees excluded). *)
@@ -36,7 +38,7 @@ val callees : t -> string -> string list
 val procs : t -> string list
 (** All analyzed procedure names ({!main_name} included), sorted. *)
 
-val expr_effect : t -> locals:(string, unit) Hashtbl.t -> Lang.Ast.expr -> eff
+val expr_effect : t -> Lang.Ast.expr -> eff
 (** Transitive effect of evaluating one expression: its own reads plus
     the summaries of every procedure it may call. *)
 

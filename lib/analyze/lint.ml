@@ -18,14 +18,13 @@ let locs_str set =
 let globals_of set =
   Effects.Locs.filter (function Effects.Global _ -> true | _ -> false) set
 
-(* Visit every [(*UNCHECKED*)] expression of a procedure body together
-   with the local names in scope at that point. *)
+(* Visit every [(*UNCHECKED*)] expression of a procedure body. *)
 let iter_unchecked (pd : proc_decl) f =
-  iter_proc_body pd (fun ~locals ~target:_ e ->
+  iter_proc_body pd (fun ~target:_ e ->
       iter_expr
         (fun e ->
           match e.desc with
-          | Unchecked inner -> f ~locals inner e.pos
+          | Unchecked inner -> f inner e.pos
           | _ -> ())
         e)
 
@@ -86,8 +85,8 @@ let run (env : Tc.env) : Diag.t list =
   List.iter
     (fun (pd : proc_decl) ->
       if Hashtbl.mem reach_incr pd.pname then
-        iter_unchecked pd (fun ~locals inner pos ->
-            let e = Effects.expr_effect eff ~locals inner in
+        iter_unchecked pd (fun inner pos ->
+            let e = Effects.expr_effect eff inner in
             let stale = Effects.Locs.inter e.Effects.reads incr_writes in
             if not (Effects.Locs.is_empty stale) then
               emit

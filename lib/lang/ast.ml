@@ -200,18 +200,15 @@ let rec iter_expr f e =
     iter_expr f b
   | Unop (_, a) | Unchecked a -> iter_expr f a
 
-type visit = locals:(string, unit) Hashtbl.t -> target:bool -> expr -> unit
+type visit = target:bool -> expr -> unit
 
-(* Hand [f] every top-level expression of [body], in program order, with
-   [locals] in scope. A FOR index is in scope in its loop body only: its
-   bounds are evaluated outside, and after the loop the name means
-   whatever it meant before. *)
-let walk_stmts locals body (f : visit) =
-  let each e = f ~locals ~target:false e in
+(* Hand [f] every top-level expression of [body], in program order. *)
+let walk_stmts body (f : visit) =
+  let each e = f ~target:false e in
   let rec stmt s =
     match s.sdesc with
     | Assign (d, e) ->
-      f ~locals ~target:true d;
+      f ~target:true d;
       each e
     | Call_stmt e -> each e
     | If (branches, els) ->
@@ -227,35 +224,24 @@ let walk_stmts locals body (f : visit) =
     | Repeat (body, c) ->
       List.iter stmt body;
       each c
-    | For (v, a, b, body) ->
+    | For (_, a, b, body) ->
       each a;
       each b;
-      let shadowed = Hashtbl.mem locals v in
-      Hashtbl.replace locals v ();
-      List.iter stmt body;
-      if not shadowed then Hashtbl.remove locals v
+      List.iter stmt body
     | Return (Some e) -> each e
     | Return None -> ()
   in
   List.iter stmt body
 
 let iter_proc_body pd (f : visit) =
-  let locals = Hashtbl.create 8 in
-  List.iter (fun (n, _) -> Hashtbl.replace locals n ()) pd.params;
-  (* an initializer sees the parameters and the locals declared before it *)
-  List.iter
-    (fun l ->
-      Option.iter (f ~locals ~target:false) l.linit;
-      Hashtbl.replace locals l.lname ())
-    pd.locals;
-  walk_stmts locals pd.body f
+  List.iter (fun l -> Option.iter (f ~target:false) l.linit) pd.locals;
+  walk_stmts pd.body f
 
 let iter_main_body m (f : visit) =
-  let locals = Hashtbl.create 8 in
-  List.iter (fun g -> Option.iter (f ~locals ~target:false) g.ginit) m.globals;
-  walk_stmts locals m.main f
+  List.iter (fun g -> Option.iter (f ~target:false) g.ginit) m.globals;
+  walk_stmts m.main f
 
 let iter_exprs f m =
-  let each ~locals:_ ~target:_ e = iter_expr f e in
+  let each ~target:_ e = iter_expr f e in
   List.iter (fun pd -> iter_proc_body pd each) m.procs;
   iter_main_body m each

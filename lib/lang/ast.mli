@@ -154,21 +154,15 @@ val find_proc : module_ -> string -> proc_decl option
 (** {1 Walks}
 
     The static analyses ([Analyze], [Transform.Analysis]) walk the tree
-    only through these, so the scoping rule for locals lives here
-    once. *)
+    only through these. They keep no scope: whether a name is a global
+    is the type checker's [is_global] note. *)
 
 val iter_expr : (expr -> unit) -> expr -> unit
 (** Pre-order walk of one expression's subtree. *)
 
-type visit = locals:(string, unit) Hashtbl.t -> target:bool -> expr -> unit
-(** Called on each top-level expression of a body: [locals] holds the
-    names in scope there, as the type checker scopes them — the
-    parameters, the locals declared so far (an initializer sees those
-    before its own), and the FOR indices of the enclosing loops (an
-    index is in scope in its loop body only, not in its bounds nor after
-    the loop); [target] is true for an assignment's designator. The
-    table is the walk's own and changes as it goes: copy it to keep
-    it. *)
+type visit = target:bool -> expr -> unit
+(** Called on each top-level expression of a body; [target] is true for
+    an assignment's designator. *)
 
 val iter_proc_body : proc_decl -> visit -> unit
 (** The local initializers, then the statements, in program order. *)

@@ -7,6 +7,26 @@
 
 exception Runtime_error of string * Ast.pos
 
+val error : Ast.pos -> ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** Raises {!Runtime_error} at a position with a formatted message. *)
+
+(** {1 Value coercions}
+
+    Each returns the payload of a value of the expected kind and raises
+    {!Runtime_error} at the position otherwise. The incremental
+    interpreter uses the same ones, so both report the same errors. *)
+
+val obj_of : Ast.pos -> Value.value -> Value.obj
+(** Also rejects [NIL] ("NIL dereference"). *)
+
+val int_of : Ast.pos -> Value.value -> int
+val bool_of : Ast.pos -> Value.value -> bool
+val text_of : Ast.pos -> Value.value -> string
+val arr_of : Ast.pos -> Value.value -> Value.arr
+
+val elem_slot : Ast.pos -> Value.arr -> int -> Value.value ref
+(** The slot of an array element, bounds-checked. *)
+
 exception Return_value of Value.value option
 (** Internal control flow for [RETURN]; escapes only on a malformed
     top-level [RETURN]. *)

@@ -101,10 +101,6 @@ let analyze ?(sharpen = true) (env : Tc.env) : result =
   (* 3. mark every site in the module *)
   let tr = ref 0 and ur = ref 0 and tw = ref 0 and uw = ref 0 in
   let tc = ref 0 and uc = ref 0 in
-  let mark_read tracked e =
-    e.note.tracked <- tracked;
-    if tracked then incr tr else incr ur
-  in
   let mark_call e =
     match e.desc with
     | Call (Cproc "Print", _) ->
@@ -122,19 +118,23 @@ let analyze ?(sharpen = true) (env : Tc.env) : result =
       if e.note.tracked then incr tc else incr uc
     | _ -> ()
   in
-  let mark ~locals:_ ~target e =
+  let mark ~target d =
     iter_expr
       (fun e ->
+        let site tracked =
+          e.note.tracked <- tracked;
+          (* an assignment's designator is a write site, not a read *)
+          if target && e == d then if tracked then incr tw else incr uw
+          else if tracked then incr tr
+          else incr ur
+        in
         match e.desc with
-        | Var x ->
-          mark_read (e.note.is_global && Hashtbl.mem tracked_globals x) e
-        | Field (_, f) -> mark_read (Hashtbl.mem tracked_fields f) e
-        | Index _ -> mark_read arrays_tracked e
+        | Var x -> site (e.note.is_global && Hashtbl.mem tracked_globals x)
+        | Field (_, f) -> site (Hashtbl.mem tracked_fields f)
+        | Index _ -> site arrays_tracked
         | Call _ -> mark_call e
         | _ -> ())
-      e;
-    (* a designator is counted as a read above and as a write here *)
-    if target then if e.note.tracked then incr tw else incr uw
+      d
   in
   List.iter (fun pd -> iter_proc_body pd mark) m.procs;
   iter_main_body m mark;

@@ -24,6 +24,9 @@ type site_stats = {
   tracked_calls : int;
   untracked_calls : int;
 }
+(** Storage and call sites by instrumentation. An assignment's
+    designator is one write site; its subscripts and base pointers are
+    read sites. *)
 
 type result = {
   incremental_procs : (string, Lang.Ast.pragma) Hashtbl.t;

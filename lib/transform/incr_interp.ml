@@ -30,11 +30,19 @@ module Engine = Alphonse.Engine
 module Func = Alphonse.Func
 module Policy = Alphonse.Policy
 
-exception Runtime_error of string * pos
+exception Runtime_error = Lang.Interp.Runtime_error
 
 exception Return_value of value option
 
-let error pos fmt = Fmt.kstr (fun s -> raise (Runtime_error (s, pos))) fmt
+(* the runtime error and the value coercions of the reference
+   interpreter, so both report the same errors *)
+let error = Lang.Interp.error
+let obj_of = Lang.Interp.obj_of
+let int_of = Lang.Interp.int_of
+let bool_of = Lang.Interp.bool_of
+let text_of = Lang.Interp.text_of
+let arr_of = Lang.Interp.arr_of
+let elem_slot = Lang.Interp.elem_slot
 
 type state = {
   env : Tc.env;
@@ -138,32 +146,6 @@ let alloc st cls =
   let o = { oid = st.next_oid; cls; fields } in
   st.next_oid <- st.next_oid + 1;
   o
-
-let obj_of pos = function
-  | VObj o -> o
-  | VNil -> error pos "NIL dereference"
-  | v -> error pos "not an object: %s" (to_string v)
-
-let int_of pos = function
-  | VInt n -> n
-  | v -> error pos "not an integer: %s" (to_string v)
-
-let bool_of pos = function
-  | VBool b -> b
-  | v -> error pos "not a boolean: %s" (to_string v)
-
-let text_of pos = function
-  | VText s -> s
-  | v -> error pos "not a text: %s" (to_string v)
-
-let arr_of pos = function
-  | VArr a -> a
-  | v -> error pos "not an array: %s" (to_string v)
-
-let elem_slot pos a idx =
-  if idx < a.lo || idx > a.hi then
-    error pos "index %d outside [%d..%d]" idx a.lo a.hi;
-  a.elems.(idx - a.lo)
 
 type frame = (string, value ref) Hashtbl.t
 

@@ -14,6 +14,8 @@
     test. *)
 
 exception Runtime_error of string * Lang.Ast.pos
+(** The same exception as [Lang.Interp.Runtime_error] (an alias): both
+    interpreters raise it. *)
 
 type state
 (** Mutable execution state: the engine, globals and their nodes, the

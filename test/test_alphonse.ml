@@ -343,6 +343,45 @@ let test_demand_stabilize_defers () =
   checki "call recomputes" 11 (Func.call f ());
   checki "now re-ran" 2 !runs
 
+(* A demand instance in the AVL-rotation shape: it reads the cell it is
+   about to write, as a rotation reads the pointers it moves, so its
+   changed write reaches it while it is on the stack. The mark is
+   resolved when its call returns, after the caller recorded its edge:
+   right after the outer call returns, with no call in between, the
+   caller reads as dirty, and the next call re-runs both, as the
+   imperative program would. *)
+let test_self_dirtying_call_dirties_caller () =
+  let eng = Engine.create ~default_strategy:Engine.Demand () in
+  let cell = Var.create eng ~name:"cell" 1 in
+  let rot =
+    Func.create eng ~name:"rot" (fun _ () ->
+        let v = Var.get cell in
+        if v < 3 then Var.set cell (v + 1);
+        v)
+  in
+  let outer = Func.create eng ~name:"outer" (fun _ () -> 10 * Func.call rot ()) in
+  (* the exhaustive program: every call runs the body *)
+  let plain = ref 1 in
+  let exhaustive () =
+    let v = !plain in
+    if v < 3 then plain := v + 1;
+    10 * v
+  in
+  let node f = Option.get (Func.node f ()) in
+  let expect_dirty = [ true; true; false; false ] in
+  List.iteri
+    (fun i dirty ->
+      let label = Fmt.str "call %d" (i + 1) in
+      checki label (exhaustive ()) (Func.call outer ());
+      checkb (label ^ ": rot dirty on return") dirty
+        (Engine.node_dirty (node rot));
+      checkb (label ^ ": its caller dirty on return") dirty
+        (Engine.node_dirty (node outer));
+      Alcotest.(check (list string)) (label ^ ": audit") []
+        (Engine.audit_errors eng))
+    expect_dirty;
+  checki "cache hits after the fixpoint" 6 (executions eng)
+
 (* ------------------------------------------------------------------ *)
 (* Maintained procedures with side effects                             *)
 (* ------------------------------------------------------------------ *)
@@ -1684,6 +1723,8 @@ let () =
             test_eager_stabilize_precomputes;
           Alcotest.test_case "demand stabilize defers" `Quick
             test_demand_stabilize_defers;
+          Alcotest.test_case "self-dirtying call dirties its caller" `Quick
+            test_self_dirtying_call_dirties_caller;
         ] );
       ( "maintained",
         [

@@ -646,6 +646,46 @@ let test_ndjson_over_socket_with_slow_client () =
   Daemon.drain d;
   Thread.join th
 
+(* Ill-typed batch fields are answered with 400 before anything runs:
+   each frame below would set A1 if its fields were taken as they stand,
+   and the tenant's cells read back unchanged. So is a truncated JSON
+   line. *)
+let test_ill_typed_fields_400 () =
+  let d = Daemon.create (mem_config (fresh_root "typed")) (Sheet.workload ()) in
+  let th = Daemon.start d in
+  let read_back () =
+    let resp = Daemon.submit d (request ~tenant:"acme" [ get_op "A1"; get_op "A2" ]) in
+    List.map got_num (results resp)
+  in
+  checki "seed" 200
+    (status
+       (Daemon.submit d
+          (request ~tenant:"acme" [ set_op "A1" "5"; set_op "A2" "=A1+1" ])));
+  let fd = connect (Daemon.port d) in
+  let ic = Unix.in_channel_of_descr fd in
+  let frame fields =
+    {|{"id":1,"tenant":"acme",|} ^ fields
+    ^ {|"ops":[{"op":"set","cell":"A1","v":"9"}]}|}
+  in
+  List.iter
+    (fun (label, line) ->
+      send_line fd line;
+      checki label 400 (status (Json.of_string (input_line ic)));
+      Alcotest.(check (list (float 0.))) (label ^ ": cells unchanged")
+        [ 5.; 6. ] (read_back ()))
+    [
+      ("ops not an array", {|{"id":1,"tenant":"acme","ops":"x"}|});
+      ("max_steps 0", frame {|"max_steps":0,|});
+      ("max_steps -3", frame {|"max_steps":-3,|});
+      ("max_steps 1.5", frame {|"max_steps":1.5,|});
+      ("max_steps a text", frame {|"max_steps":"x",|});
+      ("deadline_ms a text", frame {|"deadline_ms":"x",|});
+      ("truncated json", {|{"id":1,"tenant":"acme","ops":[{"op":"set","cell":"A1"|});
+    ];
+  Unix.close fd;
+  Daemon.drain d;
+  Thread.join th
+
 let test_health_surface () =
   let cfg =
     { (mem_config (fresh_root "health")) with Daemon.d_metrics_port = Some 0 }
@@ -795,6 +835,8 @@ let () =
         [
           Alcotest.test_case "ndjson over sockets, slow + concurrent clients"
             `Quick test_ndjson_over_socket_with_slow_client;
+          Alcotest.test_case "ill-typed fields are 400s" `Quick
+            test_ill_typed_fields_400;
           Alcotest.test_case "health surface" `Quick test_health_surface;
           Alcotest.test_case "oversize request is a 431" `Quick
             test_serve_oversize_431;

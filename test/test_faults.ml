@@ -529,8 +529,9 @@ let test_slice_on_stack_skip () =
         let v = Var.get b in
         if v = 0 then begin
           (* re-dirty our own recorded dependency and drive a slice from
-             inside the execution: the drain pops this very instance,
-             finds it on the stack, and must keep its partition listed *)
+             inside the execution: the mark reaches this very instance
+             on the stack, so it only sets [queued], and the slice must
+             not run it *)
           Var.set b 9;
           inside := Some (slice eng 100)
         end;
@@ -543,8 +544,9 @@ let test_slice_on_stack_skip () =
     | None -> Alcotest.fail "in-execution settle never ran");
   checki "the slice did not run h" 1 !runs;
   checkb "h still pending" true (Engine.node_dirty (node_of h ()));
-  (* the write during execution left h queued: its partition must still
-     be listed, or the next stabilize would never drain it *)
+  (* the write during execution left h queued: its frame's pop must put
+     it on its partition's heap and list the partition, or the next
+     stabilize would never drain it *)
   check_audit "after in-execution slice" eng;
   Engine.stabilize eng;
   checki "the follow-up stabilize re-ran h" 2 !runs;

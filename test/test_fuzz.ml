@@ -296,9 +296,10 @@ let prop_schedule_theorem_5_1 =
    with rotations also turns some demand instances into demand writers
    in the AVL-rotation shape: one first reads the cell it is about to
    write, as a rotation reads the pointers it moves, so a changed write
-   reaches the writer itself while it is on the stack; the engine
-   defers it, and flips and walks it once its frame has popped. Its
-   next call re-runs it once to confirm the value it wrote. A demand
+   reaches the writer itself while it is on the stack; the mark only
+   sets [queued] there, and the engine flips and walks the writer when
+   its call returns, once the caller has recorded its edge. Its next
+   call re-runs it once to confirm the value it wrote. A demand
    writer's cell is no instance's input: nothing but a call brings it
    current. Instances are
    first called in a shuffled order, so a consumer can be created before
