@@ -71,6 +71,7 @@ type cell =
   | Secs of float  (** one reading (E20, E21) *)
   | Timed of timing
   | Ratio of float
+  | Words of float  (** heap words per node or key (E5) *)
   | Bool of bool
   | Label of string
   | Nil  (** "-": nothing measured *)
@@ -91,6 +92,7 @@ let text = function
     Fmt.str "%s ±%.0f%%" (secs t.median) (50. *. (t.hi -. t.lo) /. t.median)
   | Timed t -> secs t.median
   | Ratio r -> Fmt.str "%.2fx" r
+  | Words w -> Fmt.str "%.1f" w
   | Bool b -> string_of_bool b
   | Label s -> s
   | Nil -> "-"
@@ -108,6 +110,7 @@ let json_of_cell c =
         ("reps", Json.Num (float_of_int reps));
       ]
   | Ratio r -> v "ratio" (Json.Num r)
+  | Words w -> v "words" (Json.Num w)
   | Bool b -> v "bool" (Json.Bool b)
   | Label s -> v "label" (Json.Str s)
   | Nil -> Json.Null
@@ -513,7 +516,79 @@ let e5 () =
     (List.map
        (fun (n, nodes, edges, en, nm) ->
          [ Count n; Count nodes; Count edges; Ratio en; Ratio nm ])
-       ratios)
+       ratios);
+  (* The constant behind O(M): live heap words after a compaction, per
+     graph node of a height-annotated tree and per key of an AVL tree
+     after [rebalance] (its keys inserted in a shuffled order). The
+     whole structure counts: tracked tree, engine, graph and caches. *)
+  let live_words build =
+    Gc.compact ();
+    let before = (Gc.stat ()).Gc.live_words in
+    let x = build () in
+    Gc.compact ();
+    let after = (Gc.stat ()).Gc.live_words in
+    ignore (Sys.opaque_identity x);
+    after - before
+  in
+  let itree_m = 16383 in
+  let itree_nodes = ref 0 in
+  let itree_words =
+    live_words (fun () ->
+        let eng = Engine.create () in
+        let forest = Itree.create eng in
+        let tree = Itree.perfect forest 0 (itree_m - 1) in
+        ignore (Itree.height forest tree);
+        itree_nodes := (Engine.graph_stats eng).Depgraph.Graph.live_nodes;
+        (eng, tree))
+  in
+  let avl_row n =
+    let nodes = ref 0 in
+    let words =
+      live_words (fun () ->
+          let rand = Random.State.make [| n |] in
+          let keys = Array.init n Fun.id in
+          for i = n - 1 downto 1 do
+            let j = Random.State.int rand (i + 1) in
+            let k = keys.(i) in
+            keys.(i) <- keys.(j);
+            keys.(j) <- k
+          done;
+          let eng = Engine.create () in
+          let tree = Avl.create eng in
+          Array.iter (Avl.insert tree) keys;
+          Avl.rebalance tree;
+          nodes := (Engine.graph_stats eng).Depgraph.Graph.live_nodes;
+          tree)
+    in
+    (n, !nodes, words)
+  in
+  let per a b = float_of_int a /. float_of_int b in
+  let node_words = per itree_words !itree_nodes in
+  (* bounds: the value measured when they were set, plus 5% (at
+     16384 keys, the 275 words/key the change that set them aimed at) *)
+  let node_bound = 55.7 in
+  claim (node_words <= node_bound) "Itree words/graph node %.1f <= %.1f"
+    node_words node_bound;
+  let avl = List.map avl_row [ 4096; 16384 ] in
+  let avl_bound = function 4096 -> 280. | _ -> 275. in
+  List.iter
+    (fun (n, _, words) ->
+      let w = per words n in
+      claim (w <= avl_bound n) "Avl %d words/key %.1f <= %.0f" n w (avl_bound n))
+    avl;
+  print_table ~title:"E5  space per graph node and per key (§9.1)"
+    ~claim:
+      "live words after Gc.compact: per graph node of a height-annotated \
+       tree, and per key of an AVL tree after rebalance, each under its \
+       bound"
+    [ "structure"; "graph nodes"; "live words"; "words/node"; "words/key" ]
+    ([ Label (Fmt.str "Itree %d" itree_m); Count !itree_nodes;
+       Count itree_words; Words node_words; Words (per itree_words itree_m) ]
+    :: List.map
+         (fun (n, nodes, words) ->
+           [ Label (Fmt.str "Avl %d" n); Count nodes; Count words;
+             Words (per words nodes); Words (per words n) ])
+         avl)
 
 (* ------------------------------------------------------------------ *)
 (* E6 — §9.2: instrumentation overhead is O(T)                         *)

@@ -102,7 +102,7 @@ and instance = {
   strategy : strategy;
   mutable consistent : bool;
   mutable ever_ran : bool;
-  recompute : unit -> bool;
+  mutable recompute : unit -> bool; (* set once; see [set_recompute] *)
   (* quarantine bookkeeping: consecutive failed executions, and — once
      the retry budget is exhausted — the poisoning exception *)
   mutable failures : int;
@@ -333,7 +333,9 @@ let create ?(partitioning = false) ?(default_strategy = Demand)
   (* a retired id (its node removed) keys below every order tag, so a
      rekey floats it to the top, where the drain drops it *)
   let heap_key id =
-    match G.of_arena_id graph id with Some n -> G.order_key n | None -> -1
+    match G.of_arena_id graph id with
+    | n -> G.order_key n
+    | exception Not_found -> -1
   in
   let placeholder =
     G.add_node (G.create ()) ~order_after:None
@@ -880,8 +882,8 @@ let rec finish_walk t =
     let top = t.walk_top - 1 in
     t.walk_top <- top;
     (match G.of_arena_id t.graph (Array.unsafe_get t.walk_ids top) with
-    | Some node -> forward t node 0
-    | None -> ());
+    | node -> forward t node 0
+    | exception Not_found -> ());
     finish_walk t
   end
   else if t.self_audit && not t.settling then audit_step t
@@ -964,6 +966,11 @@ let new_instance t ~name ~strategy ~recompute () =
   emit t (fun () -> Telemetry.Instance_created { id = eid t node; name });
   node
 
+let set_recompute node recompute =
+  match (G.payload node).kind with
+  | Instance inst -> inst.recompute <- recompute
+  | Storage -> invalid_arg "Engine.set_recompute: a storage node"
+
 (* Merge the partitions of the two endpoints of a new edge (§6.3 dynamic
    refinement). Their inconsistent sets are melded in O(1). *)
 let link_partitions t src dst =
@@ -1029,9 +1036,24 @@ let drop_preds t node f k ~save =
     G.truncate_preds t.graph node k
   end
 
+(* An edge src → consumer against the drain order. Its order is
+   repaired (Pearce–Kelly) only where a pop executes: a demand instance
+   is never queued (a walk flips it), so an edge into one is left
+   alone. Returns whether the edge closes a cycle. *)
+let out_of_order t src consumer =
+  match strategy_of (G.payload consumer) with
+  | Eager -> (
+    match G.restore_topological_order t.graph ~src ~dst:consumer with
+    | `Reordered _ ->
+      t.c_fixups <- t.c_fixups + 1;
+      false
+    | `Already_ordered -> false
+    | `Cycle -> true)
+  | Demand -> false
+
 (* A read that needs a new edge. The first one of an execution cuts the
    preds past the cursor (they were not re-read in order); from then on
-   every read appends. *)
+   every read appends. Returns whether the edge closes a cycle. *)
 let add_dependency t src f =
   let consumer = f.fnode in
   if f.reads >= 0 then begin
@@ -1039,42 +1061,52 @@ let add_dependency t src f =
     f.reads <- -1 - k;
     drop_preds t consumer f k ~save:true
   end;
-  if G.order_lt consumer src then begin
-    t.c_ooo <- t.c_ooo + 1;
-    (* repair the drain order (Pearce–Kelly) only where a pop executes:
-       a demand instance is never queued (a walk flips it), so an
-       out-of-order edge into one is left alone *)
-    match strategy_of (G.payload consumer) with
-    | Eager -> (
-      match G.restore_topological_order t.graph ~src ~dst:consumer with
-      | `Reordered _ -> t.c_fixups <- t.c_fixups + 1
-      | `Already_ordered | `Cycle -> ())
-    | Demand -> ()
-  end;
+  let cycle =
+    G.order_lt consumer src
+    && begin
+      t.c_ooo <- t.c_ooo + 1;
+      out_of_order t src consumer
+    end
+  in
   G.add_edge ~stamp:f.stamp ~src ~dst:consumer;
   if tele_on t then
     emit t (fun () ->
         Telemetry.Edge_added { src = eid t src; dst = eid t consumer });
-  link_partitions t src consumer
+  link_partitions t src consumer;
+  cycle
 
 (* Record a dependency edge src → consumer for the executing instance, if
    any and if recording is not suppressed by [unchecked]. A read that
    repeats the last execution's read at the cursor writes no edge. A
    read of a marked storage cell clears its mark: the reader is about to
-   be consistent, so the next changed write must walk again. *)
+   be consistent, so the next changed write must walk again.
+
+   A read that closes a cycle raises [Cycle] once its edge is recorded,
+   as the re-entrant call of a demand cycle does. An eager consumer can
+   read a consistent instance that (transitively) reads it, so no
+   execution meets the consumer on the stack; the order repair finds
+   the cycle instead, on a new edge and on a re-read one against the
+   order (a cycle leaves one behind, since no order fits it). The edge
+   stays, so the consumer re-runs when the source changes, say when
+   the cycle is broken. *)
 let record_dependency t src =
   if t.stack_depth > 0 && t.mask then begin
     let f = Array.unsafe_get t.frames (t.stack_depth - 1) in
     (* before any mutation: a fault here aborts the consumer's
        execution, whose failure handler restores its edge set *)
     poke t "edge";
-    (match G.reread ~stamp:f.stamp ~src ~dst:f.fnode f.reads with
-    | `Repeat -> ()
-    | `Reread -> f.reads <- f.reads + 1
-    | `New -> add_dependency t src f);
+    let cycle =
+      match G.reread ~stamp:f.stamp ~src ~dst:f.fnode f.reads with
+      | `Repeat -> false
+      | `Reread ->
+        f.reads <- f.reads + 1;
+        G.order_lt f.fnode src && out_of_order t src f.fnode
+      | `New -> add_dependency t src f
+    in
     let sp = G.payload src in
-    if sp.queued then
-      match sp.kind with Storage -> sp.queued <- false | Instance _ -> ()
+    (if sp.queued then
+       match sp.kind with Storage -> sp.queued <- false | Instance _ -> ());
+    if cycle then raise (Cycle (G.payload f.fnode).name)
   end
 
 let record_read t node = record_dependency t node
@@ -1375,7 +1407,9 @@ let force_or_hit t node p =
       match
         (try force t node p inst
          with e ->
-           masked t (fun () -> record_dependency t node);
+           (* the force's exception wins over a cycle the edge closes *)
+           masked t (fun () ->
+               try record_dependency t node with Cycle _ -> ());
            raise e);
         record_dependency t node
       with
@@ -1477,14 +1511,13 @@ let rec drain t part =
       part.keyed <- epoch
     end;
     (match G.of_arena_id t.graph (Heap.min_elt part.queue) with
-    | Some node when (G.payload node).queued && not (G.payload node).on_stack
-      ->
+    | node when (G.payload node).queued && not (G.payload node).on_stack ->
       let p = G.payload node in
       step t node p;
       Heap.drop_min part.queue;
       process_guarded t node p;
       if t.self_audit then audit_step t
-    | Some _ | None -> Heap.drop_min part.queue);
+    | _ | (exception Not_found) -> Heap.drop_min part.queue);
     drain t part
   end
 
@@ -1510,13 +1543,28 @@ and drain_pass t = function
     if part.on_dirty_list then drain_partition t part;
     drain_pass t rest
 
+(* Drain the partition of [node] until it is quiescent. A step can link
+   it to another partition, and the union may keep the other one, with
+   the melded heap: the node's partition is then the other one, listed
+   with the rest of the work, so the drain follows the node there. *)
+let rec drain_partition_of t node =
+  let part = partition_of t node in
+  if part.on_dirty_list then begin
+    drain_partition t part;
+    drain_partition_of t node
+  end
+
 (* Every step runs inside a settle session: [settling] is set while it
-   runs (calls made inside force instead of re-entering it). [~all]
-   drains the dirty list; otherwise only [part] drains — the partition
-   settle of [on_call]. *)
-let session t ~all part =
+   runs (calls made inside force instead of re-entering it). [`All]
+   drains the dirty list; [`Of node] the partition of [node] — the
+   partition settle of [on_call]. *)
+let session t what =
   t.settling <- true;
-  match if all then drain_all t else drain_partition t part with
+  match
+    match what with
+    | `All -> drain_all t
+    | `Of node -> drain_partition_of t node
+  with
   | () -> t.settling <- false
   | exception e ->
     t.settling <- false;
@@ -1536,13 +1584,13 @@ let stabilize t =
     | [], _ -> ()
     | _ :: _, None ->
       t.c_settles <- t.c_settles + 1;
-      session t ~all:true t.global_part
+      session t `All
     | _ :: _, Some (_, seconds) ->
       t.c_settles <- t.c_settles + 1;
       let t0 = Metrics.now () in
       Fun.protect
         ~finally:(fun () -> Metrics.observe_since seconds t0)
-        (fun () -> session t ~all:true t.global_part)
+        (fun () -> session t `All)
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
@@ -1669,8 +1717,7 @@ let on_call t node =
   if not t.settling then begin
     (* only eager work lists a partition, and a quiescent one is
        unlisted: a cache hit's settle share is two loads and a branch *)
-    let part = partition_of t node in
-    if part.on_dirty_list then session t ~all:false part
+    if (partition_of t node).on_dirty_list then session t (`Of node)
   end;
   force_or_hit t node p
 

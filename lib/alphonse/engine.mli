@@ -173,6 +173,14 @@ val new_instance :
     — the quiescence test. A fresh instance is inconsistent; the first
     {!on_call} executes it. *)
 
+val set_recompute : node -> (unit -> bool) -> unit
+(** [set_recompute node f] replaces the instance's [recompute] with [f],
+    for a caller whose re-execution closure needs state that exists
+    only once the node does ({!Func} builds its cache entry around the
+    node, then the one closure that fills it). Call it before the
+    instance first runs.
+    @raise Invalid_argument on a storage node. *)
+
 val on_call : t -> node -> unit
 (** The engine part of a [call] to an incremental instance: settles the
     node's partition when appropriate, forces the node if it is

@@ -103,7 +103,6 @@ let find_or_create t a =
   match Htbl.find t.table a with
   | e -> e
   | exception Not_found ->
-    let recompute_ref = ref (fun () -> true) in
     let iname =
       match t.pp_key with
       | Some pp -> Fmt.str "%s(%s)" t.fname (pp a)
@@ -111,23 +110,23 @@ let find_or_create t a =
     in
     let enode =
       Engine.new_instance t.eng ~name:iname ~strategy:t.strategy
-        ~recompute:(fun () -> !recompute_ref ())
+        ~recompute:(fun () -> assert false)
         ()
     in
     let e = { key = a; enode; cache = Empty; younger = None; older = None;
               live = true }
     in
-    (recompute_ref :=
-       fun () ->
-         let v = t.body t a in
-         match e.cache with
-         | Empty ->
-           e.cache <- Cached { v };
-           true
-         | Cached c ->
-           let changed = not (t.value_equal c.v v) in
-           c.v <- v;
-           changed);
+    (* the instance's one closure: it needs [e], which needs the node *)
+    Engine.set_recompute enode (fun () ->
+        let v = t.body t e.key in
+        match e.cache with
+        | Empty ->
+          e.cache <- Cached { v };
+          true
+        | Cached c ->
+          let changed = not (t.value_equal c.v v) in
+          c.v <- v;
+          changed);
     Htbl.add t.table a e;
     (match t.policy with
     | Policy.Unbounded -> ()

@@ -1,14 +1,16 @@
 (* Arena-allocated, int-indexed dependency graph.
 
-   Nodes live in a slot arena: the graph owns flat growable arrays
-   indexed by slot (the live handle, and the slot's generation word),
-   and each handle carries its adjacency as flat int arrays. An edge
-   u → v is a pair of twinned entries: position i of u's successor
-   arrays holds (v's slot, j) and position j of v's predecessor arrays
-   holds (u's slot, i). Removal is swap-remove — the last entry moves
-   into the vacated position and its twin backpointer is repointed —
-   preserving §9.2's O(1)-per-edge removal contract without the edge
-   records and option links of a doubly-linked representation.
+   Nodes live in a slot arena: the graph owns one flat growable array
+   that maps a slot to its live handle (a vacant slot holds an
+   immediate, so the array needs no option cells), and each handle
+   carries its adjacency as one flat int array per direction. An edge
+   u → v is a pair of twinned entries of two ints each: entry i of u's
+   successor array holds (v's slot, j) and entry j of v's predecessor
+   array holds (u's slot, i). Removal is swap-remove — the last entry
+   moves into the vacated position and its twin backpointer is
+   repointed — preserving §9.2's O(1)-per-edge removal contract without
+   the edge records and option links of a doubly-linked representation.
+   An array starts with room for two entries and doubles.
 
    Re-reading: a consumer's predecessor array lists its sources in the
    order its last execution first read them. A re-execution walks a
@@ -21,12 +23,13 @@
    (§4.3) with the same resulting edge set.
 
    Slots are recycled through a free list. Each recycling increments
-   the slot's generation word (mod [gen_limit]); a handle remembers
-   the generation it was allocated under, so [validate] can prove that
-   no live handle aliases a recycled slot. Liveness itself is the
-   handle's [dead] flag — exact, set once by [remove_node], and immune
-   to generation-word wraparound. The one reader that trusts the
-   generation word is [of_arena_id], which the settle heaps use to
+   the slot's generation word (mod [gen_limit]). A handle holds its
+   arena id — its slot above the generation word it was allocated
+   under — and [remove_node] complements it, so liveness is the id's
+   sign: exact, set once, and immune to generation-word wraparound. A
+   free slot waits on the free list as the arena id its next node gets,
+   so the arena keeps no generation array. The one reader that trusts
+   the generation word is [of_arena_id], which the settle heaps use to
    resolve the ints they store: an id taken before the slot was
    recycled resolves to nothing until the word wraps.
 
@@ -36,29 +39,28 @@
 
 (* Generation words wrap at 2^16: small enough that the wraparound
    path is testable (test_depgraph recycles one slot past the limit),
-   and wide enough that [validate]'s alias cross-check stays
-   overwhelmingly effective, and that a stale heap entry names the
-   slot's current node only after 2^16 recyclings of that slot. *)
+   and wide enough that a stale heap entry names the slot's current
+   node only after 2^16 recyclings of that slot. *)
 let gen_bits = 16
 let gen_limit = 1 lsl gen_bits
 
 type 'a node = {
   id : int; (* unique for the graph's lifetime, never recycled *)
-  slot : int; (* arena index; recycled through the free list *)
-  gen : int; (* the slot's generation word at allocation *)
+  mutable aid : int;
+      (* the arena id: the slot (recycled through the free list) above
+         the slot's generation word at allocation. [remove_node]
+         complements it, so a removed node's id is negative. *)
   payload : 'a;
   owner : 'a t;
   mutable order : Order_list.item;
-  mutable dead : bool;
-  (* adjacency: parallel flat int arrays, entries [0 .. *_n - 1] live.
-     succ entry i = (succ_node.(i) : dst slot,
-                     succ_twin.(i) : index of the twin entry in dst's
-                     pred arrays); symmetrically for pred entries. *)
-  mutable succ_node : int array;
-  mutable succ_twin : int array;
+  (* adjacency: one flat int array per direction, two ints per entry,
+     entries [0 .. *_n - 1] live. Succ entry i is
+     (succ.(2i) : dst slot,
+      succ.(2i+1) : index of the twin entry in dst's pred array);
+     symmetrically for pred entries. *)
+  mutable succ : int array;
   mutable succ_n : int;
-  mutable pred_node : int array;
-  mutable pred_twin : int array;
+  mutable pred : int array;
   mutable pred_n : int;
   (* execution stamp of the consumer that most recently recorded an edge
      from this node; suppresses duplicate edges within one execution *)
@@ -71,11 +73,12 @@ and 'a t = {
       (* bumped whenever a live node's [order_key] may have moved: an
          order-list relabel, [reorder_before], a Pearce–Kelly permute *)
   mutable next_id : int;
-  (* the arena: slot-indexed flat arrays, grown by doubling *)
-  mutable handles : 'a node option array; (* slot -> live handle *)
-  mutable gens : int array; (* slot -> current generation word *)
+  (* the arena: a slot-indexed array, grown by doubling *)
+  mutable handles : 'a node array; (* slot -> live handle, or [vacant] *)
   mutable slots : int; (* high-water mark of slots ever used *)
-  mutable free : int list; (* recycled slots *)
+  mutable free : int list;
+      (* recycled slots, each as the arena id its next node gets: the
+         slot above its next generation word *)
   mutable live_nodes : int;
   mutable live_edges : int;
   mutable total_nodes : int;
@@ -89,7 +92,6 @@ let create () =
     epoch = 0;
     next_id = 0;
     handles = [||];
-    gens = [||];
     slots = 0;
     free = [];
     live_nodes = 0;
@@ -100,39 +102,54 @@ let create () =
   }
 
 let[@inline never] removed who = invalid_arg (who ^ ": removed dependency graph node")
-let[@inline] check_alive who n = if n.dead then removed who
+let[@inline] dead n = n.aid < 0
+
+(* The arena id of a live node, or the one a removed node had. *)
+let[@inline] aid n = n.aid lxor (n.aid asr (Sys.int_size - 1))
+
+(* The slot of a live node. *)
+let[@inline] slot_of n = n.aid lsr gen_bits
+let[@inline] check_alive who n = if dead n then removed who
+
+(* A vacant arena slot holds this immediate in place of a node; it is
+   compared with [==] and never dereferenced. So the arena holds its
+   handles without option cells, and [of_arena_id] resolves one
+   allocating nothing. *)
+let[@inline] vacant () : 'a node = Obj.magic 0
+let[@inline] is_vacant n = n == vacant ()
 
 (* Resolve a slot to its live handle. Adjacency entries never hold a
    freed slot (every incident edge is detached before the slot is
    recycled), so the lookup cannot miss. *)
 let[@inline] handle t s =
-  match t.handles.(s) with Some n -> n | None -> assert false
+  let n = t.handles.(s) in
+  assert (not (is_vacant n));
+  n
 
 let grow_arena t =
-  let cap = Array.length t.gens in
+  let cap = Array.length t.handles in
   let cap' = if cap = 0 then 64 else 2 * cap in
-  let handles = Array.make cap' None in
+  let handles = Array.make cap' (vacant ()) in
   Array.blit t.handles 0 handles 0 cap;
-  t.handles <- handles;
-  let gens = Array.make cap' 0 in
-  Array.blit t.gens 0 gens 0 cap;
-  t.gens <- gens
+  t.handles <- handles
 
-let alloc_slot t =
+(* The arena id of a fresh node: a recycled slot under its next
+   generation word, or a never-used slot under word 0. *)
+let alloc_aid t =
   match t.free with
-  | s :: rest ->
+  | a :: rest ->
     t.free <- rest;
-    s
+    a
   | [] ->
     let s = t.slots in
-    if s = Array.length t.gens then grow_arena t;
+    if s = Array.length t.handles then grow_arena t;
     t.slots <- s + 1;
-    s
+    s lsl gen_bits
 
 let empty_ints : int array = [||]
 
 let mk_node t order payload =
-  let slot = alloc_slot t in
+  let aid = alloc_aid t in
   let id = t.next_id in
   t.next_id <- id + 1;
   t.live_nodes <- t.live_nodes + 1;
@@ -140,22 +157,18 @@ let mk_node t order payload =
   let n =
     {
       id;
-      slot;
-      gen = t.gens.(slot);
+      aid;
       payload;
       owner = t;
       order;
-      dead = false;
-      succ_node = empty_ints;
-      succ_twin = empty_ints;
+      succ = empty_ints;
       succ_n = 0;
-      pred_node = empty_ints;
-      pred_twin = empty_ints;
+      pred = empty_ints;
       pred_n = 0;
       last_stamp = -1;
     }
   in
-  t.handles.(slot) <- Some n;
+  t.handles.(aid lsr gen_bits) <- n;
   n
 
 (* An order insertion that relabeled moved other items' tags: a new
@@ -183,22 +196,22 @@ let add_node_before t ~order_before payload =
 
 let[@inline] payload n = n.payload
 let id n = n.id
-let[@inline] slot n = n.slot
-let generation n = n.gen
+let slot n = aid n lsr gen_bits
+let generation n = aid n land (gen_limit - 1)
 
 (* A handle as one int, for the settle heaps: slot above the generation
    word. It resolves only while the slot holds the node allocated under
-   that word; [Some n as h] hands back the arena's own option cell, so
-   resolving allocates nothing. *)
-let[@inline] arena_id n = (n.slot lsl gen_bits) lor n.gen
+   that word. *)
+let[@inline] arena_id n = aid n
 
 let[@inline] of_arena_id t x =
   let s = x lsr gen_bits in
-  if s >= t.slots then None
+  if s >= t.slots then raise_notrace Not_found
   else
-    match Array.unsafe_get t.handles s with
-    | Some n as h when n.gen = x land (gen_limit - 1) -> h
-    | Some _ | None -> None
+    let n = Array.unsafe_get t.handles s in
+    if is_vacant n || n.aid <> x then
+      raise_notrace Not_found
+    else n
 
 let order_lt u v = Order_list.lt u.order v.order
 let[@inline] order_key n = Order_list.tag n.order
@@ -214,37 +227,35 @@ let reorder_before u v =
 
 (* ---- adjacency primitives ---------------------------------------- *)
 
-let ensure_succ n =
-  if n.succ_n = Array.length n.succ_node then begin
-    let cap = if n.succ_n = 0 then 4 else 2 * n.succ_n in
-    let nn = Array.make cap 0 and nt = Array.make cap 0 in
-    Array.blit n.succ_node 0 nn 0 n.succ_n;
-    Array.blit n.succ_twin 0 nt 0 n.succ_n;
-    n.succ_node <- nn;
-    n.succ_twin <- nt
-  end
+(* Entry [i] of an adjacency array: the other endpoint's slot at [2i],
+   the twin entry's index at [2i+1]. *)
+let[@inline] other a i = Array.unsafe_get a (2 * i)
+let[@inline] twin a i = Array.unsafe_get a ((2 * i) + 1)
 
-let ensure_pred n =
-  if n.pred_n = Array.length n.pred_node then begin
-    let cap = if n.pred_n = 0 then 4 else 2 * n.pred_n in
-    let nn = Array.make cap 0 and nt = Array.make cap 0 in
-    Array.blit n.pred_node 0 nn 0 n.pred_n;
-    Array.blit n.pred_twin 0 nt 0 n.pred_n;
-    n.pred_node <- nn;
-    n.pred_twin <- nt
+let[@inline] set_entry a i s tw =
+  Array.unsafe_set a (2 * i) s;
+  Array.unsafe_set a ((2 * i) + 1) tw
+
+(* An array with room for one more entry than [n] live ones: the first
+   holds 2 entries, then capacity doubles. *)
+let grown a n =
+  if 2 * n < Array.length a then a
+  else begin
+    let a' = Array.make (if n = 0 then 4 else 4 * n) 0 in
+    Array.blit a 0 a' 0 (2 * n);
+    a'
   end
 
 (* Swap-remove successor entry [k] of [u]: the last entry moves into
    [k], and its twin backpointer — held in the moved edge's destination
-   pred arrays — is repointed at the new position. O(1). Must not be
+   pred array — is repointed at the new position. O(1). Must not be
    used while iterating [u]'s successors. *)
 let remove_succ_entry t u k =
   let last = u.succ_n - 1 in
   if k <> last then begin
-    let ms = u.succ_node.(last) and mt = u.succ_twin.(last) in
-    u.succ_node.(k) <- ms;
-    u.succ_twin.(k) <- mt;
-    (handle t ms).pred_twin.(mt) <- k
+    let ms = other u.succ last and mt = twin u.succ last in
+    set_entry u.succ k ms mt;
+    Array.unsafe_set (handle t ms).pred ((2 * mt) + 1) k
   end;
   u.succ_n <- last
 
@@ -253,10 +264,9 @@ let remove_succ_entry t u k =
 let remove_pred_entry t u k =
   let last = u.pred_n - 1 in
   if k <> last then begin
-    let ms = u.pred_node.(last) and mt = u.pred_twin.(last) in
-    u.pred_node.(k) <- ms;
-    u.pred_twin.(k) <- mt;
-    (handle t ms).succ_twin.(mt) <- k
+    let ms = other u.pred last and mt = twin u.pred last in
+    set_entry u.pred k ms mt;
+    Array.unsafe_set (handle t ms).succ ((2 * mt) + 1) k
   end;
   u.pred_n <- last
 
@@ -266,16 +276,14 @@ let add_edge ~stamp ~src ~dst =
   if src.last_stamp <> stamp then begin
     src.last_stamp <- stamp;
     let t = src.owner in
-    ensure_succ src;
-    ensure_pred dst;
+    let si = src.succ_n and pi = dst.pred_n in
+    src.succ <- grown src.succ si;
+    dst.pred <- grown dst.pred pi;
     (* the succ entry's twin is the pred position about to be filled,
        and vice versa *)
-    let si = src.succ_n and pi = dst.pred_n in
-    src.succ_node.(si) <- dst.slot;
-    src.succ_twin.(si) <- pi;
+    set_entry src.succ si (slot_of dst) pi;
     src.succ_n <- si + 1;
-    dst.pred_node.(pi) <- src.slot;
-    dst.pred_twin.(pi) <- si;
+    set_entry dst.pred pi (slot_of src) si;
     dst.pred_n <- pi + 1;
     t.live_edges <- t.live_edges + 1;
     t.total_edges <- t.total_edges + 1
@@ -283,14 +291,14 @@ let add_edge ~stamp ~src ~dst =
 
 (* Detach preds [k, pred_n) of [n]. A source may hold two edges to [n]
    (the stamp dedups only until a nested execution re-stamps it): a
-   swap-remove on its successor arrays then repoints the other edge's
-   twin in [n]'s pred arrays, which this loop reads afresh. *)
+   swap-remove on its successor array then repoints the other edge's
+   twin in [n]'s pred array, which this loop reads afresh. *)
 let truncate_preds t n k =
   check_alive "Graph.truncate_preds" n;
   let m = n.pred_n - k in
   if m > 0 then begin
     for i = k to n.pred_n - 1 do
-      remove_succ_entry t (handle t n.pred_node.(i)) n.pred_twin.(i)
+      remove_succ_entry t (handle t (other n.pred i)) (twin n.pred i)
     done;
     n.pred_n <- k;
     t.live_edges <- t.live_edges - m;
@@ -306,7 +314,7 @@ let clear_preds t n = truncate_preds t n 0
 let[@inline] reread ~stamp ~src ~dst at =
   check_alive "Graph.reread" src;
   if src.last_stamp = stamp then `Repeat
-  else if at >= 0 && at < dst.pred_n && Array.unsafe_get dst.pred_node at = src.slot
+  else if at >= 0 && at < dst.pred_n && other dst.pred at = slot_of src
   then begin
     src.last_stamp <- stamp;
     `Reread
@@ -316,13 +324,13 @@ let[@inline] reread ~stamp ~src ~dst at =
 let pred_at n i =
   check_alive "Graph.pred_at" n;
   if i < 0 || i >= n.pred_n then invalid_arg "Graph.pred_at: index out of range";
-  handle n.owner n.pred_node.(i)
+  handle n.owner (other n.pred i)
 
 let clear_succs t n =
   let k = n.succ_n in
   if k > 0 then begin
     for i = 0 to k - 1 do
-      remove_pred_entry t (handle t n.succ_node.(i)) n.succ_twin.(i)
+      remove_pred_entry t (handle t (other n.succ i)) (twin n.succ i)
     done;
     n.succ_n <- 0;
     t.live_edges <- t.live_edges - k;
@@ -334,30 +342,32 @@ let remove_node t n =
   clear_preds t n;
   clear_succs t n;
   Order_list.delete n.order;
-  n.dead <- true;
+  let a = n.aid in
+  n.aid <- lnot a;
   (* recycle the slot under a fresh generation word *)
-  t.handles.(n.slot) <- None;
-  t.gens.(n.slot) <- (t.gens.(n.slot) + 1) mod gen_limit;
-  t.free <- n.slot :: t.free;
+  t.handles.(a lsr gen_bits) <- vacant ();
+  t.free <- (a land lnot (gen_limit - 1)) lor ((a + 1) land (gen_limit - 1))
+            :: t.free;
   t.live_nodes <- t.live_nodes - 1
 
 let iter_succ f n =
   check_alive "Graph.iter_succ" n;
   let t = n.owner in
   for i = 0 to n.succ_n - 1 do
-    f (handle t n.succ_node.(i))
+    f (handle t (other n.succ i))
   done
 
 let iter_nodes f t =
   for s = t.slots - 1 downto 0 do
-    match t.handles.(s) with Some n -> f n | None -> ()
+    let n = t.handles.(s) in
+    if not (is_vacant n) then f n
   done
 
 let iter_pred f n =
   check_alive "Graph.iter_pred" n;
   let t = n.owner in
   for i = 0 to n.pred_n - 1 do
-    f (handle t n.pred_node.(i))
+    f (handle t (other n.pred i))
   done
 
 (* The forwarding loop's accessors, inlined into it. A removed node has
@@ -367,11 +377,11 @@ let[@inline never] succ_out_of_range who = invalid_arg (who ^ ": index out of ra
 
 let[@inline] succ_at n i =
   if i < 0 || i >= n.succ_n then succ_out_of_range "Graph.succ_at";
-  handle n.owner (Array.unsafe_get n.succ_node i)
+  handle n.owner (other n.succ i)
 
 let[@inline] succ_pred_index n i =
   if i < 0 || i >= n.succ_n then succ_out_of_range "Graph.succ_pred_index";
-  Array.unsafe_get n.succ_twin i
+  twin n.succ i
 
 let[@inline] succ_count n = n.succ_n
 let pred_count n = n.pred_n
@@ -452,37 +462,44 @@ let validate t =
   Order_list.validate t.order_list;
   if t.live_nodes < 0 || t.live_edges < 0 then
     failwith "Graph.validate: negative live counts";
-  (* arena coherence: every live handle sits in its own slot under the
-     slot's current generation word, with twin-symmetric adjacency *)
+  (* arena coherence: every live handle sits in its own slot, every
+     other slot below the high-water mark is on the free list once, and
+     adjacency is twin-symmetric *)
   let live = ref 0 and edges = ref 0 in
+  let free = Array.make t.slots false in
+  List.iter
+    (fun a ->
+      let s = a lsr gen_bits in
+      if s >= t.slots || not (is_vacant t.handles.(s)) then
+        failwith "Graph.validate: a free slot holds a handle";
+      if free.(s) then failwith "Graph.validate: a slot freed twice";
+      free.(s) <- true)
+    t.free;
   for s = 0 to t.slots - 1 do
-    match t.handles.(s) with
-    | None -> ()
-    | Some n ->
+    let n = t.handles.(s) in
+    if is_vacant n then begin
+      if not free.(s) then failwith "Graph.validate: a vacant slot not free"
+    end
+    else begin
       incr live;
-      if n.dead then failwith "Graph.validate: dead handle in arena";
-      if n.slot <> s then failwith "Graph.validate: handle in a foreign slot";
-      if n.gen <> t.gens.(s) then
-        failwith "Graph.validate: live handle under a stale generation word";
+      if dead n then failwith "Graph.validate: dead handle in arena";
+      if slot_of n <> s then failwith "Graph.validate: handle in a foreign slot";
       for i = 0 to n.succ_n - 1 do
         incr edges;
-        let d = handle t n.succ_node.(i) in
-        let tp = n.succ_twin.(i) in
-        if
-          tp >= d.pred_n
-          || d.pred_node.(tp) <> n.slot
-          || d.pred_twin.(tp) <> i
+        let d = handle t (other n.succ i) in
+        let tp = twin n.succ i in
+        if tp < 0 || tp >= d.pred_n || other d.pred tp <> s
+           || twin d.pred tp <> i
         then failwith "Graph.validate: broken succ/pred twin symmetry"
       done;
       for i = 0 to n.pred_n - 1 do
-        let sr = handle t n.pred_node.(i) in
-        let tp = n.pred_twin.(i) in
-        if
-          tp >= sr.succ_n
-          || sr.succ_node.(tp) <> n.slot
-          || sr.succ_twin.(tp) <> i
+        let sr = handle t (other n.pred i) in
+        let tp = twin n.pred i in
+        if tp < 0 || tp >= sr.succ_n || other sr.succ tp <> s
+           || twin sr.succ tp <> i
         then failwith "Graph.validate: broken pred/succ twin symmetry"
       done
+    end
   done;
   if !live <> t.live_nodes then
     failwith "Graph.validate: live-node count disagrees with the arena";

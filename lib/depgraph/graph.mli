@@ -7,19 +7,21 @@
     {!Order_list} item giving its approximate topological priority, read
     as an int by {!order_key} and versioned by {!order_epoch}.
 
-    Representation: nodes live in a slot {e arena} — flat growable arrays
-    indexed by a small integer slot — and adjacency is flat parallel [int]
-    arrays of twinned entries rather than linked edge records. Position [i]
-    of [u]'s successor arrays names [v]'s slot together with the index [j]
-    of the twin entry in [v]'s predecessor arrays, and vice versa; removal
-    is swap-remove with a twin-backpointer fixup, so removing an edge
-    costs O(1) (§9.2: "the O(1) cost of removing each edge can be charged
-    to the edge creation"). A re-execution whose reads repeat removes and
-    adds none: see {!reread}.
+    Representation: nodes live in a slot {e arena} — a flat growable array
+    indexed by a small integer slot — and adjacency is one flat [int]
+    array per direction of twinned two-int entries rather than linked
+    edge records. Entry [i] of [u]'s successor array names [v]'s slot
+    together with the index [j] of the twin entry in [v]'s predecessor
+    array, and vice versa; removal is swap-remove with a
+    twin-backpointer fixup, so removing an edge costs O(1) (§9.2: "the
+    O(1) cost of removing each edge can be charged to the edge
+    creation"). A re-execution whose reads repeat removes and adds
+    none: see {!reread}.
 
     Slots are recycled under a {e generation word} (see {!generation});
-    handle liveness is an exact per-node flag, so generation wraparound
-    cannot resurrect a removed node.
+    handle liveness is exact (a removed handle's arena id is
+    complemented), so generation wraparound cannot resurrect a removed
+    node.
 
     Duplicate suppression: within a single execution of a consumer, repeated
     accesses to the same source create only one edge, deduplicated by an
@@ -73,10 +75,9 @@ val slot : 'a node -> int
 val generation : 'a node -> int
 (** The generation word of the node's slot at allocation. Each recycling of
     a slot increments the slot's generation modulo {!gen_limit}, letting
-    {!validate} prove no live handle aliases a recycled slot, and
     {!of_arena_id} tell a recycled slot's new node from the one an id was
-    taken from. Wraparound is benign for handles: liveness is tracked by
-    an exact per-node flag. *)
+    taken from. Wraparound is benign for handles: liveness is tracked
+    exactly, per node. *)
 
 val gen_limit : int
 (** Generation words live in [0 .. gen_limit - 1] (currently [2^16]). *)
@@ -85,11 +86,11 @@ val arena_id : 'a node -> int
 (** The node's slot and generation word packed in one non-negative int:
     the settle heaps store this instead of a pointer. *)
 
-val of_arena_id : 'a t -> int -> 'a node option
-(** The live node an {!arena_id} names, or [None] once that node is
-    removed — also after its slot was recycled, until the slot's
-    generation word wraps around to the same value ({!gen_limit}
-    recyclings). No allocation. *)
+val of_arena_id : 'a t -> int -> 'a node
+(** The live node an {!arena_id} names. No allocation.
+    @raise Not_found once that node is removed — also after its slot
+    was recycled, until the slot's generation word wraps around to the
+    same value ({!gen_limit} recyclings). *)
 
 val order_lt : 'a node -> 'a node -> bool
 (** Priority comparison: [order_lt u v] iff [u] drains before [v]. *)
@@ -138,7 +139,7 @@ val add_edge : stamp:int -> src:'a node -> dst:'a node -> unit
 
 val clear_preds : 'a t -> 'a node -> unit
 (** Removes every incoming edge of the node ([RemovePredEdges]) by
-    swap-remove on each source's successor arrays. O(1) per edge, no
+    swap-remove on each source's successor array. O(1) per edge, no
     allocation. *)
 
 (** {1 Re-reading}
@@ -213,4 +214,5 @@ val stats : 'a t -> stats
 
 val validate : 'a t -> unit
 (** Internal invariant check for tests: twin symmetry of the flat
-    adjacency, arena/handle/generation coherence, counts, order. *)
+    adjacency, arena coherence (each live handle in its own slot, each
+    vacant slot on the free list once), counts, order. *)

@@ -8,44 +8,40 @@
    geometrically with i (overflow threshold T = 3/2); the occupants are then
    spread uniformly across the range. This gives amortized O(log n)
    insertion (Bender et al., "Two simplified algorithms for maintaining
-   order in a list", ESA 2002). *)
+   order in a list", ESA 2002).
 
+   The list is circular through the base item: the last item's [next]
+   is the base, and the base's [prev] is the last item, so an item is
+   four fields with no option cells, and the list keeps no pointer to
+   its last item. A deleted item links to itself, which no live item
+   but a lone base does; that self-link is the liveness test. *)
 type item = {
   mutable tag : int;
-  mutable prev : item option;
-  mutable next : item option;
-  mutable alive : bool;
+  mutable prev : item;
+  mutable next : item;
   owner : t;
 }
 
 and t = {
-  mutable first : item option; (* base item; set once at creation *)
-  mutable last_item : item option;
+  first : item; (* the base item *)
   mutable size : int;
   mutable relabels : int;
 }
 
 let max_tag = 1 lsl 60
 
-let base t =
-  match t.first with
-  | Some b -> b
-  | None -> assert false
-
-let last t =
-  match t.last_item with
-  | Some b -> b
-  | None -> assert false
+let base t = t.first
+let last t = t.first.prev
 
 let create () =
-  let rec t = { first = None; last_item = None; size = 1; relabels = 0 }
-  and b = { tag = 0; prev = None; next = None; alive = true; owner = t } in
-  t.first <- Some b;
-  t.last_item <- Some b;
+  let rec t = { first = b; size = 1; relabels = 0 }
+  and b = { tag = 0; prev = b; next = b; owner = t } in
   t
 
+let deleted x = x.next == x && x != x.owner.first
+
 let check_alive who x =
-  if not x.alive then invalid_arg (who ^ ": deleted order item")
+  if deleted x then invalid_arg (who ^ ": deleted order item")
 
 let compare a b =
   check_alive "Order_list.compare" a;
@@ -85,14 +81,14 @@ let relabel t x =
     if width > max_tag then failwith "Order_list: tag space exhausted";
     let start = x.tag - (x.tag mod width) in
     let stop = start + width in
-    let rec back lm = function
-      | Some p when p.tag >= start -> back p p.prev
-      | _ -> lm
+    (* the base item has no predecessor, and the walk forward stops
+       where the list wraps around to it *)
+    let rec back lm =
+      if lm != t.first && lm.prev.tag >= start then back lm.prev else lm
     in
-    let leftmost = back x x.prev in
-    let rec count acc = function
-      | Some n when n.tag < stop -> count (acc + 1) n.next
-      | _ -> acc
+    let leftmost = back x in
+    let rec count acc n =
+      if n != t.first && n.tag < stop then count (acc + 1) n.next else acc
     in
     let n = count 1 leftmost.next in
     (* density threshold: overflow iff n >= width / T^i with T = 3/2,
@@ -115,7 +111,7 @@ let relabel t x =
   let rec assign k it =
     if k <= n then begin
       it.tag <- start + (k * gap);
-      match it.next with Some nx -> assign (k + 1) nx | None -> ()
+      assign (k + 1) it.next
     end
   in
   assign 1 leftmost;
@@ -125,49 +121,40 @@ let insert_after x =
   check_alive "Order_list.insert_after" x;
   let t = x.owner in
   let gap_to_next () =
-    match x.next with Some n -> n.tag - x.tag | None -> max_tag - x.tag
+    if x.next == t.first then max_tag - x.tag else x.next.tag - x.tag
   in
   if gap_to_next () < 2 then relabel t x;
   let gap = gap_to_next () in
   assert (gap >= 2);
-  let it =
-    { tag = x.tag + (gap / 2); prev = Some x; next = x.next; alive = true;
-      owner = t }
-  in
-  (match x.next with Some n -> n.prev <- Some it | None -> t.last_item <- Some it);
-  x.next <- Some it;
+  let it = { tag = x.tag + (gap / 2); prev = x; next = x.next; owner = t } in
+  x.next.prev <- it;
+  x.next <- it;
   t.size <- t.size + 1;
   it
 
 let insert_before x =
   check_alive "Order_list.insert_before" x;
-  match x.prev with
-  | None -> invalid_arg "Order_list.insert_before: base item"
-  | Some p -> insert_after p
+  if x == x.owner.first then invalid_arg "Order_list.insert_before: base item";
+  insert_after x.prev
 
 let delete x =
   check_alive "Order_list.delete" x;
-  (match x.prev with
-  | None -> invalid_arg "Order_list.delete: base item"
-  | Some _ -> ());
-  (match x.prev with Some p -> p.next <- x.next | None -> ());
-  (match x.next with Some n -> n.prev <- x.prev | None -> x.owner.last_item <- x.prev);
-  x.alive <- false;
+  if x == x.owner.first then invalid_arg "Order_list.delete: base item";
+  x.prev.next <- x.next;
+  x.next.prev <- x.prev;
+  x.next <- x;
+  x.prev <- x;
   x.owner.size <- x.owner.size - 1
 
 let validate t =
-  let rec go count = function
-    | None -> count
-    | Some it ->
-      if not it.alive then failwith "Order_list.validate: dead item linked";
-      (match it.next with
-      | Some n ->
-        if n.tag <= it.tag then failwith "Order_list.validate: tags not increasing";
-        (match n.prev with
-        | Some p when p == it -> ()
-        | _ -> failwith "Order_list.validate: broken back link")
-      | None -> ());
+  let rec go count it =
+    if it.next.prev != it then failwith "Order_list.validate: broken back link";
+    if it.next == t.first then count
+    else begin
+      if it.next.tag <= it.tag then
+        failwith "Order_list.validate: tags not increasing";
       go (count + 1) it.next
+    end
   in
-  let n = go 0 t.first in
+  let n = go 1 t.first in
   if n <> t.size then failwith "Order_list.validate: size mismatch"

@@ -48,6 +48,8 @@ let name_of_cell (c, r) =
   in
   letters c "" ^ string_of_int (r + 1)
 
+let max_coord = (1 lsl 31) - 1
+
 let pp_range ppf { c0; r0; c1; r1 } =
   Fmt.pf ppf "%s:%s" (name_of_cell (c0, r0)) (name_of_cell (c1, r1))
 
@@ -181,11 +183,16 @@ let tokenize src =
         let col =
           let v = ref 0 in
           for k = 0 to !letters - 1 do
-            v := (!v * 26) + (Char.code word.[k] - Char.code 'A' + 1)
+            v := (!v * 26) + (Char.code word.[k] - Char.code 'A' + 1);
+            if !v > max_coord + 1 then fail "column out of range in %S" word
           done;
           !v - 1
         in
-        let row = int_of_string rest - 1 in
+        let row =
+          match int_of_string_opt rest with
+          | Some r when r <= max_coord + 1 -> r - 1
+          | Some _ | None -> fail "row out of range in %S" word
+        in
         if row < 0 then fail "bad row in %S" word;
         emit (TCell (col, row))
       end

@@ -31,6 +31,10 @@ type expr =
 val name_of_cell : int * int -> string
 (** [(0,0)] is ["A1"]; [(27,11)] is ["AB12"]. *)
 
+val max_coord : int
+(** Columns and rows run from 0 to [max_coord] ([2^31 - 1]); {!parse}
+    rejects a reference beyond. *)
+
 (** {1 Printing} *)
 
 val pp : Format.formatter -> expr -> unit

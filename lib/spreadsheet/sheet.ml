@@ -11,14 +11,11 @@
 
     Evaluation strategy and cycles: under the default [Demand] strategy a
     dirty cluster re-executes by nested calls, so a circular reference is
-    always caught re-entrantly and reported as [Error Cycle], matching
-    {!exhaustive_value}. Under [Eager] evaluation the propagator
-    re-executes dirty cells one at a time against cached neighbor values;
-    on a {e cyclic} sheet this iteration can quiesce at a consistent
-    fixpoint of the circular equations instead of reporting an error (the
-    paper's model assumes acyclic dependencies — its DET restriction —
-    so this is outside its contract). Use [Demand] if your sheets may be
-    cyclic. *)
+    caught re-entrantly. Under [Eager] evaluation the propagator
+    re-executes dirty cells one at a time against cached neighbor
+    values; the engine finds a cycle there by the read that runs against
+    its drain order. Either way the read raises [Engine.Cycle], which
+    the cell turns into [Error Cycle], matching {!exhaustive_value}. *)
 
 module Engine = Alphonse.Engine
 module Var = Alphonse.Var
@@ -66,8 +63,9 @@ type cell = { content : content Var.t }
 type t = {
   eng : Engine.t;
   cells : (int * int, cell) Hashtbl.t;
-  mutable value_fn : (int * int, value) Func.t option;
-      (** always [Some] after {!create}; option only ties the recursive
+  mutable value_fn : (int, value) Func.t option;
+      (** keyed by {!key}, so a read in a range builds no tuple; always
+          [Some] after {!create}, the option only ties the recursive
           knot between the function and the sheet record *)
   mutable journal : (Alphonse.Json.t -> unit) option;
       (** durability hook: every edit is announced here (write-ahead)
@@ -85,7 +83,7 @@ let the_fn t =
    exhaustive oracle (reader = recursive recomputation).               *)
 (* ------------------------------------------------------------------ *)
 
-let eval_with read_cell expr =
+let eval_with (read_cell : int -> int -> value) expr =
   let rec eval expr =
     let num v k =
       match v with
@@ -95,7 +93,7 @@ let eval_with read_cell expr =
     in
     match expr with
     | F.Num x -> Num x
-    | F.Cell (c, r) -> read_cell (c, r)
+    | F.Cell (c, r) -> read_cell c r
     | F.Neg e -> num (eval e) (fun x -> Num (-.x))
     | F.Fn1 (f, e) ->
       num (eval e) (fun x ->
@@ -132,7 +130,7 @@ let eval_with read_cell expr =
       let lo = ref infinity and hi = ref neg_infinity in
       for c = c0 to c1 do
         for r = r0 to r1 do
-          match read_cell (c, r) with
+          match read_cell c r with
           | Empty -> ()
           | Num x ->
             incr n;
@@ -173,30 +171,34 @@ let cell_at t (c, r) =
     Hashtbl.add t.cells (c, r) cell;
     cell
 
-(* The argument table's key functions: a cell read is a call keyed by
-   its coordinate, and these answer it without a polymorphic hash or
-   compare. *)
-let coord_hash (c, r) = Alphonse.Htbl.hash_int ((c lsl 24) lxor r)
-let coord_equal ((c, r) : int * int) (c', r') = c = c' && r = r'
+(* A cell read is a call keyed by its coordinate packed in one int,
+   column above row, so the argument table hashes and compares an
+   immediate. *)
+let[@inline] key c r =
+  if (c lor r) lsr 31 <> 0 then
+    Fmt.invalid_arg "Sheet: cell (%d, %d) out of range" c r;
+  (c lsl 31) lor r
+
+let coord_of_key k = (k lsr 31, k land F.max_coord)
 
 let create ?strategy ?partitioning () =
   let eng = Engine.create ?default_strategy:strategy ?partitioning () in
   let t = { eng; cells = Hashtbl.create 64; value_fn = None; journal = None } in
   (* the CellExp operation: read another cell's maintained value,
      converting a detected dependency cycle into an error value *)
-  let read_cell coord =
-    match Func.call (the_fn t) coord with
+  let read_cell c r =
+    match Func.call (the_fn t) (key c r) with
     | v -> v
     | exception Engine.Cycle _ -> Error Cycle
     | exception Engine.Poisoned _ -> Error (Fault "poisoned")
   in
   t.value_fn <-
     Some
-      (Func.create eng ~name:"cell-value" ~hash_arg:coord_hash
-         ~equal_arg:coord_equal
-         ~pp_key:(fun coord -> F.name_of_cell coord)
-         (fun _self coord ->
-           match Var.get (cell_at t coord).content with
+      (Func.create eng ~name:"cell-value" ~hash_arg:Alphonse.Htbl.hash_int
+         ~equal_arg:Int.equal
+         ~pp_key:(fun k -> F.name_of_cell (coord_of_key k))
+         (fun _self k ->
+           match Var.get (cell_at t (coord_of_key k)).content with
            | Blank -> Empty
            | Const x -> Num x
            | Formula (e, _) -> eval_with read_cell e
@@ -273,16 +275,16 @@ let clear t coord = put t coord ~raw:"" Blank
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let value t coord =
-  match Func.call (the_fn t) coord with
+let value t (c, r) =
+  match Func.call (the_fn t) (key c r) with
   | v -> v
   | exception Engine.Cycle _ -> Error Cycle
   | exception Engine.Poisoned _ -> Error (Fault "poisoned")
 
 (* A poisoned cell instance keeps reporting [#ERR!] until the UI asks
    for a fresh attempt; this is that ask (e.g. bound to F9). *)
-let clear_fault t coord =
-  match Func.node (the_fn t) coord with
+let clear_fault t (c, r) =
+  match Func.node (the_fn t) (key c r) with
   | Some n when Engine.poisoned t.eng n -> Engine.clear_poison t.eng n
   | _ -> ()
 
@@ -368,7 +370,9 @@ let exhaustive_value t coord =
         | Blank -> Empty
         | Const x -> Num x
         | Invalid (_, msg) -> Error (Parse msg)
-        | Formula (e, _) -> eval_with (cell_value (coord :: seen)) e)
+        | Formula (e, _) ->
+          let seen = coord :: seen in
+          eval_with (fun c r -> cell_value seen (c, r)) e)
   in
   cell_value [] coord
 

@@ -4,10 +4,8 @@
 
     Editing a cell re-executes exactly the instances that (transitively)
     referenced it. Circular references are surfaced as [Error Cycle]
-    values; under the default [Demand] strategy this matches
-    {!exhaustive_value} exactly, while [Eager] evaluation on a cyclic
-    sheet may instead quiesce at a consistent fixpoint of the circular
-    equations (outside the paper's DET contract — see DESIGN.md). *)
+    values, matching {!exhaustive_value} under either strategy (a cyclic
+    sheet is outside the paper's DET contract — see DESIGN.md). *)
 
 type cell_error =
   | Cycle

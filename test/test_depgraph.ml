@@ -72,27 +72,62 @@ let test_order_stress_front () =
   done;
   checkb "relabeling happened" true (Ol.relabel_count t > 0)
 
+(* Random inserts and deletes against a reference list. Inserts right
+   after the base item squeeze the front of the tag space, so relabels
+   move the base item itself; inserts before and deletes hit both ends
+   of the list; a deleted item must refuse [compare]. *)
 let test_order_random_matches_reference () =
   let rand = Random.State.make [| 42 |] in
   let t = Ol.create () in
-  (* reference: a list of item ids in order; items array *)
-  let items = ref [ Ol.base t ] in
-  for _ = 1 to 2000 do
+  let b = Ol.base t in
+  (* the reference: the items in order, the base first *)
+  let items = ref [ b ] in
+  let base_moved = ref false in
+  let rec insert_at k fresh = function
+    | [] -> [ fresh ]
+    | x :: rest -> if k = 0 then x :: fresh :: rest else x :: insert_at (k - 1) fresh rest
+  in
+  let rec remove_at k = function
+    | [] -> []
+    | x :: rest -> if k = 0 then rest else x :: remove_at (k - 1) rest
+  in
+  (* a non-base position: the first, the last, or any *)
+  let pick_end n =
+    match Random.State.int rand 3 with
+    | 0 -> 1
+    | 1 -> n - 1
+    | _ -> 1 + Random.State.int rand (n - 1)
+  in
+  for _ = 1 to 4000 do
     let n = List.length !items in
-    let i = Random.State.int rand n in
-    let anchor = List.nth !items i in
-    let fresh = Ol.insert_after anchor in
-    (* splice into reference after position i *)
-    let rec splice k = function
-      | [] -> [ fresh ]
-      | x :: rest -> if k = 0 then x :: fresh :: rest else x :: splice (k - 1) rest
-    in
-    items := splice i !items
+    (match Random.State.int rand 6 with
+    | 0 | 1 ->
+      let i = Random.State.int rand n in
+      items := insert_at i (Ol.insert_after (List.nth !items i)) !items
+    | 2 -> items := insert_at 0 (Ol.insert_after b) !items
+    | 3 when n > 1 ->
+      let i = pick_end n in
+      items := insert_at (i - 1) (Ol.insert_before (List.nth !items i)) !items
+    | 4 when n > 1 ->
+      let i = pick_end n in
+      let x = List.nth !items i in
+      Ol.delete x;
+      items := remove_at i !items;
+      Alcotest.check_raises "compare on a deleted item"
+        (Invalid_argument "Order_list.compare: deleted order item") (fun () ->
+          ignore (Ol.compare x b))
+    | _ -> items := !items @ [ Ol.insert_after (Ol.last t) ]);
+    if Ol.tag b > 0 then base_moved := true;
+    checkb "last agrees" true (Ol.last t == List.nth !items (List.length !items - 1))
   done;
   Ol.validate t;
+  checki "length" (List.length !items) (Ol.length t);
+  checkb "a relabel moved the base item" true !base_moved;
+  checkb "base still first" true (Ol.base t == b);
   let arr = Array.of_list !items in
   for k = 0 to Array.length arr - 2 do
-    checkb "reference order agrees" true (Ol.lt arr.(k) arr.(k + 1))
+    checkb "reference order agrees" true (Ol.lt arr.(k) arr.(k + 1));
+    checki "compare agrees" (-1) (Ol.compare arr.(k) arr.(k + 1))
   done
 
 (* ------------------------------------------------------------------ *)
@@ -246,8 +281,8 @@ let test_arena_swap_remove_identity () =
 
 (* One slot recycled past the generation-word limit: the word wraps
    (mod [gen_limit]) back to a previously-issued value, and liveness
-   must still be exact — it comes from the handle's dead flag, never
-   from generation equality. *)
+   must still be exact — it comes from the handle's complemented arena
+   id, never from generation equality. *)
 let test_arena_generation_rollover () =
   let g = G.create () in
   let first = G.add_node g ~order_after:None 0 in
@@ -290,19 +325,22 @@ let test_arena_ids () =
   let a = G.add_node g ~order_after:None "a" in
   let b = G.add_node g ~order_after:None "b" in
   let resolves n id =
-    match G.of_arena_id g id with Some m -> m == n | None -> false
+    match G.of_arena_id g id with m -> m == n | exception Not_found -> false
+  in
+  let resolves_none id =
+    match G.of_arena_id g id with _ -> false | exception Not_found -> true
   in
   checkb "a resolves" true (resolves a (G.arena_id a));
   checkb "b resolves" true (resolves b (G.arena_id b));
   checkb "ids differ" true (G.arena_id a <> G.arena_id b);
   let id_a = G.arena_id a and slot_a = G.slot a in
   G.remove_node g a;
-  checkb "removed: nothing" true (G.of_arena_id g id_a = None);
+  checkb "removed: nothing" true (resolves_none id_a);
   let c = G.add_node g ~order_after:None "c" in
   checki "c takes a's slot" slot_a (G.slot c);
-  checkb "recycled slot: still nothing" true (G.of_arena_id g id_a = None);
+  checkb "recycled slot: still nothing" true (resolves_none id_a);
   checkb "c resolves" true (resolves c (G.arena_id c));
-  checkb "out of range: nothing" true (G.of_arena_id g (1 lsl 40) = None);
+  checkb "out of range: nothing" true (resolves_none (1 lsl 40));
   let last = ref c in
   for _ = 1 to G.gen_limit - 1 do
     G.remove_node g !last;
@@ -714,6 +752,148 @@ let prop_graph_matches_oracle =
       done;
       !ok)
 
+(* Generated [Graph] operations against a list model: node creation
+   (after, before or at the end of the order), edges under fresh and
+   repeated stamps, re-reads at a cursor, pred truncation, node removal
+   and the slot recycling it feeds. After every step: each node's preds
+   are the model's list in read order, its succs the model's multiset,
+   [validate] passes, and every arena id resolves to its node (a
+   removed node's to nothing). A removal swap-removes the removed
+   node's entries from its successors' pred arrays, so their order is
+   the one thing the model takes from the graph. *)
+type mnode = {
+  h : int G.node;
+  mutable preds : int list; (* sources' payloads, in pred order *)
+  mutable stamp : int; (* the node's dedup stamp as a source *)
+}
+
+let prop_graph_ops_model =
+  QCheck.Test.make ~name:"graph ops agree with a list model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 60) (quad small_nat small_nat small_nat small_nat))
+    (fun ops ->
+      let g = G.create () in
+      let live : (int, mnode) Hashtbl.t = Hashtbl.create 16 in
+      let removed = ref [] (* arena ids of removed nodes *) in
+      let free = ref [] (* freed slots, the next reuse first *) in
+      let next = ref 0 and stamp = ref 0 in
+      let nodes () =
+        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) live [])
+        |> Array.of_list
+      in
+      let pick x =
+        let a = nodes () in
+        Hashtbl.find live a.(x mod Array.length a)
+      in
+      let payloads n =
+        List.init (G.pred_count n) (fun i -> G.payload (G.pred_at n i))
+      in
+      let add order =
+        let id = !next in
+        incr next;
+        let h = order id in
+        (match !free with
+        | s :: rest ->
+          if G.slot h <> s then failwith "a freed slot was not reused";
+          free := rest
+        | [] -> ());
+        Hashtbl.replace live id { h; preds = []; stamp = -1 }
+      in
+      let step (a, b, c, d) =
+        let empty = Hashtbl.length live = 0 in
+        match a mod 7 with
+        | 0 | 1 ->
+          if empty || b mod 3 = 0 then
+            add (G.add_node g ~order_after:None)
+          else if b mod 3 = 1 then
+            add (G.add_node g ~order_after:(Some (pick c).h))
+          else add (G.add_node_before g ~order_before:(pick c).h)
+        | 2 | 3 when not empty ->
+          if d mod 2 = 0 then incr stamp;
+          let src = pick b and dst = pick c in
+          G.add_edge ~stamp:!stamp ~src:src.h ~dst:dst.h;
+          if src.stamp <> !stamp then begin
+            src.stamp <- !stamp;
+            dst.preds <- dst.preds @ [ G.payload src.h ]
+          end
+        | 4 when not empty ->
+          let src = pick b and dst = pick c in
+          let at = (d mod (List.length dst.preds + 2)) - 1 in
+          let expected =
+            if src.stamp = !stamp then `Repeat
+            else if at >= 0 && List.nth_opt dst.preds at = Some (G.payload src.h)
+            then begin
+              src.stamp <- !stamp;
+              `Reread
+            end
+            else `New
+          in
+          if G.reread ~stamp:!stamp ~src:src.h ~dst:dst.h at <> expected then
+            failwith "reread disagrees with the model"
+        | 5 when not empty ->
+          let n = pick b in
+          let k = c mod (List.length n.preds + 1) in
+          G.truncate_preds g n.h k;
+          n.preds <- List.filteri (fun i _ -> i < k) n.preds
+        | 6 when not empty ->
+          let n = pick b in
+          let id = G.payload n.h in
+          removed := G.arena_id n.h :: !removed;
+          free := G.slot n.h :: !free;
+          G.remove_node g n.h;
+          Hashtbl.remove live id;
+          Hashtbl.iter
+            (fun _ m ->
+              if List.mem id m.preds then begin
+                let kept = List.filter (fun p -> p <> id) m.preds in
+                let got = payloads m.h in
+                if List.sort compare got <> List.sort compare kept then
+                  failwith "a removal left the wrong preds";
+                m.preds <- got
+              end)
+            live
+        | _ -> ()
+      in
+      let check () =
+        G.validate g;
+        let edges = ref 0 in
+        Hashtbl.iter
+          (fun id m ->
+            if payloads m.h <> m.preds then failwith "pred order differs";
+            edges := !edges + List.length m.preds;
+            let succs = ref [] in
+            G.iter_succ (fun n -> succs := G.payload n :: !succs) m.h;
+            let expected =
+              Hashtbl.fold
+                (fun v mv acc ->
+                  List.fold_left
+                    (fun acc p -> if p = id then v :: acc else acc)
+                    acc mv.preds)
+                live []
+            in
+            if List.sort compare !succs <> List.sort compare expected then
+              failwith "succ multiset differs";
+            match G.of_arena_id g (G.arena_id m.h) with
+            | n when n == m.h -> ()
+            | _ | (exception Not_found) ->
+              failwith "an arena id does not resolve to its node")
+          live;
+        List.iter
+          (fun x ->
+            match G.of_arena_id g x with
+            | _ -> failwith "a removed node's arena id resolves"
+            | exception Not_found -> ())
+          !removed;
+        let s = G.stats g in
+        if s.live_nodes <> Hashtbl.length live || s.live_edges <> !edges then
+          failwith "live counts differ"
+      in
+      List.iter
+        (fun op ->
+          step op;
+          check ())
+        ops;
+      true)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -759,7 +939,7 @@ let () =
         :: Alcotest.test_case "re-read cursor" `Quick
              test_arena_reread_cursor
         :: Alcotest.test_case "arena ids" `Quick test_arena_ids
-        :: qsuite [ prop_graph_matches_oracle ]
+        :: qsuite [ prop_graph_matches_oracle; prop_graph_ops_model ]
         @ [ Alcotest.test_case "order epoch versions keys" `Quick
               test_graph_order_epoch ] );
     ]

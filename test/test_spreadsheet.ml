@@ -80,7 +80,21 @@ let test_parse_errors () =
   checkb "unknown fn" true (bad "FOO(1)");
   checkb "unclosed" true (bad "(1+2");
   checkb "lone op" true (bad "*3");
-  checkb "bad char" true (bad "1 $ 2")
+  checkb "bad char" true (bad "1 $ 2");
+  (* coordinates run to 2^31 - 1: a cell-value instance is keyed by
+     both packed in one int *)
+  checkb "last row" false (bad "A2147483648");
+  checkb "row out of range" true (bad "A2147483649");
+  checkb "row overflows an int" true (bad "A99999999999999999999");
+  checkb "last column" false (bad "FXSHRXX1");
+  checkb "column out of range" true (bad "FXSHRXY1");
+  let s = S.create () in
+  S.set_raw s (0, F.max_coord) "3";
+  check_value "last row holds a value" (S.Num 3.) (S.value s (0, F.max_coord));
+  check_value "first row apart" S.Empty (S.value s (0, 0));
+  Alcotest.check_raises "negative row"
+    (Invalid_argument "Sheet: cell (0, -1) out of range") (fun () ->
+      ignore (S.value s (0, -1)))
 
 let test_cell_names () =
   Alcotest.(check string) "A1" "A1" (F.name_of_cell (0, 0));
@@ -266,6 +280,32 @@ let test_sheet_cycles () =
   S.set s "C1" "=A1+1";
   check_value "self recovered" (S.Num 8.) (S.value_at s "C1")
 
+(* Regression: an eager sheet closes a cycle through a range while
+   every cell of it is consistent. D2 sums A1:C3, so it reads B1; then
+   B1 := D2+0 reads D2, which is still consistent, so no execution
+   meets B1 on the call stack. The engine must still see the cycle that
+   edge closes and answer [Error Cycle] for both cells, as the
+   exhaustive evaluation does (the parent answered 0 for both). *)
+let test_eager_range_cycle () =
+  let s = S.create ~strategy:Engine.Eager () in
+  let read_all what =
+    for c = 0 to 3 do
+      for r = 0 to 3 do
+        let inc = S.value s (c, r) and ora = S.exhaustive_value s (c, r) in
+        if inc <> ora then
+          Alcotest.failf "%s: %s is %a, exhaustive %a" what
+            (F.name_of_cell (c, r)) S.pp_value inc S.pp_value ora
+      done
+    done
+  in
+  read_all "empty sheet";
+  S.set s "D2" "=SUM(A1:C3)";
+  read_all "after D2";
+  S.set s "B1" "=D2+0";
+  read_all "after B1";
+  check_value "B1" (S.Error S.Cycle) (S.value_at s "B1");
+  check_value "D2" (S.Error S.Cycle) (S.value_at s "D2")
+
 (* Regression: [Inspect.parallel_profile] on a graph with a cycle. The
    level computation cuts cycles at level 0, so an instance on the cut
    used to land on level -1 and vanish from the width table (its width
@@ -375,72 +415,30 @@ let values_agree a b =
   | S.Num x, S.Num y -> Float.abs (x -. y) < 1e-6
   | a, b -> a = b
 
-let prop_sheet_differential =
-  QCheck.Test.make ~name:"sheet incremental = exhaustive oracle"
-    QCheck.(make Gen.(pair int (int_range 5 40)))
+(* The same generated edits under each configuration, cycles included:
+   an eager engine must report every cycle as the exhaustive evaluation
+   does, and settle — a step cap turns a settle that diverges into a
+   failed case ([Engine.Cancelled]) instead of a hung test. *)
+let prop_sheet_differential ?strategy ?partitioning ~max_steps name =
+  QCheck.Test.make ~name
+    QCheck.(make Gen.(pair int (int_range 5 max_steps)))
     (fun (seed, steps) ->
       let rand = Random.State.make [| seed |] in
-      let s = S.create () in
+      let s = S.create ?strategy ?partitioning () in
       let ok = ref true in
       for _ = 1 to steps do
         let c = Random.State.int rand 4 and r = Random.State.int rand 4 in
         S.set_raw s (c, r) (random_input rand);
-        for c = 0 to 3 do
-          for r = 0 to 3 do
-            let inc = S.value s (c, r) in
-            let ora = S.exhaustive_value s (c, r) in
-            if not (values_agree inc ora) then ok := false
-          done
-        done
-      done;
-      !ok)
-
-(* Under Eager evaluation, cyclic sheets may settle to a fixpoint rather
-   than an error (see the Sheet doc comment), so this generator only
-   writes formulas referencing cells strictly earlier in column-major
-   order — guaranteeing acyclicity. *)
-let random_acyclic_input rand (c, r) =
-  let idx = (c * 4) + r in
-  if idx = 0 then string_of_int (Random.State.int rand 20)
-  else
-    let earlier () =
-      let k = Random.State.int rand idx in
-      (k / 4, k mod 4)
-    in
-    match Random.State.int rand 5 with
-    | 0 -> string_of_int (Random.State.int rand 20)
-    | 1 -> ""
-    | 2 ->
-      Printf.sprintf "=%s+%d"
-        (F.name_of_cell (earlier ()))
-        (Random.State.int rand 10)
-    | 3 ->
-      Printf.sprintf "=%s*%s"
-        (F.name_of_cell (earlier ()))
-        (F.name_of_cell (earlier ()))
-    | _ ->
-      Printf.sprintf "=IF(%s>5,%s,%d)"
-        (F.name_of_cell (earlier ()))
-        (F.name_of_cell (earlier ()))
-        (Random.State.int rand 10)
-
-let prop_sheet_differential_eager =
-  QCheck.Test.make ~name:"sheet incremental = oracle (eager+partitions)"
-    QCheck.(make Gen.(pair int (int_range 5 30)))
-    (fun (seed, steps) ->
-      let rand = Random.State.make [| seed |] in
-      let s = S.create ~strategy:Engine.Eager ~partitioning:true () in
-      let ok = ref true in
-      for _ = 1 to steps do
-        let c = Random.State.int rand 4 and r = Random.State.int rand 4 in
-        S.set_raw s (c, r) (random_acyclic_input rand (c, r));
-        for c = 0 to 3 do
-          for r = 0 to 3 do
-            let inc = S.value s (c, r) in
-            let ora = S.exhaustive_value s (c, r) in
-            if not (values_agree inc ora) then ok := false
-          done
-        done
+        Engine.with_budget (S.engine s)
+          (Engine.Budget.create ~max_steps:100_000 ())
+          (fun () ->
+            for c = 0 to 3 do
+              for r = 0 to 3 do
+                let inc = S.value s (c, r) in
+                let ora = S.exhaustive_value s (c, r) in
+                if not (values_agree inc ora) then ok := false
+              done
+            done)
       done;
       !ok)
 
@@ -463,6 +461,7 @@ let () =
           Alcotest.test_case "error recovery" `Quick test_sheet_error_recovery;
           Alcotest.test_case "if" `Quick test_sheet_if;
           Alcotest.test_case "cycles" `Quick test_sheet_cycles;
+          Alcotest.test_case "eager range cycle" `Quick test_eager_range_cycle;
           Alcotest.test_case "parallel profile with cycle" `Quick
             test_parallel_profile_cycle;
           Alcotest.test_case "render" `Quick test_sheet_render;
@@ -474,5 +473,13 @@ let () =
           Alcotest.test_case "quiescence cutoff" `Quick test_sheet_cutoff;
         ] );
       ( "differential",
-        qsuite [ prop_sheet_differential; prop_sheet_differential_eager ] );
+        qsuite
+          [
+            prop_sheet_differential ~max_steps:40
+              "sheet incremental = exhaustive oracle";
+            prop_sheet_differential ~strategy:Engine.Eager ~partitioning:true
+              ~max_steps:30 "sheet incremental = oracle (eager+partitions)";
+            prop_sheet_differential ~strategy:Engine.Eager ~max_steps:30
+              "sheet incremental = oracle (eager)";
+          ] );
     ]

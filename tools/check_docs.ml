@@ -426,6 +426,7 @@ let check_bench_markers () =
         | Some "s", Some v -> Some (v, Seconds, "s")
         | Some "ratio", Some v -> Some (v, Factor, "x")
         | Some "count", Some v -> Some (v, Count, "")
+        | Some "words", Some v -> Some (v, Count, "")
         | _ -> None
       in
       List.iter
